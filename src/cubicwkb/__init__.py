@@ -54,10 +54,8 @@ from .bsb import (
     BsbIndex,
     BsbSolution,
     SolverError,
-    continue_to,
     real_orbit_constants,
     real_poles,
-    seed_from_scaling,
     solve_bsb,
     solve_lattice,
 )
@@ -84,9 +82,8 @@ __all__ = [
     "AsymptoticValues", "QuantizationResiduals", "RelativeError",
     "asymptotic_values_320", "partial_asymptotic_values",
     "quantization_residuals", "relative_errors",
-    "BsbIndex", "BsbSolution", "SolverError", "continue_to",
-    "real_orbit_constants", "real_poles", "seed_from_scaling", "solve_bsb",
-    "solve_lattice",
+    "BsbIndex", "BsbSolution", "SolverError", "real_orbit_constants",
+    "real_poles", "solve_bsb", "solve_lattice",
     "MonodromyError", "RecessiveSolution", "StokesMultipliers",
     "recessive_solution", "stokes_multipliers", "tritronquee_test",
     "LaurentSeries", "laurent_coeffs", "pi_residual",

@@ -10,14 +10,20 @@ b_n = b* (n - 1/2)^{6/5} generated by one scaling orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import scipy.optimize as so
 
-from .action import cycle_period, label_turning_points_by_periods, period_jacobian
-from .potential import CubicPotential, turning_points
-from .stokes import classify
+from .action import (
+    QuadratureError,
+    cycle_period,
+    label_turning_points_by_periods,
+    period_jacobian,
+)
+from .potential import CubicPotential, GroupElement, apply_group, turning_points
+from .stokes import ClassificationError, classify
 from .wkb import relative_errors
 
 
@@ -133,7 +139,7 @@ def _anchor_labels(p: CubicPotential, t1: complex, t2: complex):
     """
     try:
         g = classify(p)
-    except Exception:
+    except (ClassificationError, ValueError, QuadratureError):
         return None
     if g.class_code != "320" or g.decoration_shift != 0:
         return None
@@ -142,51 +148,6 @@ def _anchor_labels(p: CubicPotential, t1: complex, t2: complex):
     if float(np.max(np.abs(F))) > 1e-6:
         return None
     return labels
-
-
-def continue_to(
-    seed: CubicPotential,
-    from_idx: BsbIndex,
-    to_idx: BsbIndex,
-    tol: float = 1e-10,
-    labels: dict[str, complex] | None = None,
-) -> tuple[CubicPotential, dict[str, complex]]:
-    """Homotopy in the quantization targets from one index pair to another.
-
-    The target pair is walked in adaptive fractional steps; the seed must
-    solve (or nearly solve) the from_idx system.  Returns the continued
-    potential together with its tracked turning-point labels.
-    """
-    f1, f2 = _targets(from_idx)
-    g1, g2 = _targets(to_idx)
-    p = seed
-    if labels is None:
-        labels = _anchor_labels(p, f1, f2) or label_turning_points_by_periods(p)
-    tau = 0.0
-    step = 1.0 / max(abs(to_idx.n - from_idx.n) + abs(to_idx.m - from_idx.m), 1)
-    while tau < 1.0:
-        nxt = min(1.0, tau + step)
-        t1 = f1 + (g1 - f1) * nxt
-        t2 = f2 + (g2 - f2) * nxt
-        try:
-            p2, labels2, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
-            # every node of the homotopy solves a purely-imaginary-period
-            # system, so the quantizing root tp0 is recoverable from the
-            # geometry; a residual jump after re-anchoring means the roots
-            # braided and the iteration drifted onto a permuted branch
-            labels2 = _anchor_labels(p2, t1, t2)
-            if labels2 is None:
-                raise SolverError("labels braided during continuation")
-        except SolverError:
-            step *= 0.5
-            if step < 1.0 / 256.0:
-                raise
-            continue
-        p, labels, tau = p2, labels2, nxt
-        step = min(1.5 * step, 1.0 - tau if tau < 1.0 else step)
-        if step == 0.0:
-            break
-    return p, labels
 
 
 def solve_bsb(
@@ -298,70 +259,85 @@ def real_poles(n_max: int, tol: float = 1e-13) -> list[tuple[float, float]]:
     ]
 
 
-def seed_from_scaling(
-    idx: BsbIndex, solved: dict[tuple[int, int], BsbSolution] | None = None
-) -> CubicPotential:
-    """Newton seed for an index pair.
+def _kappa_curve(
+    kappas: set[Fraction], tol: float
+) -> tuple[dict[Fraction, tuple[CubicPotential, dict[str, complex]]], dict[Fraction, str]]:
+    """Unit-scale solutions of P_a1 = i pi, P_a-1 = -i pi kappa.
 
-    Diagonal indices use the real power-law point; off-diagonal indices copy
-    the nearest solved neighbour (continuation), falling back to the
-    diagonal point at round((n + m) / 2) on a cold start.
+    The curve starts at the real orbit point (a*, b*), the kappa = 1
+    solution, and is walked upward through the kappas above 1 and downward
+    through those below, in adaptive fractional steps between consecutive
+    targets.  Returns the solved nodes {kappa: (potential, labels)} and the
+    failed kappas {kappa: message}; after a failure the walk goes on from the
+    last accepted node.
     """
-    if idx.n == idx.m:
-        a, b = real_poles(idx.n)[-1]
-        return CubicPotential(a, b)
-    if solved:
-        best = None
-        for (n, m), sol in solved.items():
-            d = abs(n - idx.n) + abs(m - idx.m)
-            if best is None or d < best[0]:
-                best = (d, sol)
-        if best is not None and best[0] <= 2:
-            return best[1].potential
-    k = max(1, round((idx.n + idx.m) / 2))
-    a, b = real_poles(k)[-1]
-    return CubicPotential(a, b)
+    _, a_star, b_star = real_orbit_constants()
+    origin = CubicPotential(a_star, b_star)
+    nodes = {Fraction(1): (origin, label_turning_points_by_periods(origin))}
+    failures: dict[Fraction, str] = {}
+    t1 = 1j * np.pi
+    for branch in (
+        sorted(k for k in kappas if k > 1),
+        sorted((k for k in kappas if k < 1), reverse=True),
+    ):
+        p, labels = nodes[Fraction(1)]
+        kappa = 1.0
+        for target in branch:
+            start, tau, step = kappa, 0.0, 1.0
+            while tau < 1.0:
+                nxt = min(1.0, tau + step)
+                k = start + (float(target) - start) * nxt
+                t2 = -1j * np.pi * k
+                try:
+                    p2, labels2, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
+                    labels2 = _anchor_labels(p2, t1, t2)
+                    if labels2 is None:
+                        raise SolverError("labels braided on the kappa curve")
+                except (SolverError, ValueError, QuadratureError) as exc:
+                    step *= 0.5
+                    if step < 1.0 / 256.0:
+                        failures[target] = f"kappa = {target}: {exc}"
+                        break
+                    continue
+                p, labels, kappa, tau = p2, labels2, k, nxt
+                step = min(1.5 * step, 1.0 - tau)
+            else:
+                nodes[target] = (p, labels)
+    return nodes, failures
 
 
 def solve_lattice(
     n_max: int, m_max: int, tol: float = 1e-10, check_class: bool = False
 ) -> tuple[dict[tuple[int, int], BsbSolution], dict[tuple[int, int], str]]:
-    """Fill the (n, m) lattice: diagonal first, then continuation outward.
+    """Fill the (n, m) lattice from one curve of unit-scale solutions.
 
-    Off-diagonal cells are reached by homotopy in the quantization targets
-    from the nearest solved neighbour, which keeps the iterates on the
-    quantizing branch.
+    The periods are homogeneous, P(x^2 a, x^3 b) = x^{5/2} P(a, b), so the
+    (n, m) solution is the kappa = (m - 1/2)/(n - 1/2) point of the unit
+    curve rescaled by x = (n - 1/2)^{2/5}.  The curve is walked at
+    tol / (max(n_max, m_max) - 1/2), so that the rescaled seeds already meet
+    tol; each cell is then checked by solve_bsb.
     """
     solved: dict[tuple[int, int], BsbSolution] = {}
     failures: dict[tuple[int, int], str] = {}
-    order = sorted(
-        ((n, m) for n in range(1, n_max + 1) for m in range(1, m_max + 1)),
-        key=lambda nm: (abs(nm[0] - nm[1]), nm[0] + nm[1]),
-    )
-    for n, m in order:
-        idx = BsbIndex(n, m)
+    kappa = {
+        (n, m): Fraction(2 * m - 1, 2 * n - 1)
+        for n in range(1, n_max + 1)
+        for m in range(1, m_max + 1)
+    }
+    nodes, errors = _kappa_curve(set(kappa.values()), tol / (max(n_max, m_max) - 0.5))
+    for (n, m), k in kappa.items():
+        if k in errors:
+            failures[(n, m)] = errors[k]
+            continue
+        p, labels = nodes[k]
+        x = (n - 0.5) ** 0.4
         try:
-            labels = None
-            if n == m:
-                seed = seed_from_scaling(idx)
-            else:
-                neighbour = None
-                for (nn, mm) in sorted(
-                    solved, key=lambda t: abs(t[0] - n) + abs(t[1] - m)
-                ):
-                    neighbour = (nn, mm)
-                    break
-                if neighbour is None:
-                    seed = seed_from_scaling(idx)
-                else:
-                    seed, labels = continue_to(
-                        solved[neighbour].potential,
-                        BsbIndex(*neighbour),
-                        idx,
-                        tol=tol,
-                    )
             solved[(n, m)] = solve_bsb(
-                idx, seed, tol=tol, check_class=check_class, labels=labels
+                BsbIndex(n, m),
+                apply_group(GroupElement(x, 0), p),
+                tol=tol,
+                check_class=check_class,
+                labels={name: x * z for name, z in labels.items()},
             )
         except (SolverError, ValueError, RuntimeError) as exc:
             failures[(n, m)] = str(exc)

@@ -231,7 +231,8 @@ def cmd_table2(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; config values replace the option defaults."""
     ap = argparse.ArgumentParser(
         prog="cubicwkb",
         description="WKB analysis of cubic oscillators and the pole lattice "
@@ -278,33 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     tb = sub.add_parser("table2", help="comparison table against reference poles")
     tb.set_defaults(func=cmd_table2)
+
+    config = {key.replace("-", "_"): val for key, val in (config or {}).items()}
+    for parser in sub.choices.values():
+        options = {action.dest for action in parser._actions if action.option_strings}
+        parser.set_defaults(**{k: v for k, v in config.items() if k in options})
     return ap
 
 
-# defaults of config-overridable options (per subcommand destinations)
-_OVERRIDABLE_DEFAULTS = {
-    "nmax": 5,
-    "mmax": 5,
-    "tol": 1e-10,
-    "rmax_factor": 10.0,
-    "radius": None,
-    "threshold": 1e-3,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        cfg = _load_config(args.config)
+        if cfg:
+            # a flag given explicitly on the command line wins over the config
+            args = build_parser(cfg).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cfg = _load_config(getattr(args, "config", None))
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        default = _OVERRIDABLE_DEFAULTS.get(attr)
-        # a flag given explicitly on the command line wins over the config
-        if hasattr(args, attr) and getattr(args, attr) == default:
-            setattr(args, attr, val)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

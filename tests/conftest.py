@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import fsolve
 
-from cubicwkb.bsb import BsbIndex, real_orbit_potential, seed_from_scaling, solve_bsb
+from cubicwkb.bsb import BsbIndex, real_orbit_potential, real_poles, solve_bsb
 from cubicwkb.painleve import laurent_coeffs
+from cubicwkb.potential import CubicPotential
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -19,24 +20,23 @@ def orbit_potential():
 
 @pytest.fixture(scope="session")
 def sol_11():
-    return solve_bsb(BsbIndex(1, 1), seed_from_scaling(BsbIndex(1, 1)))
+    return solve_bsb(BsbIndex(1, 1), CubicPotential(*real_poles(1)[-1]))
 
 
 @pytest.fixture(scope="session")
 def sol_22():
-    return solve_bsb(BsbIndex(2, 2), seed_from_scaling(BsbIndex(2, 2)))
+    return solve_bsb(BsbIndex(2, 2), CubicPotential(*real_poles(2)[-1]))
 
 
 @pytest.fixture(scope="session")
 def sol_21(sol_11):
-    idx = BsbIndex(2, 1)
-    return solve_bsb(idx, seed_from_scaling(idx, {(1, 1): sol_11}))
+    # direct Newton from the (1, 1) solution, independent of solve_lattice
+    return solve_bsb(BsbIndex(2, 1), sol_11.potential)
 
 
 @pytest.fixture(scope="session")
 def sol_12(sol_11):
-    idx = BsbIndex(1, 2)
-    return solve_bsb(idx, seed_from_scaling(idx, {(1, 1): sol_11}))
+    return solve_bsb(BsbIndex(1, 2), sol_11.potential)
 
 
 def _tritronquee_asymptotics(z, terms=8):

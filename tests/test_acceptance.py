@@ -169,6 +169,17 @@ def test_criterion_3_argument_bound(lattice_5x5):
     )
 
 
+def test_lattice_is_rescaled_kappa_curve(lattice_5x5):
+    # (1, 2) and (2, 5) share kappa = 3; homogeneity of the periods maps one
+    # onto the other by x = (3/2 / 1/2)^{2/5} = 3^{2/5}
+    solved, _, _ = lattice_5x5
+    q = apply_group(GroupElement(3**0.4, 0), solved[(1, 2)].potential)
+    target = solved[(2, 5)]
+    dev = max(abs(q.a - target.a), abs(q.b - target.b))
+    assert report("lattice = rescaled kappa curve", dev <= 1e-9,
+                  f"|(1,2) rescaled - (2,5)| = {dev:.2e}")
+
+
 def test_criterion_4_admissibility():
     t0 = time.time()
     rng = np.random.default_rng(42)

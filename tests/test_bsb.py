@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+import cubicwkb.bsb as bsb
 from cubicwkb.action import cycle_period, label_turning_points_by_periods
 from cubicwkb.bsb import (
     BsbIndex,
     SolverError,
     real_orbit_constants,
     real_poles,
-    seed_from_scaling,
     solve_bsb,
     solve_lattice,
 )
+from cubicwkb.cli import EXIT_AMBIGUOUS, main
 from cubicwkb.potential import CubicPotential, moduli
 
 
@@ -77,18 +78,6 @@ def test_solution_invariants(sol_11, sol_21):
         assert sol.rho_max > 0
 
 
-def test_seed_from_scaling_diagonal_and_continuation(sol_11):
-    seed = seed_from_scaling(BsbIndex(3, 3))
-    a3, b3 = real_poles(3)[-1]
-    assert seed.a == pytest.approx(a3)
-    assert seed.b == pytest.approx(b3)
-    cont = seed_from_scaling(BsbIndex(2, 1), {(1, 1): sol_11})
-    assert cont.a == sol_11.a
-    cold = seed_from_scaling(BsbIndex(3, 1))
-    a2, b2 = real_poles(2)[-1]
-    assert cold.a == pytest.approx(a2)
-
-
 def test_polished_power_law_points_converge():
     # the closed-form points are already solutions up to quadrature error
     for n in (1, 2):
@@ -98,12 +87,42 @@ def test_polished_power_law_points_converge():
         assert abs(sol.a - a_n) < 1e-6
 
 
-def test_small_lattice_fill():
+def test_small_lattice_fill(sol_21, sol_12):
     solved, failures = solve_lattice(2, 2, tol=1e-9)
     assert not failures
     assert set(solved) == {(1, 1), (1, 2), (2, 1), (2, 2)}
     for sol in solved.values():
         assert abs(np.angle(complex(sol.a))) > 4 * np.pi / 5
+    # the rescaled kappa-curve cells equal independent direct-Newton solves
+    for nm, direct in (((2, 1), sol_21), ((1, 2), sol_12)):
+        assert abs(solved[nm].a - direct.a) <= 1e-9
+        assert abs(solved[nm].b - direct.b) <= 1e-9
+
+
+def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
+    anchor = bsb._anchor_labels
+
+    def braided_above_two(p, t1, t2):
+        return None if abs(t2) > 2 * np.pi else anchor(p, t1, t2)
+
+    monkeypatch.setattr(bsb, "_anchor_labels", braided_above_two)
+    solved, failures = solve_lattice(2, 2, tol=1e-9)
+    assert set(failures) == {(1, 2)}
+    assert failures[(1, 2)]
+    assert set(solved) == {(1, 1), (2, 2), (2, 1)}
+    code = main(["poles", "--nmax", "2", "--mmax", "2", "--fast",
+                 "--out", str(tmp_path / "lattice.csv")])
+    assert code == EXIT_AMBIGUOUS
+    assert "cell (1, 2) failed" in capsys.readouterr().err
+
+
+def test_anchor_labels_propagates_unexpected_errors(monkeypatch, sol_11):
+    def broken(p):
+        raise TypeError("not a classification failure")
+
+    monkeypatch.setattr(bsb, "classify", broken)
+    with pytest.raises(TypeError):
+        bsb._anchor_labels(sol_11.potential, 1j * np.pi / 2, -1j * np.pi / 2)
 
 
 def test_solver_rejects_bad_seed():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import cubicwkb.cli as cli
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
 
 
@@ -135,3 +136,18 @@ def test_config_file_override(tmp_path, capsys):
     assert code == EXIT_OK
     rows = list(csv.reader(out_path.open()))
     assert len(rows) == 2  # header + single cell
+
+
+def test_flag_beats_config_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax = 1\nmmax = 1\n")
+    seen = {}
+
+    def fake_lattice(n_max, m_max, tol, check_class):
+        seen.update(n_max=n_max, m_max=m_max)
+        return {}, {}
+
+    monkeypatch.setattr(cli, "solve_lattice", fake_lattice)
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "poles", "--nmax", "5")
+    assert code == EXIT_OK
+    assert seen == {"n_max": 5, "m_max": 1}
