@@ -61,9 +61,7 @@ from .bsb import (
 )
 from .monodromy import (
     MonodromyError,
-    RecessiveSolution,
     StokesMultipliers,
-    recessive_solution,
     stokes_multipliers,
     tritronquee_test,
 )
@@ -84,8 +82,8 @@ __all__ = [
     "quantization_residuals", "relative_errors",
     "BsbIndex", "BsbSolution", "SolverError", "real_orbit_constants",
     "real_poles", "solve_bsb", "solve_lattice",
-    "MonodromyError", "RecessiveSolution", "StokesMultipliers",
-    "recessive_solution", "stokes_multipliers", "tritronquee_test",
+    "MonodromyError", "StokesMultipliers", "stokes_multipliers",
+    "tritronquee_test",
     "LaurentSeries", "laurent_coeffs", "pi_residual",
     "graph_to_json", "graph_to_svg",
 ]

@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser(cfg).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    except OSError as exc:
+        print(f"cannot read config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -25,36 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .action import _adaptive
+from .action import QuadratureError, _adaptive
 from .potential import CubicPotential, turning_points
-from .stokes import StokesComplexGraph, classify
+from .stokes import ClassificationError, StokesComplexGraph, classify
 
 
 class MonodromyError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RecessiveSolution:
-    """Samples of one normalized recessive solution on the circle |x| = R.
-
-    Samples are stored at multiples of pi/5 as (v, v', log_scale): the true
-    solution is exp(log_scale) * v.  Coverage spans arg x in
-    [2 pi k/5 - 4 pi/5, 2 pi k/5 + 4 pi/5].
-    """
-
-    sector: int
-    radius: float
-    samples: dict[int, tuple[complex, complex, complex]]  # key: angle index j (pi/5 units)
-    est_error: float = 0.0
-
-    def magnitude(self, j: int) -> float:
-        v, _, l = self.samples[j]
-        return float(np.exp(l.real) * abs(v)) if np.isfinite(l.real) else np.inf
-
-    def log_magnitude(self, j: int) -> float:
-        v, _, l = self.samples[j]
-        return float(l.real + np.log(abs(v)))
 
 
 @dataclass(frozen=True)
@@ -91,6 +68,16 @@ class StokesMultipliers:
     @property
     def max_normalized_residual(self) -> float:
         return float(max(self.normalized_residuals))
+
+
+def _tail_bracket(x: complex, a: complex, b: complex) -> complex:
+    """sqrt(1 + q) - 1 + a/(4 x^2) with q = -a/(2 x^2) - 7 b/x^3.
+
+    Evaluated as -q^2 / (2 (1 + sqrt(1 + q))^2) - 7 b/(2 x^3), an exact
+    rewriting free of the cancellation between sqrt(1 + q) - 1 and -q/2.
+    """
+    q = -0.5 * a / x**2 - 7.0 * b / x**3
+    return -(q**2) / (2.0 * (1.0 + np.sqrt(1.0 + q)) ** 2) - 3.5 * b / x**3
 
 
 def default_radius(p: CubicPotential) -> float:
@@ -165,23 +152,10 @@ class _Ray:
         b = p.b
 
         # action-tail T_inf: integrand w - (2 x^{3/2} - (a/2) x^{-1/2}) dx
-        #   = 2 s^3 (sqrt(1 + q) - 1 + a/(4 x^2)) dx, q = -a/(2x^2) - 7b/x^3;
-        # the bracket is evaluated by its series for small q to avoid the
-        # catastrophic cancellation at large radii
+        #   = 2 s^3 (sqrt(1 + q) - 1 + a/(4 x^2)) dx, q = -a/(2x^2) - 7b/x^3
         def f_T(r):
             lam = r * u
-            s3 = self.half_power(r) ** 3
-            q = -0.5 * a / lam**2 - 7.0 * b / lam**3
-            if abs(q) < 1e-3:
-                bracket = (
-                    -3.5 * b / lam**3
-                    - q**2 / 8.0
-                    + q**3 / 16.0
-                    - 5.0 * q**4 / 128.0
-                )
-            else:
-                bracket = np.sqrt(1.0 + q) - 1.0 + 0.25 * a / lam**2
-            return 2.0 * s3 * bracket * u
+            return 2.0 * self.half_power(r) ** 3 * _tail_bracket(lam, a, b) * u
 
         T_inf, eT = self._tail(f_T)
 
@@ -233,73 +207,6 @@ class _Ray:
         return psi, dpsi, logN, est
 
 
-def _integrate_arc(p, R, j_start, direction, n_steps, v0, dv0, l0, rtol):
-    """March (psi, psi') along |x| = R from angle index j_start (pi/5 units).
-
-    Returns samples {j: (v, v', log_scale)} at each passed multiple of pi/5,
-    rescaling per half-step segment (pi/10) to keep moduli near unity.
-    """
-    samples = {j_start: (v0, dv0, l0)}
-    v, dv, l = v0, dv0, l0
-    wscale = 2.0 * R**1.5
-
-    def rhs(phi, y):
-        lam = R * np.exp(1j * phi)
-        dlam = 1j * lam
-        return np.array([y[1] * dlam, p(lam) * y[0] * dlam])
-
-    for step in range(n_steps):
-        phi0 = (j_start * np.pi / 5.0) + direction * step * (np.pi / 5.0)
-        for half in range(2):
-            a0 = phi0 + direction * half * (np.pi / 10.0)
-            a1 = a0 + direction * (np.pi / 10.0)
-            sol = solve_ivp(
-                rhs,
-                (a0, a1),
-                np.array([v, dv], dtype=complex),
-                method="DOP853",
-                rtol=rtol,
-                atol=np.array([1e-14, 1e-14 * wscale]),
-                dense_output=False,
-            )
-            if not sol.success:
-                raise MonodromyError(f"arc integration failed near angle {a0}")
-            v, dv = sol.y[0, -1], sol.y[1, -1]
-            m = max(abs(v), abs(dv) / wscale)
-            if m == 0 or not np.isfinite(m):
-                raise MonodromyError("solution vanished or overflowed on the arc")
-            v /= m
-            dv /= m
-            l = l + np.log(m)
-        j = j_start + direction * (step + 1)
-        samples[j] = (v, dv, l)
-    return samples
-
-
-def recessive_solution(
-    p: CubicPotential,
-    k: int,
-    R: float | None = None,
-    rtol: float = 1e-12,
-    span: int = 4,
-) -> RecessiveSolution:
-    """Normalized recessive solution of sector k sampled on |x| = R.
-
-    The arc covers arg x in [2 pi k/5 - span*pi/5, 2 pi k/5 + span*pi/5].
-    """
-    R = float(R) if R is not None else default_radius(p)
-    if R < 2.0 * turning_points(p).scale:
-        raise MonodromyError("R too small: turning points too close to the circle")
-    ray = _Ray(p, k, R)
-    v, dv, l, est = ray.initial_data()
-    m = max(abs(v), abs(dv) / (2.0 * R**1.5))
-    v, dv, l = v / m, dv / m, l + np.log(m)
-    up = _integrate_arc(p, R, 2 * k, +1, span, v, dv, l, rtol)
-    down = _integrate_arc(p, R, 2 * k, -1, span, v, dv, l, rtol)
-    samples = {**down, **up}
-    return RecessiveSolution(sector=k, radius=R, samples=samples, est_error=est)
-
-
 def _s5(k: int) -> int:
     """Reduce an index into the signed window -2..2."""
     return ((k + 2) % 5) - 2
@@ -308,16 +215,18 @@ def _s5(k: int) -> int:
 def _transport(p, nodes, v, dv, l, rtol):
     """Carry (psi, psi', log_scale) along a polyline, rescaling per node.
 
-    Returns (v, dv, l, quality): quality is the net climb of -log|psi| from
-    its running minimum, which bounds the log of the contamination
-    amplification picked up along the way (a clean, downhill leg has
-    quality ~ 0).
+    Returns the state (v, dv, l, quality) at every node: quality is the net
+    climb of -log|psi| from its running minimum since the first node, which
+    bounds the log of the contamination amplification picked up along the
+    way (a clean, downhill leg has quality ~ 0).
     """
     h_min = -(l.real + np.log(max(abs(v), 1e-300)))
     h_end = h_min
+    states = [(v, dv, l, 0.0)]
     for a, b in zip(nodes[:-1], nodes[1:]):
         seg = b - a
         if seg == 0:
+            states.append(states[-1])
             continue
 
         def rhs(t, y):
@@ -349,15 +258,24 @@ def _transport(p, nodes, v, dv, l, rtol):
         if m == 0 or not np.isfinite(m):
             raise MonodromyError("solution vanished or overflowed in transport")
         v, dv, l = v / m, dv / m, l + np.log(m)
-    return v, dv, l, float(max(0.0, h_end - h_min))
+        states.append((v, dv, l, float(max(0.0, h_end - h_min))))
+    return states
 
 
-def _wall_midpoint(g: StokesComplexGraph, wall, r_ext: float) -> complex:
-    if wall[0] == "int":
-        return 0.5 * (g.internal_vertices[wall[1]] + g.internal_vertices[wall[2]])
-    pts = g.lines[wall[1]].points
-    k = int(np.argmin(np.abs(np.abs(pts) - r_ext)))
-    return complex(pts[k])
+def _radial_leg(p, k, R, r_foot, rtol):
+    """The normalized solution of sector k carried from |x| = R inward along
+    its own ray to |x| = r_foot: (v, dv, log_scale, est_error) at the foot."""
+    ray = _Ray(p, k, R)
+    v, dv, l, est = ray.initial_data()
+    m = max(abs(v), abs(dv) / (2.0 * R**1.5))
+    v, dv, l = v / m, dv / m, l + np.log(m)
+    # split the leg so the growth per piece stays well inside the double
+    # range (the solution climbs by e^{(4/5) R^{5/2}} overall)
+    n_rad = max(1, int(0.8 * R**2.5 / 150.0) + 1)
+    radii = np.geomspace(R, r_foot, n_rad + 1)
+    nodes = [r * np.exp(1j * ray.theta) for r in radii]
+    v, dv, l, _ = _transport(p, nodes, v, dv, l, rtol)[-1]
+    return v, dv, l, est
 
 
 def stokes_multipliers(
@@ -374,6 +292,9 @@ def stokes_multipliers(
     modulus), and again at a second wall as a consistency gate.
     """
     R = float(R) if R is not None else default_radius(p)
+    tps = turning_points(p)
+    if R < 2.0 * tps.scale:
+        raise MonodromyError("R too small: turning points too close to the circle")
     g = graph
     if g is None:
         # the graph is only used to route transports and choose evaluation
@@ -383,22 +304,19 @@ def stokes_multipliers(
         # solutions are entire and paths are free to deform
         try:
             g = classify(p)
-        except Exception:
-            scale = max(turning_points(p).scale, 1.0)
+        except (ClassificationError, ValueError, QuadratureError):
+            scale = max(tps.scale, 1.0)
             for eps in (3e-4, 1e-3, 3e-3):
                 try:
                     g = classify(
                         CubicPotential(p.a, p.b + eps * scale**3 * (1 + 1j))
                     )
                     break
-                except Exception:
+                except (ClassificationError, ValueError, QuadratureError):
                     continue
             if g is None:
                 raise MonodromyError("no usable routing graph near this potential")
-    tps = turning_points(p)
-    scale = max(tps.scale, 1e-12)
-    roots = list(tps.roots)
-    r_foot = max(1.35 * scale, 1.0)
+    r_foot = max(1.35 * max(tps.scale, 1e-12), 1.0)
 
     # consecutive-sector corridors, ordered from the lower sector's side
     corridors = {}
@@ -416,72 +334,46 @@ def stokes_multipliers(
             return {w[1], w[2]}
         return {g.lines[w[1]].origin}
 
-    def wall_point(w):
-        return _wall_midpoint(g, w, 0.85 * r_foot)
-
-    # evaluation point of the pair (k, k+1): the point on the corridor wall
-    # facing sector k (the solutions involved all have moderate modulus on
-    # the walls, whose levels sit at the saddle values)
-    mids = {k: wall_point(corridors[k][0]) for k in range(-2, 3)}
-
-    def chain_points(walls):
-        """Waypoints through a wall sequence, bridging across shared
-        turning points so the path hugs the complex (the ODE is regular at
-        turning points, and Re S is constant along each wall)."""
-        pts = []
+    def walk(start, walls):
+        """Waypoints from start through a wall sequence, bridging across
+        shared turning points so the path hugs the complex (the ODE is
+        regular at turning points, and Re S is constant along each wall);
+        also the node index of each wall's point."""
+        pts, at = [start], []
         prev = None
         for w in walls:
             if prev is not None:
                 common = wall_endpoints(prev) & wall_endpoints(w)
                 if common:
                     pts.append(complex(g.internal_vertices[common.pop()]))
-            pts.append(wall_point(w))
+            pts.append(g.wall_point(w, 0.85 * r_foot))
+            at.append(len(pts) - 1)
             prev = w
-        return pts
+        return pts, at
 
-    def route(j, i):
-        """Waypoints from the foot of sector j to the eval point mids[i]."""
-        if i == j:
-            return [mids[j]]
-        if i == _s5(j - 1):
-            return chain_points(tuple(reversed(corridors[_s5(j - 1)])))
-        if i == _s5(j + 1):
-            return chain_points(corridors[j] + (corridors[_s5(j + 1)][0],))
-        if i == _s5(j - 2):
-            return chain_points(
-                tuple(reversed(corridors[_s5(j - 1)]))
-                + tuple(reversed(corridors[_s5(j - 2)]))
-            )
-        if i == _s5(j + 2):
-            return chain_points(
-                corridors[j]
-                + corridors[_s5(j + 1)]
-                + (corridors[_s5(j + 2)][0],)
-            )
-        raise MonodromyError("route outside the supported sector span")
-
-    # initial data at radius R, carried inward to the foot of each ray and
-    # then along the complex to the evaluation points
+    # Each solution is carried inward along its own ray to its foot, then
+    # along the complex in both directions.  The evaluation point of the pair
+    # (k, k+1) is the point on the first wall of corridors[k], the wall facing
+    # sector k (the solutions involved all have moderate modulus on the
+    # walls, whose levels sit at the saddle values).  The up walk from sector
+    # j passes the evaluation points of j, j+1 and j+2, the down walk those
+    # of j-1 and j-2.
     init_est = 0.0
     data = {}  # (j, eval_key) -> (v, dv, l, quality)
     for j in range(-2, 3):
-        ray = _Ray(p, j, R)
-        v, dv, l, est = ray.initial_data()
+        v, dv, l, est = _radial_leg(p, j, R, r_foot, rtol)
         init_est += est
-        m = max(abs(v), abs(dv) / (2.0 * R**1.5))
-        v, dv, l = v / m, dv / m, l + np.log(m)
-        foot = r_foot * np.exp(1j * ray.theta)
-        # split the radial leg so the growth per piece stays well inside the
-        # double range (the solution climbs by e^{(4/5) R^{5/2}} overall)
-        n_rad = max(1, int(0.8 * R**2.5 / 150.0) + 1)
-        radii = np.geomspace(R, r_foot, n_rad + 1)
-        rad_nodes = [r * np.exp(1j * ray.theta) for r in radii]
-        v, dv, l, _ = _transport(p, rad_nodes, v, dv, l, rtol)
-        for off in (-2, -1, 0, 1, 2):
-            wk5 = _s5(j + off)
-            data[(j, wk5)] = _transport(
-                p, [foot] + route(j, wk5), v, dv, l, rtol
-            )
+        foot = r_foot * np.exp(1j * (2.0 * np.pi * j / 5.0))
+        c0, c1, c2 = corridors[j], corridors[_s5(j + 1)], corridors[_s5(j + 2)]
+        nodes, at = walk(foot, c0 + c1 + (c2[0],))
+        states = _transport(p, nodes, v, dv, l, rtol)
+        for off, i in zip((0, 1, 2), (0, len(c0), len(c0) + len(c1))):
+            data[(j, _s5(j + off))] = states[at[i]]
+        d1, d2 = corridors[_s5(j - 1)][::-1], corridors[_s5(j - 2)][::-1]
+        nodes, at = walk(foot, d1 + d2)
+        states = _transport(p, nodes, v, dv, l, rtol)
+        for off, i in zip((-1, -2), (len(d1) - 1, len(d1) + len(d2) - 1)):
+            data[(j, _s5(j + off))] = states[at[i]]
 
     def wronskian_candidates(ja, jb):
         """Constant Wronskian of a solution pair at each wall, with the

@@ -86,6 +86,16 @@ class StokesComplexGraph:
     def n_internal_edges(self) -> int:
         return len(self.internal_edges)
 
+    def wall_point(self, wall, radius: float) -> complex:
+        """A point on a wall of the complex: the midpoint of an internal edge,
+        or the point of an external line's polyline closest to |x| = radius."""
+        if wall[0] == "int":
+            v = self.internal_vertices
+            return 0.5 * (v[wall[1]] + v[wall[2]])
+        pts = self.lines[wall[1]].points
+        k = int(np.argmin(np.abs(np.abs(pts) - radius)))
+        return complex(pts[k])
+
 
 # canonical non-consecutive pairs failing the relation, per class (labels -2..2)
 _ALL_NONCONSEC = frozenset(frozenset(((k - 2) % 5 - 2, (k) % 5 - 2)) for k in range(5))

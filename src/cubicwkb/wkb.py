@@ -214,20 +214,6 @@ def partial_asymptotic_values(class_code: str) -> dict:
     raise ValueError(f"no quotable asymptotic values for class {class_code}")
 
 
-def _wall_point(g: StokesComplexGraph, wall) -> complex:
-    kind = wall[0]
-    if kind == "int":
-        i, j = wall[1], wall[2]
-        return 0.5 * (g.internal_vertices[i] + g.internal_vertices[j])
-    # external wall: a point on the traced polyline at moderate radius
-    idx = wall[1]
-    pts = g.lines[idx].points
-    scale = max(max(abs(r) for r in g.internal_vertices), 1e-12)
-    target = 1.5 * scale
-    k = int(np.argmin(np.abs(np.abs(pts) - target)))
-    return complex(pts[k])
-
-
 def relative_errors(
     p: CubicPotential, g: StokesComplexGraph, tol: float = 1e-11
 ) -> RelativeError:
@@ -247,6 +233,8 @@ def relative_errors(
         rho[(l + 2) % 5, (l + 2) % 5] = 0.0
         for k in (l - 1, l + 1):
             rho[(l + 2) % 5, (k + 2) % 5] = 0.0
+    # external walls are sampled at a moderate radius beyond the vertices
+    r_ext = 1.5 * max(max(abs(v) for v in g.internal_vertices), 1e-12)
     for l in range(-2, 3):
         for k in range(l + 1, 3):
             if (k - l) % 5 in (1, 4) or not g.relation.related(l, k):
@@ -256,7 +244,7 @@ def relative_errors(
                 continue
             nodes = [_sector_anchor(g, l)]
             for wll in walls:
-                nodes.append(_wall_point(g, wll))
+                nodes.append(g.wall_point(wll, r_ext))
             nodes.append(_sector_anchor(g, k))
             full = []
             for u, v in zip(nodes[:-1], nodes[1:]):

@@ -151,3 +151,11 @@ def test_flag_beats_config_file(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "--config", str(cfg), "poles", "--nmax", "5")
     assert code == EXIT_OK
     assert seen == {"n_max": 5, "m_max": 1}
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    code, _, err = run_cli(capsys, "--config", str(missing), "constants")
+    assert code == EXIT_USAGE
+    assert "cannot read config file" in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+import cubicwkb.monodromy as monodromy
 from conftest import random_potentials
+from cubicwkb.action import BranchedPath, line_action
+from cubicwkb.cli import EXIT_NUMERICAL, main
 from cubicwkb.monodromy import (
+    MonodromyError,
+    _radial_leg,
+    _Ray,
+    _tail_bracket,
     default_radius,
-    recessive_solution,
     stokes_multipliers,
     tritronquee_test,
 )
-from cubicwkb.potential import CubicPotential
+from cubicwkb.potential import CubicPotential, turning_points
+from cubicwkb.stokes import ClassificationError
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -16,6 +23,11 @@ GOLDEN = (1 + np.sqrt(5)) / 2
 @pytest.fixture(scope="module")
 def sigma_00():
     return stokes_multipliers(CubicPotential(0, 0))
+
+
+@pytest.fixture(scope="module")
+def sigma_04():
+    return stokes_multipliers(CubicPotential(0.4, -0.3))
 
 
 def test_symmetric_cubic_multipliers_equal(sigma_00):
@@ -39,11 +51,10 @@ def test_two_point_agreement_and_drift(sigma_00):
     assert sigma_00.wronskian_drift < 1e-8
 
 
-def test_radius_robustness():
+def test_radius_robustness(sigma_04):
     p = CubicPotential(0.4, -0.3)
-    R = default_radius(p)
-    s1 = stokes_multipliers(p, R=R)
-    s2 = stokes_multipliers(p, R=1.25 * R)
+    s1 = sigma_04
+    s2 = stokes_multipliers(p, R=1.25 * default_radius(p))
     for k in range(-2, 3):
         assert s1.sigma[k] == pytest.approx(s2.sigma[k], rel=1e-7, abs=1e-8)
 
@@ -54,17 +65,99 @@ def test_admissibility_on_random_real_sample():
         assert s.max_normalized_residual < 1e-6
 
 
-def test_recessive_solution_dominance_growth():
-    # |psi_k| is smallest near its own ray and grows into the neighbours
-    sol = recessive_solution(CubicPotential(0.3, 0.1), 0)
-    own = sol.log_magnitude(0)
-    assert sol.log_magnitude(2) > own + 1.0
-    assert sol.log_magnitude(-2) > own + 1.0
+def test_radius_guard(capsys):
+    # a circle this close to the turning points gives wrong multipliers
+    with pytest.raises(MonodromyError):
+        stokes_multipliers(CubicPotential(2, 0), R=1.5)
+    code = main(["verify", "--a", "2", "--b", "0", "--radius", "1.5"])
+    assert code == EXIT_NUMERICAL
+    assert "R too small" in capsys.readouterr().err
 
 
-def test_recessive_solution_radius_guard():
-    with pytest.raises(Exception):
-        recessive_solution(CubicPotential(2, 0), 0, R=0.5)
+def test_tail_bracket_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    with mp.workdps(50):
+        for mag in np.geomspace(1e-12, 0.5, 40):
+            # q = -a/(2x^2) - 7b/x^3 of modulus mag, split between a and b
+            x = complex(*rng.uniform(1.0, 20.0, 2))
+            t = rng.uniform(0.0, 1.0)
+            qa = mag * t * np.exp(2j * np.pi * rng.uniform())
+            qb = mag * (1.0 - t) * np.exp(2j * np.pi * rng.uniform())
+            a, b = -2.0 * qa * x**2, -qb * x**3 / 7.0
+            X, A, B = mp.mpc(x), mp.mpc(a), mp.mpc(b)
+            q = -A / (2 * X**2) - 7 * B / X**3
+            exact = mp.sqrt(1 + q) - 1 + A / (4 * X**2)
+            got = _tail_bracket(x, a, b)
+            assert abs(mp.mpc(got) - exact) <= 1e-13 * abs(exact)
+
+
+def test_ray_normalization_matches_bessel_k():
+    # V = 4x^3: the recessive solution of ray 0 is
+    # sqrt(8/(5 pi)) sqrt(x) K_{1/5}((4/5) x^{5/2}) ~ x^{-3/4} e^{-(4/5) x^{5/2}};
+    # by the Z5 symmetry the other rays carry rotated copies of equal modulus
+    mp = pytest.importorskip("mpmath")
+    R = 8.0
+    with mp.workdps(50):
+
+        def exact(x):
+            z = mp.mpf(4) / 5 * x ** mp.mpf(2.5)
+            return mp.sqrt(8 / (5 * mp.pi)) * mp.sqrt(x) * mp.besselk(mp.mpf(1) / 5, z)
+
+        psi, dpsi = exact(mp.mpf(R)), mp.diff(exact, mp.mpf(R))
+        for k in range(-2, 3):
+            v, dv, logN, _ = _Ray(CubicPotential(0, 0), k, R).initial_data()
+            scale = mp.exp(mp.mpc(logN))
+            got, dgot = mp.mpc(v) * scale, mp.mpc(dv) * scale
+            if k == 0:
+                assert abs(got - psi) <= 1e-9 * abs(psi)
+                assert abs(dgot - dpsi) <= 1e-9 * abs(dpsi)
+            else:
+                assert abs(abs(got) - abs(psi)) <= 1e-9 * abs(psi)
+                assert abs(abs(dgot) - abs(dpsi)) <= 1e-9 * abs(dpsi)
+
+
+def test_radial_legs_grow_like_wkb():
+    # inward along its own ray, log|psi_k| climbs by the WKB amount
+    # -Re int_R^foot sqrt(V) dx + (1/4) log|V(R)/V(foot)| on the recessive sheet
+    p = CubicPotential(0.3, 0.1)
+    R = default_radius(p)
+    r_foot = max(1.35 * turning_points(p).scale, 1.0)
+    for k in range(-2, 3):
+        ray = _Ray(p, k, R)
+        v0, _, l0, _ = ray.initial_data()
+        v, _, l, _ = _radial_leg(p, k, R, r_foot, 1e-13)
+        growth = (l.real + np.log(abs(v))) - (l0.real + np.log(abs(v0)))
+        x_R, x_foot = R * ray.u, r_foot * ray.u
+        S = line_action(p, BranchedPath(nodes=(x_R, x_foot), branch_seed=ray.w(R)))
+        expected = -S.value.real + 0.25 * np.log(abs(p(x_R) / p(x_foot)))
+        assert growth > 10.0
+        assert growth == pytest.approx(expected, abs=0.25)
+
+
+def test_unexpected_classify_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside classify")
+
+    monkeypatch.setattr(monodromy, "classify", broken)
+    with pytest.raises(TypeError):
+        stokes_multipliers(CubicPotential(0.4, -0.3))
+
+
+def test_classification_failure_routes_through_perturbed_graph(monkeypatch, sigma_04):
+    p = CubicPotential(0.4, -0.3)
+    classify = monodromy.classify
+
+    def fails_on_p(q, *args, **kwargs):
+        if q == p:
+            raise ClassificationError("forced")
+        return classify(q, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "classify", fails_on_p)
+    s = stokes_multipliers(p)
+    for k in range(-2, 3):
+        ref = sigma_04.sigma[k]
+        assert abs(s.sigma[k] - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_bsb_solution_margins(sol_11):
