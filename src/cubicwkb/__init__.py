@@ -27,7 +27,6 @@ from .action import (
     cycle_period,
     label_turning_points_by_periods,
     line_action,
-    period_jacobian,
     turning_point_action,
 )
 from .stokes import (
@@ -73,7 +72,7 @@ __all__ = [
     "TurningPointSet", "apply_group", "moduli", "orbit_modulus", "turning_points",
     "ActionValue", "BranchedPath", "ClearanceError", "CyclePeriod",
     "alpha_integral", "cycle_period", "label_turning_points_by_periods",
-    "line_action", "period_jacobian", "turning_point_action",
+    "line_action", "turning_point_action",
     "AmbiguousClassError", "ClassificationError", "SectorRelation",
     "StokesComplexGraph", "TraceOptions", "classify", "classify_by_periods",
     "sector_relation", "trace_stokes_lines",

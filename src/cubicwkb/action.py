@@ -60,6 +60,7 @@ class CyclePeriod:
     cycle_id: str
     value: complex
     est_error: float
+    gradient: tuple[complex, complex]   # (dP/da, dP/db)
 
 
 class _FactorTracker:
@@ -120,11 +121,13 @@ def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
 
 
 def _gauss_panel(f, a, b):
+    """Panel integral of f (a scalar or a vector per node) and its largest
+    component error."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    i2 = half * np.sum(_GW2 * f(mid + half * _GX2))
-    i1 = half * np.sum(_GW * f(mid + half * _GX))
-    return i2, abs(i2 - i1)
+    i2 = half * (_GW2 @ f(mid + half * _GX2))
+    i1 = half * (_GW @ f(mid + half * _GX))
+    return i2, float(np.max(np.abs(i2 - i1)))
 
 
 def _adaptive(f, a, b, tol, depth=0):
@@ -197,11 +200,11 @@ def _tp_leg_states(roots, vanish, tp, b, tracker_at_b):
 def _integrate_tp_leg(roots, vanish, tp, b, tracker_at_b, tol, weight_t):
     """Integral from turning point tp to regular point b on the tracked sheet.
 
-    weight_t(z, t, van, fac, others, d) must include the Jacobian
-    2 t (b - tp) dt of the substitution; `van` is the product of the tracked
-    sqrt(b - r_i) over the vanishing factors, so that the vanishing part of
-    sqrt(V) is exactly t^len(vanish) * van.  Returns (value, error) oriented
-    tp -> b.
+    weight_t(z, van_t, fac, others, d, t) must include the Jacobian
+    2 t (b - tp) dt of the substitution; van_t = t^len(vanish) * van, where
+    van is the product of the tracked sqrt(b - r_i) over the vanishing
+    factors, is exactly the vanishing part of sqrt(V).  The weight may
+    return a scalar or a vector.  Returns (value, error) oriented tp -> b.
     """
     d = b - tp
     others = [i for i in range(3) if i not in vanish]
@@ -218,12 +221,11 @@ def _integrate_tp_leg(roots, vanish, tp, b, tracker_at_b, tol, weight_t):
 
         def f(ts):
             t = base.copy()
-            out = np.empty(len(ts), dtype=complex)
-            for i, tt in enumerate(np.asarray(ts)):
+            out = []
+            for tt in ts:
                 z = tp + tt**2 * d
-                fac = t.advance(z)
-                out[i] = weight_t(z, tt**nv * van, fac, others, d, tt)
-            return out
+                out.append(weight_t(z, tt**nv * van, t.advance(z), others, d, tt))
+            return np.array(out)
 
         val, e = _adaptive(f, t0, t1, tol)
         total += val
@@ -237,6 +239,15 @@ def _w_sqrtV(z, van_t, fac, others, d, tt):
     for i in others:
         reg *= fac[i]
     return 2.0 * van_t * reg * 2.0 * tt * d
+
+
+def _w_period(z, van_t, fac, others, d, tt):
+    # (sqrt(V), dsqrt(V)/da, dsqrt(V)/db) dx with V = 4x^3 - 2ax - 28b:
+    # dx / sqrt(V) = 2 t d dt / (2 van_t f2 f3), finite since van_t ~ t (Gauss
+    # nodes are interior, so t > 0)
+    reg = fac[others[0]] * fac[others[1]]
+    inv = d * tt / (van_t * reg)
+    return 4.0 * van_t * reg * tt * d, -z * inv, -14.0 * inv
 
 
 def line_action(
@@ -308,14 +319,38 @@ def line_action(
     return ActionValue(value=total, est_error=err)
 
 
-def _flat_to_cluster(tps, flat_index):
-    k = 0
-    for ci, m in enumerate(tps.multiplicities):
-        for _ in range(m):
-            if k == flat_index:
-                return ci
-            k += 1
-    raise IndexError(flat_index)
+def _tp_integral(p, from_tp, to_tp, side_hint, tol, weight):
+    """Integral of weight (see _integrate_tp_leg) between two simple turning
+    points along from_tp -> side_hint -> to_tp; returns (value, error)."""
+    tps = turning_points(p)
+    roots = np.array(tps.all_with_repeats, dtype=complex)
+    scale = max(tps.scale, 1e-12)
+    di = np.abs(from_tp - roots)
+    dj = np.abs(to_tp - roots)
+    i, j = int(np.argmin(di)), int(np.argmin(dj))
+    if di[i] > 1e-6 * scale or dj[j] > 1e-6 * scale:
+        raise ValueError("endpoints must be turning points of the potential")
+    if i == j:
+        return 0.0 + 0.0j, 0.0
+    mult = np.repeat(tps.multiplicities, tps.multiplicities)  # per entry of roots
+    if mult[i] != 1 or mult[j] != 1:
+        raise ValueError("endpoints must be simple turning points")
+    a_tp, b_tp = complex(roots[i]), complex(roots[j])
+    if side_hint is not None:
+        h = complex(side_hint)
+    else:
+        h = 0.5 * (a_tp + b_tp)
+        if min(abs(h - r) for r in roots) < 0.05 * abs(b_tp - a_tp):
+            # third root sits on the chord: hop over it on the +i side
+            h = h + 0.5j * (b_tp - a_tp)
+    if min(abs(h - r) for r in roots) < 1e-9 * scale:
+        raise ClearanceError("side_hint too close to a turning point")
+
+    tracker = _FactorTracker(roots, h)
+    val1, e1 = _integrate_tp_leg(roots, [i], a_tp, h, tracker.copy(), tol, weight)
+    val2, e2 = _integrate_tp_leg(roots, [j], b_tp, h, tracker.copy(), tol, weight)
+    # from_tp -> h  plus  h -> to_tp
+    return val1 - val2, e1 + e2
 
 
 def turning_point_action(
@@ -330,39 +365,11 @@ def turning_point_action(
     The path runs from_tp -> side_hint -> to_tp; side_hint is a regular point
     that selects which side of the third turning point the path passes and
     pins the sheet (sqrt(V) there is the principal product of factor roots).
-    Defaults to the midpoint of the two endpoints.
+    Defaults to the midpoint of the two endpoints, moved off the chord when
+    the third turning point sits on it.
     """
-    tps = turning_points(p)
-    roots = np.array(tps.all_with_repeats, dtype=complex)
-    scale = max(tps.scale, 1e-12)
-    di = np.abs(from_tp - roots)
-    dj = np.abs(to_tp - roots)
-    i, j = int(np.argmin(di)), int(np.argmin(dj))
-    if di[i] > 1e-6 * scale or dj[j] > 1e-6 * scale:
-        raise ValueError("endpoints must be turning points of the potential")
-    if i == j:
-        return ActionValue(value=0.0 + 0.0j, est_error=0.0)
-    if (
-        tps.multiplicities[_flat_to_cluster(tps, i)] != 1
-        or tps.multiplicities[_flat_to_cluster(tps, j)] != 1
-    ):
-        raise ValueError("endpoints must be simple turning points")
-    a_tp, b_tp = complex(roots[i]), complex(roots[j])
-    if side_hint is not None:
-        h = complex(side_hint)
-    else:
-        h = 0.5 * (a_tp + b_tp)
-        if min(abs(h - r) for r in roots) < 0.05 * abs(b_tp - a_tp):
-            # third root sits on the chord: hop over it on the +i side
-            h = h + 0.5j * (b_tp - a_tp)
-    if min(abs(h - r) for r in roots) < 1e-9 * scale:
-        raise ClearanceError("side_hint too close to a turning point")
-
-    tracker = _FactorTracker(roots, h)
-    val1, e1 = _integrate_tp_leg(roots, [i], a_tp, h, tracker.copy(), tol, _w_sqrtV)
-    val2, e2 = _integrate_tp_leg(roots, [j], b_tp, h, tracker.copy(), tol, _w_sqrtV)
-    # from_tp -> h  plus  h -> to_tp
-    return ActionValue(value=val1 - val2, est_error=e1 + e2)
+    val, err = _tp_integral(p, from_tp, to_tp, side_hint, tol, _w_sqrtV)
+    return ActionValue(value=val, est_error=err)
 
 
 def _orient_sign(value: complex, cycle_id: str) -> float:
@@ -371,6 +378,24 @@ def _orient_sign(value: complex, cycle_id: str) -> float:
     if value.imag != 0:
         return 1.0 if (value.imag > 0) == want_positive else -1.0
     return 1.0 if value.real >= 0 else -1.0
+
+
+def _pair_scores(p: CubicPotential, roots, tol: float) -> dict[tuple[int, int], float]:
+    """|Re A| / |A| of the turning-point action A of each root pair (i, j), i < j."""
+    scores = {}
+    for i in range(3):
+        for j in range(i + 1, 3):
+            v = turning_point_action(p, roots[i], roots[j], tol=tol).value
+            scores[(i, j)] = abs(v.real) / max(abs(v), 1e-300)
+    return scores
+
+
+def _labels_around(roots, i0: int) -> dict[str, complex]:
+    """tp0 = roots[i0]; tp1 and tp-1 are the other two, tp1 of larger Im."""
+    ra, rb = (roots[k] for k in range(3) if k != i0)
+    if ra.imag < rb.imag:
+        ra, rb = rb, ra
+    return {"tp0": roots[i0], "tp1": ra, "tp-1": rb}
 
 
 def label_turning_points_by_periods(
@@ -393,31 +418,13 @@ def label_turning_points_by_periods(
     if p.is_real(1e-12 * max(1.0, abs(p.a), abs(p.b))):
         n_real = sum(1 for z in r if abs(z.imag) <= 1e-9 * scale)
         if n_real == 1:
-            i0 = int(np.argmin([abs(z.imag) for z in r]))
-            rest = [k for k in range(3) if k != i0]
-            ra, rb = r[rest[0]], r[rest[1]]
-            if ra.imag < rb.imag:
-                ra, rb = rb, ra
-            return {"tp0": r[i0], "tp1": ra, "tp-1": rb}
+            return _labels_around(r, int(np.argmin([abs(z.imag) for z in r])))
 
     # otherwise pick the root whose worse pairwise action is closest to
     # purely imaginary (at quantizing potentials both of its pairs are)
-    score = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v = turning_point_action(p, r[i], r[j], tol=tol).value
-            score[(i, j)] = abs(v.real) / max(abs(v), 1e-300)
-    worst = [
-        max(score[(0, 1)], score[(0, 2)]),
-        max(score[(0, 1)], score[(1, 2)]),
-        max(score[(0, 2)], score[(1, 2)]),
-    ]
-    i0 = int(np.argmin(worst))
-    rest = [k for k in range(3) if k != i0]
-    ra, rb = r[rest[0]], r[rest[1]]
-    if ra.imag < rb.imag:
-        ra, rb = rb, ra
-    return {"tp0": r[i0], "tp1": ra, "tp-1": rb}
+    score = _pair_scores(p, r, tol)
+    worst = [max(s for pair, s in score.items() if i in pair) for i in range(3)]
+    return _labels_around(r, int(np.argmin(worst)))
 
 
 def cycle_period(
@@ -431,7 +438,11 @@ def cycle_period(
     Normalized so that quantizing potentials sit exactly at i*pi*(n - 1/2)
     on a1 and -i*pi*(m - 1/2) on a-1: the value is the branch-tracked
     integral of sqrt(V) between the two encircled turning points with the
-    orientation fixed by the sign of its imaginary part.
+    orientation fixed by the sign of its imaginary part.  The gradient
+    dP/da = -int lam / sqrt(V) dlam, dP/db = -14 int dlam / sqrt(V) is
+    integrated in the same sweep, on the same path, sheet and orientation
+    (endpoint motion drops out since sqrt(V) vanishes there); est_error is
+    the largest error over the three.
     """
     if cycle_id not in ("a1", "a-1"):
         raise ValueError("cycle_id must be 'a1' or 'a-1'")
@@ -439,54 +450,13 @@ def cycle_period(
         labels = label_turning_points_by_periods(p)
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
-    act = turning_point_action(p, lam0, lam, tol=tol)
-    s = _orient_sign(act.value, cycle_id)
-    return CyclePeriod(cycle_id=cycle_id, value=s * act.value, est_error=act.est_error)
-
-
-def period_jacobian(
-    p: CubicPotential,
-    cycle_id: str,
-    labels: dict[str, complex] | None = None,
-    tol: float = 1e-11,
-) -> tuple[complex, complex]:
-    """(dP/da, dP/db) for cycle_period, by differentiating under the integral.
-
-    dP/da = -int lam / sqrt(V) dlam and dP/db = -14 int dlam / sqrt(V) over
-    the same segment, sheet and orientation (endpoint motion drops out since
-    sqrt(V) vanishes there); the endpoint singularities are integrable and
-    removed by the t^2 substitution.
-    """
-    if cycle_id not in ("a1", "a-1"):
-        raise ValueError("cycle_id must be 'a1' or 'a-1'")
-    if labels is None:
-        labels = label_turning_points_by_periods(p)
-    lam0 = labels["tp0"]
-    lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
-
-    tps = turning_points(p)
-    roots = np.array(tps.all_with_repeats, dtype=complex)
-    i = int(np.argmin(np.abs(lam0 - roots)))
-    j = int(np.argmin(np.abs(lam - roots)))
-    a_tp, b_tp = complex(roots[i]), complex(roots[j])
-    h = 0.5 * (a_tp + b_tp)
-    tracker = _FactorTracker(roots, h)
-
-    def w_da(z, van_t, fac, others, d, tt):
-        # -z / sqrt(V) * dx = -z / (2 t van f2 f3) * 2 t d dt = -z d / (van f2 f3);
-        # Gauss nodes are interior so tt > 0 and van_t / tt is safe.
-        return -z * d * tt / (van_t * fac[others[0]] * fac[others[1]])
-
-    def w_db(z, van_t, fac, others, d, tt):
-        return -14.0 * d * tt / (van_t * fac[others[0]] * fac[others[1]])
-
-    da1, _ = _integrate_tp_leg(roots, [i], a_tp, h, tracker.copy(), tol, w_da)
-    da2, _ = _integrate_tp_leg(roots, [j], b_tp, h, tracker.copy(), tol, w_da)
-    db1, _ = _integrate_tp_leg(roots, [i], a_tp, h, tracker.copy(), tol, w_db)
-    db2, _ = _integrate_tp_leg(roots, [j], b_tp, h, tracker.copy(), tol, w_db)
-    base = turning_point_action(p, lam0, lam, tol=tol).value
-    s = _orient_sign(base, cycle_id)
-    return s * (da1 - da2), s * (db1 - db2)
+    val, err = _tp_integral(p, lam0, lam, None, tol, _w_period)
+    # a zero-length cycle comes back as a scalar 0
+    value, da, db = np.zeros(3, dtype=complex) + val
+    s = _orient_sign(value, cycle_id)
+    return CyclePeriod(
+        cycle_id=cycle_id, value=s * value, est_error=err, gradient=(s * da, s * db)
+    )
 
 
 def safe_nodes(a: complex, b: complex, roots, clearance: float, depth: int = 0):
@@ -557,26 +527,28 @@ def alpha_integral(
     return total
 
 
+def ray_tail(f, R: float, tol: float):
+    """(int_R^inf f(r) dr, error) by the substitution r = R / s^2, s in (0, 1].
+
+    f may return a scalar or a vector; every component must decay faster
+    than r^{-1} (the Gauss nodes never reach s = 0).
+    """
+
+    def g(ss):
+        return np.array([f(R / s**2) * (2.0 * R / s**3) for s in ss])
+
+    return _adaptive(g, 0.0, 1.0, tol)
+
+
 def alpha_ray_tail(p: CubicPotential, start: complex, tol: float = 1e-12) -> float:
     """int_start^inf |alpha| |dlam| along the outward ray through start.
 
-    Uses r = R / s^2 to compress the tail; alpha decays like r^{-7/2}, so the
-    transformed integrand vanishes like s^4 at s = 0.
+    alpha decays like r^{-7/2}, so under r = R / s^2 the integrand vanishes
+    like s^4 at s = 0.
     """
     R = abs(start)
     if R == 0:
         raise ValueError("tail ray must start away from the origin")
     u = start / R
-
-    def f(ss):
-        out = np.empty(len(ss))
-        for i, s in enumerate(np.asarray(ss)):
-            if s <= 0:
-                out[i] = 0.0
-            else:
-                r = R / s**2
-                out[i] = alpha_at(p, r * u) * (2 * R / s**3)
-        return out
-
-    val, _ = _adaptive(f, 0.0, 1.0, tol)
+    val, _ = ray_tail(lambda r: alpha_at(p, r * u), R, tol)
     return float(val.real)

@@ -16,12 +16,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize as so
 
-from .action import (
-    QuadratureError,
-    cycle_period,
-    label_turning_points_by_periods,
-    period_jacobian,
-)
+from .action import QuadratureError, cycle_period, label_turning_points_by_periods
 from .potential import CubicPotential, GroupElement, apply_group, turning_points
 from .stokes import ClassificationError, classify
 from .wkb import relative_errors
@@ -86,14 +81,15 @@ def _targets(idx: BsbIndex) -> tuple[complex, complex]:
 
 
 def _system(p: CubicPotential, labels, t1: complex, t2: complex, tol: float):
-    P1 = cycle_period(p, "a1", labels=labels, tol=tol).value
-    P2 = cycle_period(p, "a-1", labels=labels, tol=tol).value
-    return np.array([P1 - t1, P2 - t2])
+    """Residuals F of the two period conditions and their Jacobian J."""
+    P1 = cycle_period(p, "a1", labels=labels, tol=tol)
+    P2 = cycle_period(p, "a-1", labels=labels, tol=tol)
+    return np.array([P1.value - t1, P2.value - t2]), np.array([P1.gradient, P2.gradient])
 
 
 def _newton_targets(p, labels, t1, t2, tol, max_iter):
     """Damped Newton on the two periods toward arbitrary target values."""
-    F = _system(p, labels, t1, t2, tol=1e-9)
+    F, J = _system(p, labels, t1, t2, tol=1e-9)
     norm = float(np.max(np.abs(F)))
     qtol = 1e-9
     for it in range(max_iter):
@@ -101,9 +97,6 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
             break
         if norm < 1e-6:
             qtol = 1e-12
-        da1, db1 = period_jacobian(p, "a1", labels=labels, tol=qtol)
-        da2, db2 = period_jacobian(p, "a-1", labels=labels, tol=qtol)
-        J = np.array([[da1, db1], [da2, db2]])
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -113,13 +106,13 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
             q = CubicPotential(p.a + lam * step[0], p.b + lam * step[1])
             try:
                 labels_q = _labels_from_roots(q, labels)
-                Fq = _system(q, labels_q, t1, t2, tol=qtol)
+                Fq, Jq = _system(q, labels_q, t1, t2, tol=qtol)
             except (SolverError, ValueError):
                 lam *= 0.5
                 continue
             nq = float(np.max(np.abs(Fq)))
             if nq < norm or nq <= tol:
-                p, labels, F, norm = q, labels_q, Fq, nq
+                p, labels, F, J, norm = q, labels_q, Fq, Jq, nq
                 break
             lam *= 0.5
         else:
@@ -144,7 +137,7 @@ def _anchor_labels(p: CubicPotential, t1: complex, t2: complex):
     if g.class_code != "320" or g.decoration_shift != 0:
         return None
     labels = dict(g.tp_labels)
-    F = _system(p, labels, t1, t2, 1e-10)
+    F, _ = _system(p, labels, t1, t2, 1e-10)
     if float(np.max(np.abs(F))) > 1e-6:
         return None
     return labels
@@ -317,6 +310,8 @@ def solve_lattice(
     tol / (max(n_max, m_max) - 1/2), so that the rescaled seeds already meet
     tol; each cell is then checked by solve_bsb.
     """
+    if n_max < 1 or m_max < 1:
+        raise ValueError("n_max and m_max must be >= 1")
     solved: dict[tuple[int, int], BsbSolution] = {}
     failures: dict[tuple[int, int], str] = {}
     kappa = {

@@ -59,6 +59,13 @@ def _parse_complex(s: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number: {s!r}") from exc
 
 
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _load_config(path: str | None) -> dict:
     """Simple key=value config file; values parsed as int/float/str."""
     if not path:
@@ -258,8 +265,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_trace)
 
     o = sub.add_parser("poles", help="solve the quantization lattice, emit CSV")
-    o.add_argument("--nmax", type=int, default=5)
-    o.add_argument("--mmax", type=int, default=5)
+    o.add_argument("--nmax", type=_positive_int, default=5)
+    o.add_argument("--mmax", type=_positive_int, default=5)
     o.add_argument("--tol", type=float, default=1e-10)
     o.add_argument("--out", help="CSV path (default stdout)")
     o.add_argument("--fast", action="store_true",
@@ -301,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except OSError as exc:
+        print(f"cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .action import QuadratureError, _adaptive
+from .action import QuadratureError, ray_tail
 from .potential import CubicPotential, turning_points
 from .stokes import ClassificationError, StokesComplexGraph, classify
 
@@ -128,54 +128,26 @@ class _Ray:
         dw = V1 / (2.0 * w)
         return dalpha / (2.0 * w) - alpha * dw / (2.0 * w**2)
 
-    def _tail(self, f, tol=1e-13):
-        """int_R^inf f(r) dr via r = R / s^2."""
-        R = self.R
-
-        def g(ss):
-            out = np.empty(len(ss), dtype=complex)
-            for i, s in enumerate(np.asarray(ss)):
-                if s <= 0:
-                    out[i] = 0.0
-                else:
-                    r = R / s**2
-                    out[i] = f(r) * (2.0 * R / s**3)
-            return out
-
-        val, err = _adaptive(g, 0.0, 1.0, tol)
-        return val, err
-
     def normalization(self):
         """(log N, U1, U2, est_error) for the initial data at r = R."""
         p, R, u = self.p, self.R, self.u
-        a = p.a
-        b = p.b
+        a, b = p.a, p.b
 
-        # action-tail T_inf: integrand w - (2 x^{3/2} - (a/2) x^{-1/2}) dx
-        #   = 2 s^3 (sqrt(1 + q) - 1 + a/(4 x^2)) dx, q = -a/(2x^2) - 7b/x^3
-        def f_T(r):
+        def tails(r):
             lam = r * u
-            return 2.0 * self.half_power(r) ** 3 * _tail_bracket(lam, a, b) * u
+            alpha = self.alpha(r)
+            return u * np.array([
+                # action tail T_inf: w - (2 x^{3/2} - (a/2) x^{-1/2})
+                #   = 2 s^3 (sqrt(1 + q) - 1 + a/(4 x^2)), q = -a/(2x^2) - 7b/x^3
+                2.0 * self.half_power(r) ** 3 * _tail_bracket(lam, a, b),
+                # log-derivative tail M_inf: -(1/4)(V'/V - 3/x) = -(ax + 21b)/(x V)
+                -(a * lam + 21.0 * b) / (lam * p(lam)),
+                # alpha tails I_a, J2 for the Volterra corrections
+                alpha,
+                alpha * self.alpha_over_2w(r),
+            ])
 
-        T_inf, eT = self._tail(f_T)
-
-        # log-derivative tail M_inf: -(1/4)(V'/V - 3/x) = -(ax + 21b)/(x V)
-        def f_M(r):
-            lam = r * u
-            return -(a * lam + 21.0 * b) / (lam * p(lam)) * u
-
-        M_inf, eM = self._tail(f_M)
-
-        # alpha tails for the Volterra corrections
-        def f_Ia(r):
-            return self.alpha(r) * u
-
-        I_a, eI = self._tail(f_Ia)
-
-        def f_J2(r):
-            return self.alpha(r) * self.alpha_over_2w(r) * u
-
-        J2, eJ = self._tail(f_J2)
+        (T_inf, M_inf, I_a, J2), err = ray_tail(tails, R, 1e-13)
 
         s_R = self.half_power(R)
         G_R = 0.8 * R**2.5 - a * s_R
@@ -192,7 +164,7 @@ class _Ray:
         U1 = -a2w * (1.0 + I_a - a2w) - da2w / (2.0 * w_R)
         U2 = 1.0 + I_a + 0.5 * I_a**2 - J2
         # neglected terms are O(rho^3) with rho ~ |I_a|
-        est = float(abs(I_a) ** 3 + eT + eM + eI + eJ)
+        est = float(abs(I_a) ** 3 + err)
         return logN, U1, U2, est
 
     def initial_data(self):

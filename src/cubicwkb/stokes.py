@@ -19,9 +19,10 @@ import numpy as np
 from .action import (
     _FactorTracker,
     _integrate_tp_leg,
+    _labels_around,
+    _pair_scores,
     _vanishing_set,
     _w_sqrtV,
-    turning_point_action,
 )
 from .potential import CubicPotential, turning_points
 
@@ -40,14 +41,17 @@ class AmbiguousClassError(ClassificationError):
         self.candidates = tuple(candidates)
 
 
+# tracing constants; launch and trap radii are in units of the root separation
+_WEDGE_TOL = np.pi / 20
+_TRAP_FACTOR = 1e-4
+_LAUNCH_FACTOR = 1e-2
+_STEP_TOL = 1e-9
+_MAX_STEPS = 60000
+
+
 @dataclass(frozen=True)
 class TraceOptions:
-    r_max_factor: float = 10.0
-    wedge_tol: float = np.pi / 20
-    trap_factor: float = 1e-4
-    launch_factor: float = 1e-2
-    step_tol: float = 1e-9
-    max_steps: int = 60000
+    r_max_factor: float = 10.0      # tracing radius, in units of 1 + scale
     anti_stokes: bool = False
 
 
@@ -155,8 +159,8 @@ def _trace_one(p, tps, origin, theta, opts, rays):
     tp = complex(roots[origin])
     scale = max(tps.scale, 1.0)
     sep = tps.separation if len(roots) > 1 else scale
-    r_launch = opts.launch_factor * max(sep, 1e-3 * scale) if len(roots) > 1 else opts.launch_factor * scale
-    r_trap = opts.trap_factor * max(sep, 1e-3 * scale) if len(roots) > 1 else 0.0
+    r_launch = _LAUNCH_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else _LAUNCH_FACTOR * scale
+    r_trap = _TRAP_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else 0.0
     R_max = opts.r_max_factor * (1.0 + tps.scale)
 
     z = tp + r_launch * np.exp(1j * theta)
@@ -189,7 +193,7 @@ def _trace_one(p, tps, origin, theta, opts, rays):
     drift = float((u * s_launch).real)
     h = 0.25 * r_launch
     n = 0
-    while n < opts.max_steps:
+    while n < _MAX_STEPS:
         n += 1
         dists = np.abs(z - roots)
         dmin_other = min(
@@ -204,7 +208,7 @@ def _trace_one(p, tps, origin, theta, opts, rays):
             ray_set = rays
             devs = [abs(_wrap(ang - f)) for f in ray_set]
             k = int(np.argmin(devs))
-            if devs[k] > opts.wedge_tol:
+            if devs[k] > _WEDGE_TOL:
                 return StokesLine(origin, -1, np.array(pts), ("unresolved", -99))
             return StokesLine(origin, -1, np.array(pts), ("ray", k - 2))
         if abs(z - tp) < 0.5 * r_launch and n > 10:
@@ -226,7 +230,7 @@ def _trace_one(p, tps, origin, theta, opts, rays):
         zh = z + (h / 12.0) * (k1 + 2 * k2 + 2 * k3 + k4)  # crude midpoint predictor
         k1b, _ = vel(zh, w)
         err = abs(k1b - k1) * h  # curvature-scaled heuristic
-        tol_loc = opts.step_tol * (1.0 + abs(z))
+        tol_loc = _STEP_TOL * (1.0 + abs(z))
         if err > 64 * tol_loc and h > 0.06 * hcap:
             h *= 0.5
             continue
@@ -271,7 +275,7 @@ def trace_stokes_lines(
     return lines
 
 
-def _assemble(lines, tps):
+def _assemble(lines):
     """Deduplicate traced lines into internal and external edges.
 
     External entries carry the index of the traced line for later geometric
@@ -409,7 +413,6 @@ def _face_info(faces, darts):
         if not cuts:
             for d in walk:
                 comp_of[d] = 0
-            ncomp = 1
         else:
             start = cuts[0]
             comp = -1
@@ -420,7 +423,6 @@ def _face_info(faces, darts):
                 d = walk[i]
                 if darts[d][2][0] != "arc":
                     comp_of[d] = comp
-            ncomp = comp + 1
         info.append({"walk": walk, "arcs": arcs, "comp_of": comp_of})
     return info
 
@@ -570,18 +572,9 @@ def classify(
     """Trace, assemble, and classify the Stokes complex of the potential."""
     opts = opts or TraceOptions()
     last_exc = None
-    for attempt, rf in enumerate((opts.r_max_factor, 3 * opts.r_max_factor)):
-        o = TraceOptions(
-            r_max_factor=rf,
-            wedge_tol=opts.wedge_tol,
-            trap_factor=opts.trap_factor,
-            launch_factor=opts.launch_factor,
-            step_tol=opts.step_tol,
-            max_steps=opts.max_steps,
-            anti_stokes=False,
-        )
+    for rf in (opts.r_max_factor, 3 * opts.r_max_factor):
         try:
-            return _classify_once(p, o)
+            return _classify_once(p, TraceOptions(r_max_factor=rf))
         except ClassificationError as exc:
             last_exc = exc
     raise last_exc
@@ -590,7 +583,7 @@ def classify(
 def _classify_once(p, opts):
     tps = turning_points(p)
     lines = trace_stokes_lines(p, opts)
-    internal, external = _assemble(lines, tps)
+    internal, external = _assemble(lines)
 
     # graph invariants
     nv = len(tps.roots)
@@ -750,19 +743,16 @@ def classify_by_periods(
     scale = max(tps.scale, 1e-12)
     zero = {}
     zero_pairs = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v = turning_point_action(p, r[i], r[j], tol=1e-10).value
-            score = abs(v.real) / max(abs(v), 1e-300)
-            if score < zero_tol:
-                zero[(i, j)] = True
-                zero_pairs.append((r[i], r[j]))
-            elif score > nonzero_tol:
-                zero[(i, j)] = False
-            else:
-                raise AmbiguousClassError(
-                    f"pair ({i},{j}) action Re-score {score:.2e} in tolerance band"
-                )
+    for (i, j), score in _pair_scores(p, r, 1e-10).items():
+        if score < zero_tol:
+            zero[(i, j)] = True
+            zero_pairs.append((r[i], r[j]))
+        elif score > nonzero_tol:
+            zero[(i, j)] = False
+        else:
+            raise AmbiguousClassError(
+                f"pair ({i},{j}) action Re-score {score:.2e} in tolerance band"
+            )
     counts = {i: 0 for i in range(3)}
     for (i, j), z in zero.items():
         if z:
@@ -770,15 +760,10 @@ def classify_by_periods(
             counts[j] += 1
     common = [i for i, c in counts.items() if c >= 2]
     if common:
-        i0 = common[0]
-        rest = [k for k in range(3) if k != i0]
-        ra, rb = r[rest[0]], r[rest[1]]
-        if ra.imag < rb.imag:
-            ra, rb = rb, ra
         return PeriodClassGuess(
             family="320",
             zero_pairs=tuple(zero_pairs),
-            labels={"tp0": r[i0], "tp1": ra, "tp-1": rb},
+            labels=_labels_around(r, common[0]),
         )
     if len(zero_pairs) == 1:
         if p.is_real(1e-12 * max(1.0, abs(p.a), abs(p.b))):

@@ -78,12 +78,9 @@ class RelativeError:
         return float(np.max(finite)) if finite.size else 0.0
 
 
-def _sector_anchor(g_or_p, k: int, factor: float = 3.0) -> complex:
+def _sector_anchor(g: StokesComplexGraph, k: int, factor: float = 3.0) -> complex:
     """Reference point on the central ray of geometric sector k."""
-    if isinstance(g_or_p, CubicPotential):
-        scale = max(turning_points(g_or_p).scale, 1e-12)
-    else:
-        scale = max(max(abs(r) for r in g_or_p.internal_vertices), 1e-12)
+    scale = max(max(abs(r) for r in g.internal_vertices), 1e-12)
     return factor * scale * np.exp(2j * np.pi * k / 5)
 
 

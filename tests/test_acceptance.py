@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import cubicwkb.bsb as bsb_mod
-from cubicwkb.action import cycle_period, label_turning_points_by_periods, period_jacobian
+from cubicwkb.action import cycle_period, label_turning_points_by_periods
 from cubicwkb.bsb import BsbIndex, real_orbit_constants, real_poles, solve_bsb, solve_lattice
 from cubicwkb.monodromy import stokes_multipliers
 from cubicwkb.painleve import coeff_poly, laurent_coeffs, pi_residual
@@ -292,7 +292,7 @@ def test_criterion_8_jacobian(lattice_5x5):
         p = solved[nm].potential
         g = classify(p)
         labels = dict(g.tp_labels)
-        da, db = period_jacobian(p, "a1", labels=labels)
+        da, db = cycle_period(p, "a1", labels=labels).gradient
 
         def period_at(a, b):
             # track the labels through the tiny perturbation by proximity

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubicwkb.action import (
     BranchedPath,
@@ -9,7 +11,6 @@ from cubicwkb.action import (
     cycle_period,
     label_turning_points_by_periods,
     line_action,
-    period_jacobian,
     turning_point_action,
 )
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
@@ -177,7 +178,7 @@ def test_period_scaling_covariance(orbit_potential):
 def test_period_jacobian_vs_central_differences(orbit_potential):
     p = orbit_potential
     labels = label_turning_points_by_periods(p)
-    da, db = period_jacobian(p, "a1", labels=labels)
+    da, db = cycle_period(p, "a1", labels=labels).gradient
     h = 1e-5
 
     def period_at(a, b):
@@ -193,12 +194,75 @@ def test_period_jacobian_vs_central_differences(orbit_potential):
 def test_jacobian_scaling_exponent(orbit_potential):
     # dP/da scales as x^{1/2} under the pure rescaling (x, 0)
     labels = label_turning_points_by_periods(orbit_potential)
-    da, _ = period_jacobian(orbit_potential, "a1", labels=labels)
+    da, _ = cycle_period(orbit_potential, "a1", labels=labels).gradient
     x = 1.7
     q = apply_group(GroupElement(x, 0), orbit_potential)
     lab_q = {k: x * v for k, v in labels.items()}
-    da2, _ = period_jacobian(q, "a1", labels=lab_q)
+    da2, _ = cycle_period(q, "a1", labels=lab_q).gradient
     assert da2 == pytest.approx(np.sqrt(x) * da, rel=1e-8)
+
+
+def _tracked_period(a, b, labels, cycle_id):
+    """cycle_period at (a, b) with the labels moved to the nearest roots."""
+    q = CubicPotential(a, b)
+    roots = list(turning_points(q).roots)
+    lab = {name: min(roots, key=lambda r: abs(r - z)) for name, z in labels.items()}
+    return cycle_period(q, cycle_id, labels=lab).value
+
+
+def _central_differences(p, labels, cycle_id, h):
+    fd_a = (
+        _tracked_period(p.a + h, p.b, labels, cycle_id)
+        - _tracked_period(p.a - h, p.b, labels, cycle_id)
+    ) / (2 * h)
+    fd_b = (
+        _tracked_period(p.a, p.b + h, labels, cycle_id)
+        - _tracked_period(p.a, p.b - h, labels, cycle_id)
+    ) / (2 * h)
+    return fd_a, fd_b
+
+
+def test_gradient_follows_the_hop_over_a_root_on_the_chord():
+    # tp-1 sits within 0.05 |tp1 - tp0| of the chord midpoint, so the period
+    # path hops over it; the gradient must be taken along that same path
+    r0, r1, r2 = -1 - 0.01j, 1 - 0.01j, 0.02j
+    p = CubicPotential(-2 * (r0 * r1 + r0 * r2 + r1 * r2), r0 * r1 * r2 / 7)
+    roots = list(turning_points(p).roots)
+    labels = {
+        name: min(roots, key=lambda r: abs(r - z))
+        for name, z in (("tp0", r0), ("tp1", r1), ("tp-1", r2))
+    }
+    da, db = cycle_period(p, "a1", labels=labels).gradient
+    fd_a, fd_b = _central_differences(p, labels, "a1", 1e-6)
+    assert da == pytest.approx(fd_a, rel=1e-6)
+    assert db == pytest.approx(fd_b, rel=1e-6)
+
+
+_box = st.floats(-3.0, 3.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    st.tuples(_box, _box, _box, _box),
+    st.sampled_from(["a1", "a-1"]),
+    st.floats(0.6, 1.8),
+)
+def test_gradient_property(coords, cycle_id, x):
+    p = CubicPotential(complex(coords[0], coords[1]), complex(coords[2], coords[3]))
+    tps = turning_points(p)
+    assume(len(tps.roots) == 3 and tps.separation >= 0.3 * tps.scale)
+    labels = dict(zip(("tp0", "tp1", "tp-1"), tps.roots))
+    base = cycle_period(p, cycle_id, labels=labels)
+    da, db = base.gradient
+    fd_a, fd_b = _central_differences(p, labels, cycle_id, 1e-6)
+    assert da == pytest.approx(fd_a, rel=1e-6)
+    assert db == pytest.approx(fd_b, rel=1e-6)
+    # (x, 0) scales the period by x^{5/2}, dP/da by x^{1/2}, dP/db by x^{-1/2}
+    q = apply_group(GroupElement(x, 0), p)
+    scaled = cycle_period(q, cycle_id, labels={k: x * v for k, v in labels.items()})
+    assert scaled.value == pytest.approx(x**2.5 * base.value, rel=1e-8)
+    assert scaled.gradient[0] == pytest.approx(x**0.5 * da, rel=1e-8)
+    assert scaled.gradient[1] == pytest.approx(x**-0.5 * db, rel=1e-8)
 
 
 def test_alpha_closed_form_pure_cubic():

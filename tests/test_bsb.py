@@ -22,6 +22,12 @@ def test_index_validation():
         BsbIndex(1, -2)
 
 
+def test_lattice_size_validation():
+    for n_max, m_max in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            solve_lattice(n_max, m_max)
+
+
 def test_real_orbit_constants_match_reference():
     mu, a_s, b_s = real_orbit_constants()
     assert mu == pytest.approx(-3158.92, rel=1e-3)

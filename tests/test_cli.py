@@ -159,3 +159,45 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "cannot read config file" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--a", "0", "--b", "0", "--json", "{path}"),
+        ("classify", "--a", "0", "--b", "0", "--svg", "{path}"),
+        ("trace", "--a", "2", "--b", "0", "--out", "{path}"),
+        ("poles", "--nmax", "1", "--mmax", "1", "--out", "{path}"),
+        ("verify", "--a", "0", "--b", "0", "--out", "{path}"),
+    ],
+)
+def test_unwritable_output_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    from cubicwkb.monodromy import StokesMultipliers
+
+    monkeypatch.setattr(cli, "solve_lattice", lambda *a, **k: ({}, {}))
+    monkeypatch.setattr(
+        cli,
+        "stokes_multipliers",
+        lambda p, R=None: StokesMultipliers(
+            sigma={k: 0j for k in range(-2, 3)},
+            admissibility_residuals=(0j,) * 5,
+            two_point_spread=0.0,
+            wronskian_drift=0.0,
+            est_error=0.0,
+        ),
+    )
+    path = str(tmp_path / "missing-dir" / "out.txt")
+    code, _, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == EXIT_USAGE
+    assert "cannot write output file" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--nmax", "--mmax"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_poles_rejects_empty_lattice(flag, value, monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(cli, "solve_lattice", lambda *a, **k: called.append(a) or ({}, {}))
+    code, out, _ = run_cli(capsys, "poles", flag, value)
+    assert code == EXIT_USAGE
+    assert called == [] and out == ""
