@@ -9,7 +9,7 @@ b_n = b* (n - 1/2)^{6/5} generated by one scaling orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -122,25 +122,27 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
     return p, labels, norm
 
 
-def _anchor_labels(p: CubicPotential, t1: complex, t2: complex):
-    """Topologically authoritative labels consistent with the period targets.
+def _certify(p: CubicPotential, t1: complex, t2: complex):
+    """Certify p as a quantizing solution; return its labels and rho_max.
 
-    Every continuation node solves a purely-imaginary-period system, so its
-    Stokes complex is of the quantizing type and the full classifier yields
-    the canonical labels.  Returns None when the class or the residual check
-    fails (the branch was lost to a root braid).
+    The Stokes complex must be of class 320 with decoration shift 0, and the
+    periods taken with the classified labels must meet the targets t1, t2;
+    otherwise SolverError (on the kappa curve: the branch was lost to a root
+    braid).  The R+ action (a, b) -> (x^2 a, x^3 b) carries the certificate
+    along and scales rho_max by exactly x^{-5/2}.
     """
     try:
         g = classify(p)
-    except (ClassificationError, ValueError, QuadratureError):
-        return None
+    except (ClassificationError, ValueError, QuadratureError) as exc:
+        raise SolverError(f"classification failed: {exc}") from exc
     if g.class_code != "320" or g.decoration_shift != 0:
-        return None
+        raise SolverError(f"point classifies as {g.class_code} "
+                          f"(shift {g.decoration_shift}), not the quantizing class")
     labels = dict(g.tp_labels)
     F, _ = _system(p, labels, t1, t2, 1e-10)
     if float(np.max(np.abs(F))) > 1e-6:
-        return None
-    return labels
+        raise SolverError("the classified labels miss the period targets")
+    return labels, relative_errors(p, g).max_finite
 
 
 def solve_bsb(
@@ -158,6 +160,10 @@ def solve_bsb(
     explicit labels override the geometric labelling of the seed (needed for
     continuation seeds away from the real family, where all pairwise actions
     are near-imaginary and the heuristic is blind).
+
+    check_class certifies the converged point by its own classify (_certify)
+    and fills rho_max; without it rho_max is 0.  solve_lattice certifies its
+    cells through their kappa node instead.
     """
     t1, t2 = _targets(idx)
     if labels is None:
@@ -165,18 +171,8 @@ def solve_bsb(
     p, labels, norm = _newton_targets(seed, labels, t1, t2, tol, max_iter)
 
     rho_max = 0.0
-    class_ok = False
     if check_class:
-        g = classify(p)
-        class_ok = g.class_code == "320" and g.decoration_shift == 0
-        if not class_ok:
-            raise SolverError(
-                f"converged point classifies as {g.class_code} "
-                f"(shift {g.decoration_shift}), not the quantizing class"
-            )
-        if abs(g.tp_labels["tp0"] - labels["tp0"]) > 1e-6 * (1 + abs(labels["tp0"])):
-            raise SolverError("solver labels disagree with the classified graph")
-        rho_max = relative_errors(p, g).max_finite
+        _, rho_max = _certify(p, t1, t2)
     arg_a = abs(np.angle(complex(p.a)))
     if arg_a <= 4 * np.pi / 5:
         raise SolverError(f"|arg a| = {arg_a:.4f} violates the pole sector bound")
@@ -186,7 +182,7 @@ def solve_bsb(
         b=complex(p.b),
         residual_norm=norm,
         rho_max=rho_max,
-        class_checked=class_ok,
+        class_checked=check_class,
     )
 
 
@@ -254,26 +250,27 @@ def real_poles(n_max: int, tol: float = 1e-13) -> list[tuple[float, float]]:
 
 def _kappa_curve(
     kappas: set[Fraction], tol: float
-) -> tuple[dict[Fraction, tuple[CubicPotential, dict[str, complex]]], dict[Fraction, str]]:
-    """Unit-scale solutions of P_a1 = i pi, P_a-1 = -i pi kappa.
+) -> tuple[dict[Fraction, tuple[CubicPotential, dict[str, complex], float]], dict[Fraction, str]]:
+    """Certified unit-scale solutions of P_a1 = i pi, P_a-1 = -i pi kappa.
 
     The curve starts at the real orbit point (a*, b*), the kappa = 1
     solution, and is walked upward through the kappas above 1 and downward
     through those below, in adaptive fractional steps between consecutive
-    targets.  Returns the solved nodes {kappa: (potential, labels)} and the
+    targets.  Every accepted point, the origin included, passes _certify.
+    Returns the solved nodes {kappa: (potential, labels, rho_max)} and the
     failed kappas {kappa: message}; after a failure the walk goes on from the
     last accepted node.
     """
     _, a_star, b_star = real_orbit_constants()
     origin = CubicPotential(a_star, b_star)
-    nodes = {Fraction(1): (origin, label_turning_points_by_periods(origin))}
-    failures: dict[Fraction, str] = {}
     t1 = 1j * np.pi
+    nodes = {Fraction(1): (origin, *_certify(origin, t1, -t1))}
+    failures: dict[Fraction, str] = {}
     for branch in (
         sorted(k for k in kappas if k > 1),
         sorted((k for k in kappas if k < 1), reverse=True),
     ):
-        p, labels = nodes[Fraction(1)]
+        p, labels, rho = nodes[Fraction(1)]
         kappa = 1.0
         for target in branch:
             start, tau, step = kappa, 0.0, 1.0
@@ -282,33 +279,33 @@ def _kappa_curve(
                 k = start + (float(target) - start) * nxt
                 t2 = -1j * np.pi * k
                 try:
-                    p2, labels2, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
-                    labels2 = _anchor_labels(p2, t1, t2)
-                    if labels2 is None:
-                        raise SolverError("labels braided on the kappa curve")
+                    p2, _, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
+                    labels2, rho2 = _certify(p2, t1, t2)
                 except (SolverError, ValueError, QuadratureError) as exc:
                     step *= 0.5
                     if step < 1.0 / 256.0:
                         failures[target] = f"kappa = {target}: {exc}"
                         break
                     continue
-                p, labels, kappa, tau = p2, labels2, k, nxt
+                p, labels, rho, kappa, tau = p2, labels2, rho2, k, nxt
                 step = min(1.5 * step, 1.0 - tau)
             else:
-                nodes[target] = (p, labels)
+                nodes[target] = (p, labels, rho)
     return nodes, failures
 
 
 def solve_lattice(
-    n_max: int, m_max: int, tol: float = 1e-10, check_class: bool = False
+    n_max: int, m_max: int, tol: float = 1e-10
 ) -> tuple[dict[tuple[int, int], BsbSolution], dict[tuple[int, int], str]]:
-    """Fill the (n, m) lattice from one curve of unit-scale solutions.
+    """Fill the (n, m) lattice from one curve of certified unit-scale solutions.
 
     The periods are homogeneous, P(x^2 a, x^3 b) = x^{5/2} P(a, b), so the
-    (n, m) solution is the kappa = (m - 1/2)/(n - 1/2) point of the unit
+    (n, m) solution is the kappa = (m - 1/2)/(n - 1/2) node of the unit
     curve rescaled by x = (n - 1/2)^{2/5}.  The curve is walked at
     tol / (max(n_max, m_max) - 1/2), so that the rescaled seeds already meet
-    tol; each cell is then checked by solve_bsb.
+    tol; solve_bsb then polishes each cell.  The rescaling carries the node's
+    certificate (class 320, shift 0, labels) over, so each cell is
+    class_checked with rho_max = (node rho_max) x^{-5/2}.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError("n_max and m_max must be >= 1")
@@ -324,16 +321,18 @@ def solve_lattice(
         if k in errors:
             failures[(n, m)] = errors[k]
             continue
-        p, labels = nodes[k]
+        p, labels, rho = nodes[k]
         x = (n - 0.5) ** 0.4
         try:
-            solved[(n, m)] = solve_bsb(
+            sol = solve_bsb(
                 BsbIndex(n, m),
                 apply_group(GroupElement(x, 0), p),
                 tol=tol,
-                check_class=check_class,
+                check_class=False,
                 labels={name: x * z for name, z in labels.items()},
             )
-        except (SolverError, ValueError, RuntimeError) as exc:
+        except (SolverError, ValueError, QuadratureError) as exc:
             failures[(n, m)] = str(exc)
+            continue
+        solved[(n, m)] = replace(sol, rho_max=rho / (n - 0.5), class_checked=True)
     return solved, failures

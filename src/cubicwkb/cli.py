@@ -138,9 +138,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    solved, failures = solve_lattice(
-        args.nmax, args.mmax, tol=args.tol, check_class=not args.fast
-    )
+    solved, failures = solve_lattice(args.nmax, args.mmax, tol=args.tol)
     rows = []
     for (n, m), sol in sorted(solved.items()):
         rows.append(
@@ -269,8 +267,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     o.add_argument("--mmax", type=_positive_int, default=5)
     o.add_argument("--tol", type=float, default=1e-10)
     o.add_argument("--out", help="CSV path (default stdout)")
-    o.add_argument("--fast", action="store_true",
-                   help="skip the per-cell re-classification and rho estimate")
     o.set_defaults(func=cmd_poles)
 
     v = sub.add_parser("verify", help="direct monodromy report for one potential")
@@ -287,10 +283,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     tb = sub.add_parser("table2", help="comparison table against reference poles")
     tb.set_defaults(func=cmd_table2)
 
+    # argparse applies type only to string defaults: typed options get strings
     config = {key.replace("-", "_"): val for key, val in (config or {}).items()}
     for parser in sub.choices.values():
-        options = {action.dest for action in parser._actions if action.option_strings}
-        parser.set_defaults(**{k: v for k, v in config.items() if k in options})
+        options = {a.dest: a.type for a in parser._actions if a.option_strings}
+        parser.set_defaults(**{k: str(v) if options[k] else v
+                               for k, v in config.items() if k in options})
     return ap
 
 

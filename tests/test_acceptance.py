@@ -180,6 +180,28 @@ def test_lattice_is_rescaled_kappa_curve(lattice_5x5):
                   f"|(1,2) rescaled - (2,5)| = {dev:.2e}")
 
 
+def test_rescaled_certificate_matches_fresh_classify(lattice_5x5):
+    # each cell inherits class, labels and rho_max from its kappa node; a
+    # fresh classify of the cell must give the same certificate
+    solved, _, _ = lattice_5x5
+    assert len(solved) == 25 and all(s.class_checked for s in solved.values())
+    worst_period, worst_rho = 0.0, 0.0
+    for nm in ((1, 1), (2, 3), (3, 2), (5, 5)):
+        sol = solved[nm]
+        p = sol.potential
+        g = classify(p)
+        assert (g.class_code, g.decoration_shift) == ("320", 0)
+        targets = {"a1": 1j * np.pi * (nm[0] - 0.5), "a-1": -1j * np.pi * (nm[1] - 0.5)}
+        for cycle, target in targets.items():
+            got = cycle_period(p, cycle, labels=g.tp_labels, tol=1e-12).value
+            worst_period = max(worst_period, abs(got - target))
+        rho = relative_errors(p, g).max_finite
+        worst_rho = max(worst_rho, abs(rho - sol.rho_max) / rho)
+    ok = worst_period <= 1e-10 and worst_rho <= 1e-8
+    assert report("rescaled certificate = fresh classify", ok,
+                  f"period residual {worst_period:.2e}, rho_max rel {worst_rho:.2e}")
+
+
 def test_criterion_4_admissibility():
     t0 = time.time()
     rng = np.random.default_rng(42)

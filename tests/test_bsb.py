@@ -106,29 +106,40 @@ def test_small_lattice_fill(sol_21, sol_12):
 
 
 def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
-    anchor = bsb._anchor_labels
+    certify = bsb._certify
 
     def braided_above_two(p, t1, t2):
-        return None if abs(t2) > 2 * np.pi else anchor(p, t1, t2)
+        if abs(t2) > 2 * np.pi:
+            raise SolverError("labels braided on the kappa curve")
+        return certify(p, t1, t2)
 
-    monkeypatch.setattr(bsb, "_anchor_labels", braided_above_two)
+    monkeypatch.setattr(bsb, "_certify", braided_above_two)
     solved, failures = solve_lattice(2, 2, tol=1e-9)
     assert set(failures) == {(1, 2)}
     assert failures[(1, 2)]
     assert set(solved) == {(1, 1), (2, 2), (2, 1)}
-    code = main(["poles", "--nmax", "2", "--mmax", "2", "--fast",
+    code = main(["poles", "--nmax", "2", "--mmax", "2",
                  "--out", str(tmp_path / "lattice.csv")])
     assert code == EXIT_AMBIGUOUS
     assert "cell (1, 2) failed" in capsys.readouterr().err
 
 
-def test_anchor_labels_propagates_unexpected_errors(monkeypatch, sol_11):
+def test_certificate_propagates_unexpected_errors(monkeypatch, sol_11):
     def broken(p):
         raise TypeError("not a classification failure")
 
     monkeypatch.setattr(bsb, "classify", broken)
     with pytest.raises(TypeError):
-        bsb._anchor_labels(sol_11.potential, 1j * np.pi / 2, -1j * np.pi / 2)
+        bsb._certify(sol_11.potential, 1j * np.pi / 2, -1j * np.pi / 2)
+
+
+def test_lattice_propagates_unexpected_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not a failed cell")
+
+    monkeypatch.setattr(bsb, "solve_bsb", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        solve_lattice(1, 1)
 
 
 def test_solver_rejects_bad_seed():

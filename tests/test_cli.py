@@ -71,6 +71,10 @@ def test_poles_csv_schema(tmp_path, capsys):
         abs(np.angle(complex(v[0], v[1]))) for v in data.values()
     )
     assert min_arg > 4 * np.pi / 5
+    # every cell is class-checked through its kappa node, and rho_max scales
+    # as 1/(n - 1/2) along the diagonal
+    assert all(v[5] > 0 for v in data.values())
+    assert data[(2, 2)][5] * 1.5 == pytest.approx(data[(1, 1)][5] * 0.5, rel=1e-8)
 
 
 def test_verify_symmetric(capsys):
@@ -143,7 +147,7 @@ def test_flag_beats_config_file(tmp_path, monkeypatch, capsys):
     cfg.write_text("nmax = 1\nmmax = 1\n")
     seen = {}
 
-    def fake_lattice(n_max, m_max, tol, check_class):
+    def fake_lattice(n_max, m_max, tol):
         seen.update(n_max=n_max, m_max=m_max)
         return {}, {}
 
@@ -151,6 +155,17 @@ def test_flag_beats_config_file(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "--config", str(cfg), "poles", "--nmax", "5")
     assert code == EXIT_OK
     assert seen == {"n_max": 5, "m_max": 1}
+
+
+def test_config_zero_nmax_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a config value is checked by the option's type, like the flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax = 0\n")
+    called = []
+    monkeypatch.setattr(cli, "solve_lattice", lambda *a, **k: called.append(a) or ({}, {}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "poles")
+    assert code == EXIT_USAGE
+    assert called == [] and out == ""
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
