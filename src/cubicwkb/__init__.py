@@ -42,11 +42,8 @@ from .stokes import (
 )
 from .wkb import (
     AsymptoticValues,
-    QuantizationResiduals,
     RelativeError,
     asymptotic_values_320,
-    partial_asymptotic_values,
-    quantization_residuals,
     relative_errors,
 )
 from .bsb import (
@@ -76,9 +73,8 @@ __all__ = [
     "AmbiguousClassError", "ClassificationError", "SectorRelation",
     "StokesComplexGraph", "TraceOptions", "classify", "classify_by_periods",
     "sector_relation", "trace_stokes_lines",
-    "AsymptoticValues", "QuantizationResiduals", "RelativeError",
-    "asymptotic_values_320", "partial_asymptotic_values",
-    "quantization_residuals", "relative_errors",
+    "AsymptoticValues", "RelativeError", "asymptotic_values_320",
+    "relative_errors",
     "BsbIndex", "BsbSolution", "SolverError", "real_orbit_constants",
     "real_poles", "solve_bsb", "solve_lattice",
     "MonodromyError", "StokesMultipliers", "stokes_multipliers",

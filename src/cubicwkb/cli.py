@@ -178,6 +178,8 @@ def cmd_verify(args) -> int:
             [r.real, r.imag] for r in s.admissibility_residuals
         ],
         "normalized_residuals": list(s.normalized_residuals),
+        "two_point_spread": s.two_point_spread,
+        "est_error": s.est_error,
         "tritronquee_margin": margin,
         "tritronquee": bool(passed),
         "completed": list(s.completed),

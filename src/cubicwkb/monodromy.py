@@ -39,7 +39,6 @@ class StokesMultipliers:
     sigma: dict[int, complex]
     admissibility_residuals: tuple[complex, ...]
     two_point_spread: float
-    wronskian_drift: float
     est_error: float
     completed: tuple[int, ...] = ()
 
@@ -295,8 +294,6 @@ def stokes_multipliers(
     for k in range(-2, 3):
         kn = _s5(k + 1)
         walls = g.corridors.get((k, kn))
-        if walls is None and g.corridors.get((kn, k)) is not None:
-            walls = tuple(reversed(g.corridors[(kn, k)]))
         if not walls:
             raise MonodromyError(f"no corridor between sectors {k} and {kn}")
         corridors[k] = walls
@@ -407,28 +404,6 @@ def stokes_multipliers(
             completed.append(k3)
     completed = tuple(completed)
 
-    # consistency gates: Wronskian constancy of adjacent pairs across their
-    # two clean walls, and the residual spread of the completed relations
-    drift = 0.0
-    for k in range(-2, 3):
-        vals = []
-        for wk in (_s5(k - 1), _s5(k)):
-            va, dva, la, qa = data[(_s5(k), wk)]
-            vb, dvb, lb, qb = data[(_s5(k + 1), wk)]
-            w = va * dvb - dva * vb
-            if w != 0 and max(qa, qb) < 2.0:
-                vals.append((w, la + lb))
-        if len(vals) == 2 and vals[0][0] != 0:
-            drift = max(
-                drift,
-                float(
-                    abs(
-                        1.0
-                        - (vals[1][0] / vals[0][0])
-                        * np.exp(vals[1][1] - vals[0][1])
-                    )
-                ),
-            )
     resid = tuple(
         1.0 + sigma[k] * sigma[_s5(k + 1)] + 1j * sigma[_s5(k + 3)]
         for k in range(-2, 3)
@@ -437,7 +412,6 @@ def stokes_multipliers(
         sigma=sigma,
         admissibility_residuals=resid,
         two_point_spread=spread,
-        wronskian_drift=drift,
         est_error=float(init_est + max(sig_err.values())),
         completed=completed,
     )

@@ -13,7 +13,13 @@ from cubicwkb.action import (
     line_action,
     turning_point_action,
 )
-from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
+from cubicwkb.potential import (
+    OMEGA,
+    CubicPotential,
+    GroupElement,
+    apply_group,
+    turning_points,
+)
 
 
 def trapezoid_oracle(p, z0, z1, n=1_000_000, seed_sign=1.0):
@@ -246,8 +252,9 @@ _box = st.floats(-3.0, 3.0)
     st.tuples(_box, _box, _box, _box),
     st.sampled_from(["a1", "a-1"]),
     st.floats(0.6, 1.8),
+    st.integers(0, 4),
 )
-def test_gradient_property(coords, cycle_id, x):
+def test_gradient_property(coords, cycle_id, x, m):
     p = CubicPotential(complex(coords[0], coords[1]), complex(coords[2], coords[3]))
     tps = turning_points(p)
     assume(len(tps.roots) == 3 and tps.separation >= 0.3 * tps.scale)
@@ -257,12 +264,14 @@ def test_gradient_property(coords, cycle_id, x):
     fd_a, fd_b = _central_differences(p, labels, cycle_id, 1e-6)
     assert da == pytest.approx(fd_a, rel=1e-6)
     assert db == pytest.approx(fd_b, rel=1e-6)
-    # (x, 0) scales the period by x^{5/2}, dP/da by x^{1/2}, dP/db by x^{-1/2}
-    q = apply_group(GroupElement(x, 0), p)
-    scaled = cycle_period(q, cycle_id, labels={k: x * v for k, v in labels.items()})
+    # (x, m) moves the roots to x w^m lambda and scales the period by x^{5/2},
+    # dP/da by x^{1/2} w^{-2m}, dP/db by x^{-1/2} w^{-3m}
+    q = apply_group(GroupElement(x, m), p)
+    w = OMEGA**m
+    scaled = cycle_period(q, cycle_id, labels={k: x * w * v for k, v in labels.items()})
     assert scaled.value == pytest.approx(x**2.5 * base.value, rel=1e-8)
-    assert scaled.gradient[0] == pytest.approx(x**0.5 * da, rel=1e-8)
-    assert scaled.gradient[1] == pytest.approx(x**-0.5 * db, rel=1e-8)
+    assert scaled.gradient[0] == pytest.approx(x**0.5 * w**-2 * da, rel=1e-8)
+    assert scaled.gradient[1] == pytest.approx(x**-0.5 * w**-3 * db, rel=1e-8)
 
 
 def test_alpha_closed_form_pure_cubic():

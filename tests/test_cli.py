@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import cubicwkb
 import cubicwkb.cli as cli
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
 
@@ -13,6 +14,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_public_names_resolve():
+    assert [name for name in cubicwkb.__all__ if not hasattr(cubicwkb, name)] == []
 
 
 def test_usage_error(capsys):
@@ -85,6 +90,8 @@ def test_verify_symmetric(capsys):
     for k in range(-2, 3):
         assert sig[k] == pytest.approx(sig[0], abs=1e-8)
     assert max(abs(complex(*r)) for r in report["admissibility_residuals"]) < 1e-8
+    assert report["two_point_spread"] < 1e-8
+    assert report["est_error"] >= 0.0
     assert not report["tritronquee"]
 
 
@@ -197,7 +204,6 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, monkeypatch, capsys):
             sigma={k: 0j for k in range(-2, 3)},
             admissibility_residuals=(0j,) * 5,
             two_point_spread=0.0,
-            wronskian_drift=0.0,
             est_error=0.0,
         ),
     )

@@ -112,6 +112,11 @@ def test_valency_law_and_acyclicity_random_real():
         assert len(g.internal_edges) <= 2
         # every ray is reached
         assert {k for _, k in g.external_edges} == {-2, -1, 0, 1, 2}
+        # every related ordered pair has its corridor, the reverse of its twin's
+        for l in range(-2, 3):
+            for k in range(-2, 3):
+                if k != l and g.relation.related(l, k):
+                    assert g.corridors[(l, k)] == g.corridors[(k, l)][::-1]
 
 
 def test_conjugation_symmetry_real_potentials():
