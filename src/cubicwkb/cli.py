@@ -90,9 +90,8 @@ def _load_config(path: str | None) -> dict:
 
 def cmd_classify(args) -> int:
     p = CubicPotential(args.a, args.b)
-    opts = TraceOptions(r_max_factor=args.rmax_factor)
     try:
-        g = classify(p, opts)
+        g = classify(p)
     except AmbiguousClassError as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
@@ -254,7 +253,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--json", help="write graph JSON here (default stdout)")
     c.add_argument("--svg", help="write an SVG drawing here")
     c.add_argument("--disk", action="store_true", help="compactified disk view")
-    c.add_argument("--rmax-factor", type=float, default=10.0, dest="rmax_factor")
     c.set_defaults(func=cmd_classify)
 
     t = sub.add_parser("trace", help="dump raw Stokes polylines as JSON")

@@ -100,7 +100,7 @@ def turning_points(p: CubicPotential, tol: float = 1e-8) -> TurningPointSet:
     if tol <= 0:
         raise ValueError("tol must be positive")
     raw = np.roots(p.coeffs())
-    # one Newton polish pass; keeps residuals near machine precision
+    # two Newton polish passes; keep residuals near machine precision
     for _ in range(2):
         d = p.d1(raw)
         step = np.where(np.abs(d) > 1e-30, p(raw) / np.where(d == 0, 1, d), 0.0)

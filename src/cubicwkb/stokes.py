@@ -8,6 +8,11 @@ seven classes 300, 310, 311, 320, 100, 110, 000 (modulo a Z5 shift of the
 ray decoration); the class is recognized from the sector-connectivity
 relation computed from the embedded graph, which also yields the shift and
 the turning-point labels used by the quantization machinery.
+
+Lines are traced by predictor-corrector continuation of their level set
+(see _trace_one).  Lines that end at one ray are ordered by their angular
+deviation from it at one common radius: the deviation decays like
+r^{-5/2}, so values read at different radii cannot be compared.
 """
 
 from __future__ import annotations
@@ -45,13 +50,13 @@ class AmbiguousClassError(ClassificationError):
 _WEDGE_TOL = np.pi / 20
 _TRAP_FACTOR = 1e-4
 _LAUNCH_FACTOR = 1e-2
-_STEP_TOL = 1e-9
 _MAX_STEPS = 60000
+_R_FACTOR = 10.0                    # tracing radius, in units of 1 + scale
 
 
 @dataclass(frozen=True)
 class TraceOptions:
-    r_max_factor: float = 10.0      # tracing radius, in units of 1 + scale
+    r_max_factor: float = _R_FACTOR
     anti_stokes: bool = False
 
 
@@ -152,10 +157,16 @@ def _sqrt_continue(V: complex, prev: complex) -> complex:
     return -w if abs(w + prev) < abs(w - prev) else w
 
 
-def _trace_one(p, tps, origin, theta, opts, rays):
-    """Integrate one level curve of Re S from a turning point outward."""
+def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
+    """Continue one level curve Re(u S) = const from a turning point outward.
+
+    The predictor steps h = 0.05 hcap along the unit tangent turn conj(w)/|w|,
+    w = sqrt(V) already continued to z; hcap is a fifth of the distance to
+    the nearest turning point, at most 0.1 (1 + |z|).  The corrector is one
+    transverse Newton step onto the level set.  A step makes at most two
+    square-root continuations, at the predicted and the corrected point.
+    """
     roots = np.array(tps.roots, dtype=complex)
-    mult = tps.multiplicities[origin]
     tp = complex(roots[origin])
     scale = max(tps.scale, 1.0)
     sep = tps.separation if len(roots) > 1 else scale
@@ -166,16 +177,14 @@ def _trace_one(p, tps, origin, theta, opts, rays):
     z = tp + r_launch * np.exp(1j * theta)
     w = np.sqrt(p(z))
     turn = 1j if not opts.anti_stokes else 1.0
-    v = turn * np.conj(w) / abs(w)
-    if (v * np.exp(-1j * theta)).real < 0:
+    if (turn * np.conj(w) * np.exp(-1j * theta)).real < 0:
         w = -w
-        v = -v
-
-    def vel(zz, w_ref):
-        ww = _sqrt_continue(p(zz), w_ref)
-        return turn * np.conj(ww) / abs(ww), ww
 
     pts = [tp, z]
+
+    def line(terminal):
+        return StokesLine(origin, direction_index, np.array(pts), terminal)
+
     # seed the level-set drift with the exact action from the turning point
     # to the launch point, so the projection locks onto the separatrix
     # through the turning point itself
@@ -191,56 +200,38 @@ def _trace_one(p, tps, origin, theta, opts, rays):
     # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
     u = 1.0 + 0.0j if not opts.anti_stokes else -1.0j
     drift = float((u * s_launch).real)
-    h = 0.25 * r_launch
-    n = 0
-    while n < _MAX_STEPS:
-        n += 1
+    for n in range(1, _MAX_STEPS + 1):
         dists = np.abs(z - roots)
-        dmin_other = min(
-            (dists[i] for i in range(len(roots)) if i != origin), default=np.inf
-        )
-        if len(roots) > 1 and dmin_other < r_trap and abs(z - tp) > 3 * r_launch:
-            j = int(np.argmin([d if i != origin else np.inf for i, d in enumerate(dists)]))
+        d_other = np.where(np.arange(len(roots)) == origin, np.inf, dists)
+        if d_other.min() < r_trap and abs(z - tp) > 3 * r_launch:
+            j = int(np.argmin(d_other))
             pts.append(complex(roots[j]))
-            return StokesLine(origin, -1, np.array(pts), ("tp", j))
+            return line(("tp", j))
         if abs(z) >= R_max:
             ang = float(np.angle(z))
-            ray_set = rays
-            devs = [abs(_wrap(ang - f)) for f in ray_set]
+            devs = [abs(_wrap(ang - f)) for f in rays]
             k = int(np.argmin(devs))
             if devs[k] > _WEDGE_TOL:
-                return StokesLine(origin, -1, np.array(pts), ("unresolved", -99))
-            return StokesLine(origin, -1, np.array(pts), ("ray", k - 2))
+                return line(("unresolved", -99))
+            return line(("ray", k - 2))
         if abs(z - tp) < 0.5 * r_launch and n > 10:
             # returned to its own turning point: numerically degenerate
-            return StokesLine(origin, -1, np.array(pts), ("unresolved", -98))
+            return line(("unresolved", -98))
 
-        hcap = 0.2 * float(np.min(dists)) if len(roots) > 1 else 0.2 * abs(z - tp)
+        hcap = 0.2 * float(np.min(dists))
         hcap = max(hcap, 1e-6 * scale)
         hcap = min(max(hcap, 0.05 * r_launch), 0.1 * (1.0 + abs(z)))
-        h = min(max(h, 0.05 * hcap), hcap)
+        h = 0.05 * hcap
 
-        # RK4 step with continuation from the step-base branch w
-        k1, _ = vel(z, w)
-        k2, _ = vel(z + 0.5 * h * k1, w)
-        k3, _ = vel(z + 0.5 * h * k2, w)
-        k4, _ = vel(z + h * k3, w)
-        z_full = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # error estimate via two half steps
-        zh = z + (h / 12.0) * (k1 + 2 * k2 + 2 * k3 + k4)  # crude midpoint predictor
-        k1b, _ = vel(zh, w)
-        err = abs(k1b - k1) * h  # curvature-scaled heuristic
-        tol_loc = _STEP_TOL * (1.0 + abs(z))
-        if err > 64 * tol_loc and h > 0.06 * hcap:
-            h *= 0.5
-            continue
-        w_new = _sqrt_continue(p(z_full), w)
+        # predictor: tangent step, then continue the root to the new point
+        z_new = z + h * turn * np.conj(w) / abs(w)
+        w_new = _sqrt_continue(p(z_new), w)
         # trapezoid of d(level) = Re(u w dz) for the drift projection
-        drift += (u * 0.5 * (w + w_new) * (z_full - z)).real
-        z, w = z_full, w_new
-        # transverse Newton projection back onto the level set; the guard is
-        # relative to the distance from the nearest turning point so the
-        # correction stays active during saddle approaches
+        drift += (u * 0.5 * (w + w_new) * (z_new - z)).real
+        z, w = z_new, w_new
+        # corrector: transverse Newton projection back onto the level set;
+        # the guard is relative to the distance from the nearest turning
+        # point so the correction stays active during saddle approaches
         if drift != 0.0:
             dz = -drift * np.conj(u) * np.conj(w) / abs(w) ** 2
             dmin_here = float(np.min(np.abs(z - roots)))
@@ -249,9 +240,7 @@ def _trace_one(p, tps, origin, theta, opts, rays):
                 w = _sqrt_continue(p(z), w)
                 drift = 0.0
         pts.append(z)
-        if err < 4 * tol_loc:
-            h *= 1.6
-    return StokesLine(origin, -1, np.array(pts), ("unresolved", -97))
+    return line(("unresolved", -97))
 
 
 def trace_stokes_lines(
@@ -260,19 +249,12 @@ def trace_stokes_lines(
     """Trace all Stokes lines (anti-Stokes with opts.anti_stokes=True)."""
     opts = opts or TraceOptions()
     tps = turning_points(p)
-    rays = (
-        PHI
-        if not opts.anti_stokes
-        else [f + np.pi / 5 for f in PHI]
-    )
-    lines: list[StokesLine] = []
-    for vi, (tp, m) in enumerate(zip(tps.roots, tps.multiplicities)):
-        for di, theta in enumerate(_launch_directions(p, tp, m, opts.anti_stokes)):
-            ln = _trace_one(p, tps, vi, theta, opts, rays)
-            lines.append(
-                StokesLine(ln.origin, di, ln.points, ln.terminal)
-            )
-    return lines
+    rays = [f + np.pi / 5 for f in PHI] if opts.anti_stokes else PHI
+    return [
+        _trace_one(p, tps, vi, di, theta, opts, rays)
+        for vi, (tp, m) in enumerate(zip(tps.roots, tps.multiplicities))
+        for di, theta in enumerate(_launch_directions(p, tp, m, opts.anti_stokes))
+    ]
 
 
 def _assemble(lines):
@@ -300,6 +282,15 @@ def _assemble(lines):
             )
     # two vertices can share at most one line; a duplicate means tracing failure
     return internal, external
+
+
+def _crossing(pts, radius):
+    """The point where a polyline that ends outside |x| = radius last
+    crosses that circle, interpolated linearly on the crossing segment."""
+    q = int(np.nonzero(np.abs(pts) <= radius)[0][-1])
+    z0, d = pts[q], pts[q + 1] - pts[q]  # solve |z0 + t d| = radius
+    a2, b1, c0 = abs(d) ** 2, (np.conj(z0) * d).real, abs(z0) ** 2 - radius**2
+    return z0 + d * (-b1 + np.sqrt(b1 * b1 - a2 * c0)) / a2
 
 
 def _rotation_system(lines_by_edge, tps, opts):
@@ -345,16 +336,10 @@ def _rotation_system(lines_by_edge, tps, opts):
     # external edges: at the internal vertex, the launch angle; at the
     # external vertex the CCW cycle is (arc toward k+1, lines by decreasing
     # deviation from the ray, arc toward k-1), encoded by sort key -dev with
-    # the arcs at -inf / +inf
+    # the arcs at -inf / +inf; every deviation is read at |x| = R_eval
     for (vi, k, pts, idx) in external:
         ang_v = float(np.angle(pts[1] - pts[0]))
-        ray = PHI[k + 2]
-        zz = pts[-1]
-        for q in range(len(pts) - 1, 0, -1):
-            if abs(pts[q]) <= R_eval:
-                zz = pts[q]
-                break
-        dev = _wrap(float(np.angle(zz)) - ray)
+        dev = _wrap(float(np.angle(_crossing(pts, R_eval))) - PHI[k + 2])
         add_edge(("v", vi), ("e", k), ("ext", idx), ang_v, -dev)
 
     # boundary arcs (key angle +/- inf places them around the line darts)
@@ -566,13 +551,14 @@ def _match_class(n_simple, n_int, fail_set, ext_valence):
     return code, 0
 
 
-def classify(
-    p: CubicPotential, opts: TraceOptions | None = None
-) -> StokesComplexGraph:
-    """Trace, assemble, and classify the Stokes complex of the potential."""
-    opts = opts or TraceOptions()
+def classify(p: CubicPotential) -> StokesComplexGraph:
+    """Trace, assemble, and classify the Stokes complex of the potential.
+
+    Lines are traced to radius _R_FACTOR (1 + scale); if that fails, the
+    whole classification is retried once at three times the radius.
+    """
     last_exc = None
-    for rf in (opts.r_max_factor, 3 * opts.r_max_factor):
+    for rf in (_R_FACTOR, 3 * _R_FACTOR):
         try:
             return _classify_once(p, TraceOptions(r_max_factor=rf))
         except ClassificationError as exc:

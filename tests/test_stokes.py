@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_potentials
+from cubicwkb.action import BranchedPath, line_action
+from cubicwkb.bsb import real_orbit_potential
 from cubicwkb.export import graph_to_json, graph_to_svg
-from cubicwkb.potential import CubicPotential, GroupElement, apply_group
+from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
 from cubicwkb.stokes import (
     PHI,
     AmbiguousClassError,
+    TraceOptions,
     canonical_relation,
     classify,
     classify_by_periods,
@@ -34,8 +37,6 @@ def test_pure_cubic_five_straight_rays():
 
 def test_anti_stokes_rays_of_pure_cubic():
     # anti-Stokes lines of 4x^3 are the rays arg x = 2k pi / 5
-    from cubicwkb.stokes import TraceOptions
-
     lines = trace_stokes_lines(CubicPotential(0, 0), TraceOptions(anti_stokes=True))
     assert len(lines) == 5
     angs = sorted(np.angle(ln.points[-1]) % (2 * np.pi) for ln in lines)
@@ -198,3 +199,72 @@ def test_exports(orbit_potential):
     assert svg.count("<polyline") == 9
     svg_disk = graph_to_svg(g, compactified=True)
     assert "circle" in svg_disk
+
+
+def _level_residuals(p, anti_stokes):
+    """|Re S| (|Im S| for anti-Stokes lines) over 1 + |S| at sampled points
+    of every traced line, S = int_tp^z sqrt(V) by line_action along nodes
+    picked from the polyline.  The launch point and points within a tenth
+    of the root separation of another turning point are skipped."""
+    roots = np.array(turning_points(p).roots)
+    sep = turning_points(p).separation
+    out = []
+    for ln in trace_stokes_lines(p, TraceOptions(anti_stokes=anti_stokes)):
+        others = np.delete(roots, ln.origin)
+        nodes = [ln.points[0], ln.points[1]]
+        for z in ln.points[2:]:
+            d = np.min(np.abs(z - roots))
+            if np.min(np.abs(z - others)) < 0.1 * sep:
+                break
+            # short chords: every node segment stays on the line's side of
+            # each turning point
+            if abs(z - nodes[-1]) > 0.25 * d:
+                nodes.append(z)
+        seed = np.sqrt(p(nodes[1]))
+        for k in np.linspace(2, len(nodes) - 1, 4).astype(int):
+            s = line_action(p, BranchedPath(tuple(nodes[: k + 1]), seed)).value
+            level = s.imag if anti_stokes else s.real
+            out.append(abs(level) / (1.0 + abs(s)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("anti_stokes", [False, True])
+def test_traced_lines_stay_on_their_level_set(anti_stokes):
+    pots = [real_orbit_potential(), CubicPotential(2.0, 0.0)]
+    pots += [CubicPotential(a, b) for a, b in random_potentials(41, 2, box=3.0)]
+    for p in pots:
+        res = _level_residuals(p, anti_stokes)
+        assert len(res) > 0
+        assert np.max(res) <= 1e-5, (p, np.max(res))
+
+
+def _near_boundary_and_box_potentials():
+    # imaginary shifts of the unit-scale orbit point's a or b: the Stokes
+    # lines nearly connect, and several lines end at one ray
+    o = real_orbit_potential()
+    x = abs(o.a) ** -0.5
+    a0, b0 = complex(x**2 * o.a), complex(x**3 * o.b)
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(12):
+        shift = 1j * (1 if rng.integers(2) else -1)
+        if i % 2:
+            out.append(CubicPotential(a0 + shift * 10.0 ** rng.uniform(-2.5, -1.5), b0))
+        else:
+            out.append(CubicPotential(a0, b0 + shift * 10.0 ** rng.uniform(-4.0, -2.0)))
+    out += [CubicPotential(a, b) for a, b in random_potentials(43, 10, box=3.0)]
+    return out
+
+
+def test_corridors_covariant_under_scaling():
+    # (a, b) -> (x^2 a, x^3 b) scales the Stokes complex by x, so the class,
+    # shift, edges and corridors cannot change; the order of the lines at a
+    # ray, read at one common radius, must not depend on x
+    for p in _near_boundary_and_box_potentials():
+        g = classify(p)
+        for x in (0.6, 1.7):
+            q = classify(apply_group(GroupElement(x, 0), p))
+            assert (q.class_code, q.decoration_shift) == (g.class_code, g.decoration_shift)
+            assert q.internal_edges == g.internal_edges
+            assert q.external_edges == g.external_edges
+            assert q.corridors == g.corridors, (p, x)
