@@ -17,6 +17,7 @@ r^{-5/2}, so values read at different radii cannot be compared.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,13 +98,12 @@ class StokesComplexGraph:
 
     def wall_point(self, wall, radius: float) -> complex:
         """A point on a wall of the complex: the midpoint of an internal edge,
-        or the point of an external line's polyline closest to |x| = radius."""
+        or where an external line crosses |x| = radius, which must lie
+        between its turning point and the tracing radius."""
         if wall[0] == "int":
             v = self.internal_vertices
             return 0.5 * (v[wall[1]] + v[wall[2]])
-        pts = self.lines[wall[1]].points
-        k = int(np.argmin(np.abs(np.abs(pts) - radius)))
-        return complex(pts[k])
+        return complex(_crossing(self.lines[wall[1]].points, radius))
 
 
 # canonical non-consecutive pairs failing the relation, per class (labels -2..2)
@@ -153,7 +153,7 @@ def _launch_directions(
 
 
 def _sqrt_continue(V: complex, prev: complex) -> complex:
-    w = np.sqrt(V)
+    w = cmath.sqrt(V)
     return -w if abs(w + prev) < abs(w - prev) else w
 
 
@@ -165,19 +165,24 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
     the nearest turning point, at most 0.1 (1 + |z|).  The corrector is one
     transverse Newton step onto the level set.  A step makes at most two
     square-root continuations, at the predicted and the corrected point.
+
+    The loop runs on Python complex scalars (V included), not numpy: a line
+    takes thousands of steps over at most three roots, and numpy's per-call
+    overhead on such small operands cost about four times the arithmetic.
     """
-    roots = np.array(tps.roots, dtype=complex)
-    tp = complex(roots[origin])
+    roots = [complex(r) for r in tps.roots]
+    tp = roots[origin]
     scale = max(tps.scale, 1.0)
     sep = tps.separation if len(roots) > 1 else scale
     r_launch = _LAUNCH_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else _LAUNCH_FACTOR * scale
     r_trap = _TRAP_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else 0.0
     R_max = opts.r_max_factor * (1.0 + tps.scale)
+    V = CubicPotential(complex(p.a), complex(p.b))
 
-    z = tp + r_launch * np.exp(1j * theta)
-    w = np.sqrt(p(z))
+    z = tp + r_launch * cmath.exp(1j * theta)
+    w = cmath.sqrt(V(z))
     turn = 1j if not opts.anti_stokes else 1.0
-    if (turn * np.conj(w) * np.exp(-1j * theta)).real < 0:
+    if (turn * w.conjugate() * cmath.exp(-1j * theta)).real < 0:
         w = -w
 
     pts = [tp, z]
@@ -201,31 +206,32 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
     u = 1.0 + 0.0j if not opts.anti_stokes else -1.0j
     drift = float((u * s_launch).real)
     for n in range(1, _MAX_STEPS + 1):
-        dists = np.abs(z - roots)
-        d_other = np.where(np.arange(len(roots)) == origin, np.inf, dists)
-        if d_other.min() < r_trap and abs(z - tp) > 3 * r_launch:
-            j = int(np.argmin(d_other))
-            pts.append(complex(roots[j]))
+        dists = [abs(z - r) for r in roots]
+        d_min = min(dists)
+        if d_min < r_trap and dists[origin] > 3 * r_launch:
+            # r_trap < 3 r_launch, so the nearest root is another one
+            j = dists.index(d_min)
+            pts.append(roots[j])
             return line(("tp", j))
         if abs(z) >= R_max:
-            ang = float(np.angle(z))
+            ang = cmath.phase(z)
             devs = [abs(_wrap(ang - f)) for f in rays]
             k = int(np.argmin(devs))
             if devs[k] > _WEDGE_TOL:
                 return line(("unresolved", -99))
             return line(("ray", k - 2))
-        if abs(z - tp) < 0.5 * r_launch and n > 10:
+        if dists[origin] < 0.5 * r_launch and n > 10:
             # returned to its own turning point: numerically degenerate
             return line(("unresolved", -98))
 
-        hcap = 0.2 * float(np.min(dists))
+        hcap = 0.2 * d_min
         hcap = max(hcap, 1e-6 * scale)
         hcap = min(max(hcap, 0.05 * r_launch), 0.1 * (1.0 + abs(z)))
         h = 0.05 * hcap
 
         # predictor: tangent step, then continue the root to the new point
-        z_new = z + h * turn * np.conj(w) / abs(w)
-        w_new = _sqrt_continue(p(z_new), w)
+        z_new = z + h * turn * w.conjugate() / abs(w)
+        w_new = _sqrt_continue(V(z_new), w)
         # trapezoid of d(level) = Re(u w dz) for the drift projection
         drift += (u * 0.5 * (w + w_new) * (z_new - z)).real
         z, w = z_new, w_new
@@ -233,11 +239,10 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
         # the guard is relative to the distance from the nearest turning
         # point so the correction stays active during saddle approaches
         if drift != 0.0:
-            dz = -drift * np.conj(u) * np.conj(w) / abs(w) ** 2
-            dmin_here = float(np.min(np.abs(z - roots)))
-            if abs(dz) < 0.3 * dmin_here:
+            dz = -drift * u.conjugate() * w.conjugate() / abs(w) ** 2
+            if abs(dz) < 0.3 * min([abs(z - r) for r in roots]):
                 z = z + dz
-                w = _sqrt_continue(p(z), w)
+                w = _sqrt_continue(V(z), w)
                 drift = 0.0
         pts.append(z)
     return line(("unresolved", -97))
@@ -555,19 +560,26 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
     """Trace, assemble, and classify the Stokes complex of the potential.
 
     Lines are traced to radius _R_FACTOR (1 + scale); if that fails, the
-    whole classification is retried once at three times the radius.
+    whole classification is retried once at three times the radius.  Roots
+    closer than the launch radius (a multiple root that rounding has split)
+    are refused before any tracing: launched past a neighbouring root, the
+    lines mean nothing.
     """
+    tps = turning_points(p)
+    if 0.0 < tps.separation < _LAUNCH_FACTOR * 1e-3 * max(tps.scale, 1.0):
+        raise AmbiguousClassError(
+            f"turning points {tps.separation:.1e} apart, inside the launch radius"
+        )
     last_exc = None
     for rf in (_R_FACTOR, 3 * _R_FACTOR):
         try:
-            return _classify_once(p, TraceOptions(r_max_factor=rf))
+            return _classify_once(p, tps, TraceOptions(r_max_factor=rf))
         except ClassificationError as exc:
             last_exc = exc
     raise last_exc
 
 
-def _classify_once(p, opts):
-    tps = turning_points(p)
+def _classify_once(p, tps, opts):
     lines = trace_stokes_lines(p, opts)
     internal, external = _assemble(lines)
 

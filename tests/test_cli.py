@@ -8,6 +8,7 @@ import pytest
 import cubicwkb
 import cubicwkb.cli as cli
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
+from cubicwkb.potential import CubicPotential, GroupElement, apply_group
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +32,14 @@ def test_classify_symmetric(capsys):
     payload = json.loads(out)
     assert payload["class_code"] == "000"
     assert len(payload["edges"]) == 5
+
+
+def test_classify_split_double_root_is_ambiguous(capsys):
+    # (6, 2/7) rotated by m = 1: rounding splits its double root 5e-8 apart
+    p = apply_group(GroupElement(1.0, 1), CubicPotential(6.0, 2.0 / 7.0))
+    code, out, err = run_cli(capsys, "classify", "--a", repr(complex(p.a)), "--b", repr(complex(p.b)))
+    assert code == EXIT_AMBIGUOUS
+    assert out == "" and "ambiguous" in err
 
 
 def test_classify_quantizing_with_svg(tmp_path, capsys, sol_11):

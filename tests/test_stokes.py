@@ -64,6 +64,19 @@ def test_110_family_four_lines_from_double_point():
     assert len(from_double) == 4
 
 
+def test_split_double_root_is_refused():
+    # rotating the 110 point (6, 2/7) by m = 1 splits its double root by
+    # rounding into two simple roots 5e-8 apart, inside the launch radius:
+    # a trace there would report a confident but wrong class
+    p = CubicPotential(6.0, 2.0 / 7.0)
+    split = apply_group(GroupElement(1.0, 1), p)
+    assert turning_points(split).multiplicities == (1, 1, 1)
+    with pytest.raises(AmbiguousClassError):
+        classify(split)
+    for q in (p, apply_group(GroupElement(1.0, 2), p)):
+        assert classify(q).class_code == "110"
+
+
 def test_100_family():
     # V = 4 (x - 1)^2 (x + 2): a = 6, b = -2/7
     g = classify(CubicPotential(6.0, -2.0 / 7.0))
@@ -268,3 +281,35 @@ def test_corridors_covariant_under_scaling():
             assert q.internal_edges == g.internal_edges
             assert q.external_edges == g.external_edges
             assert q.corridors == g.corridors, (p, x)
+
+
+def test_tracing_commutes_with_conjugation():
+    # conj(p) = (conj a, conj b) has the mirrored complex: each of its lines
+    # is the elementwise conjugate of one line of p, a line ending at a
+    # turning point ends at the conjugate root (in conj(p)'s own root
+    # order), and one ending at ray k ends at ray -1-k
+    for a, b in random_potentials(47, 5, box=3.0):
+        p, q = CubicPotential(a, b), CubicPotential(np.conj(a), np.conj(b))
+        roots_p = np.array(turning_points(p).roots)
+        to_p = [int(np.argmin(np.abs(np.conj(r) - roots_p))) for r in turning_points(q).roots]
+        assert sorted(to_p) == list(range(len(roots_p)))
+        lines_p = trace_stokes_lines(p)
+        lines_q = trace_stokes_lines(q)
+        assert len(lines_q) == len(lines_p)
+        matched = set()
+        for lq in lines_q:
+            mirror = [
+                i for i, lp in enumerate(lines_p)
+                if lp.origin == to_p[lq.origin] and len(lp.points) == len(lq.points)
+                and np.max(np.abs(np.conj(lp.points) - lq.points)) <= 1e-10
+            ]
+            assert len(mirror) == 1, (a, b, lq.origin, lq.direction_index)
+            matched.add(mirror[0])
+            kind, t = lines_p[mirror[0]].terminal
+            kind_q, t_q = lq.terminal
+            assert kind_q == kind
+            if kind == "tp":
+                assert to_p[t_q] == t
+            else:
+                assert kind == "ray" and t_q == (-1 - t + 2) % 5 - 2
+        assert len(matched) == len(lines_p)
