@@ -2,8 +2,12 @@
 
 Every lattice cell is an approximate pole of the tritronquee solution; the
 diagonal is real, off-diagonal cells come in conjugate pairs, and every
-cell satisfies the sector bound |arg a| > 4 pi / 5.
+cell satisfies the sector bound |arg a| > 4 pi / 5.  Exits 1 when a cell
+fails, a cell breaks the sector bound, or a conjugate pair deviates by more
+than 1e-9.
 """
+
+import sys
 
 import numpy as np
 
@@ -29,3 +33,6 @@ conj_dev = max(
     abs(solved[(n, m)].a - np.conj(solved[(m, n)].a)) for (n, m) in solved
 )
 print(f"max conjugation deviation across the lattice: {conj_dev:.2e}")
+
+if failures or min_arg <= bound or conj_dev > 1e-9:
+    sys.exit(1)

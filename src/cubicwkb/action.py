@@ -1,6 +1,35 @@
-"""Branch-tracked contour integration of sqrt(V) and the cycle periods.
+"""Contour integration of sqrt(V) and the cycle periods.
 
-The square root is evaluated in factored form
+Periods.  The action P = int sqrt(V) dx between two simple turning points
+e_i -> e_j (cycle_period, and turning_point_action without a side_hint) is
+summed by one fixed rule.  With m = (e_i + e_j)/2 and h = (e_j - e_i)/2 the
+path is the arc
+    x(s) = m + h (s + i beta (1 - s^2)),   s in [-1, 1],
+the chord for beta = 0.  When the third root e_k lies within 0.05 |e_j - e_i|
+of m the arc hops over it with beta = 1, through the apex m + i h; when e_k
+lies near the chord elsewhere the arc bends away from it (beta = -+1) if
+that widens the ellipse below.  Along the arc
+    (x - e_i)(x - e_j) = -h^2 (1 - s^2) (1 - 2 i beta s + beta^2 (1 - s^2)),
+so dx/sqrt(V) is the Chebyshev weight 1/sqrt(1 - s^2) times a function of s
+that is analytic inside the Bernstein ellipse through the nearest of its
+singularities: the preimages of e_k and, for beta != 0, the zeros of the
+quadratic factor.  Gauss-Chebyshev (nodes cos((2k-1) pi/2N), weights pi/N)
+then converges like rho^(-2N) in the ellipse parameter rho, so
+M = log(1/tol) / (2 log rho) nodes meet tol; the sum takes N = 3M nodes,
+which contain the M nodes, and the difference of the two sums (plus a
+rounding floor) is est_error.
+
+The sheet is that of the principal factors sqrt(x - r) at the chord's
+midpoint, or at the hop apex m + i h; the pair factor continues along the
+arc as sqrt(x0 - e_i) sqrt(x0 - e_j) / sqrt(1 + beta^2) * sqrt(1 - s^2) *
+sqrt(1 - 2 i beta s + beta^2 (1 - s^2)) from the arc's apex x0 = m + i beta h,
+and the third factor as sqrt(x0 - e_k) sqrt((x - e_k)/(x0 - e_k)).  One sum
+gives I0 = int dx/sqrt(V) and I1 = int x dx/sqrt(V), that is the gradient
+dP/da = -I1, dP/db = -14 I0; the value follows from Euler's identity for
+the weights (4, 6) of (a, b), P = (4 a dP/da + 6 b dP/db) / 5.
+
+Paths.  Along an arbitrary path (line_action, and turning_point_action with
+a side_hint) the square root is evaluated in factored form
     sqrt(V) = 2 * eta * sqrt(x - r1) * sqrt(x - r2) * sqrt(x - r3),
 with each factor continued separately along the path (a factor can only
 vanish at its own root, so nearest-of-two continuation per factor is
@@ -22,6 +51,9 @@ from .potential import CubicPotential, turning_points
 _GAUSS_N = 20
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 _GX2, _GW2 = np.polynomial.legendre.leggauss(2 * _GAUSS_N)
+_HOP = 0.05            # the period arc hops a third root within _HOP |chord| of the midpoint
+_MAX_COARSE = 2**15    # node cap of the period rule (reached only by nearly double roots)
+_ROUNDING = 64 * np.finfo(float).eps   # rounding floor of the period rule's est_error
 
 
 class ClearanceError(ValueError):
@@ -241,15 +273,6 @@ def _w_sqrtV(z, van_t, fac, others, d, tt):
     return 2.0 * van_t * reg * 2.0 * tt * d
 
 
-def _w_period(z, van_t, fac, others, d, tt):
-    # (sqrt(V), dsqrt(V)/da, dsqrt(V)/db) dx with V = 4x^3 - 2ax - 28b:
-    # dx / sqrt(V) = 2 t d dt / (2 van_t f2 f3), finite since van_t ~ t (Gauss
-    # nodes are interior, so t > 0)
-    reg = fac[others[0]] * fac[others[1]]
-    inv = d * tt / (van_t * reg)
-    return 4.0 * van_t * reg * tt * d, -z * inv, -14.0 * inv
-
-
 def line_action(
     p: CubicPotential,
     path: BranchedPath,
@@ -319,9 +342,9 @@ def line_action(
     return ActionValue(value=total, est_error=err)
 
 
-def _tp_integral(p, from_tp, to_tp, side_hint, tol, weight):
-    """Integral of weight (see _integrate_tp_leg) between two simple turning
-    points along from_tp -> side_hint -> to_tp; returns (value, error)."""
+def _turning_point_pair(p, from_tp, to_tp):
+    """(roots, i, j, scale): the entries of the roots of V at two simple
+    turning points, snapped to the nearest root."""
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
     scale = max(tps.scale, 1e-12)
@@ -330,27 +353,78 @@ def _tp_integral(p, from_tp, to_tp, side_hint, tol, weight):
     i, j = int(np.argmin(di)), int(np.argmin(dj))
     if di[i] > 1e-6 * scale or dj[j] > 1e-6 * scale:
         raise ValueError("endpoints must be turning points of the potential")
-    if i == j:
-        return 0.0 + 0.0j, 0.0
     mult = np.repeat(tps.multiplicities, tps.multiplicities)  # per entry of roots
-    if mult[i] != 1 or mult[j] != 1:
+    if i != j and (mult[i] != 1 or mult[j] != 1):
         raise ValueError("endpoints must be simple turning points")
-    a_tp, b_tp = complex(roots[i]), complex(roots[j])
-    if side_hint is not None:
-        h = complex(side_hint)
-    else:
-        h = 0.5 * (a_tp + b_tp)
-        if min(abs(h - r) for r in roots) < 0.05 * abs(b_tp - a_tp):
-            # third root sits on the chord: hop over it on the +i side
-            h = h + 0.5j * (b_tp - a_tp)
-    if min(abs(h - r) for r in roots) < 1e-9 * scale:
-        raise ClearanceError("side_hint too close to a turning point")
+    return roots, i, j, scale
 
-    tracker = _FactorTracker(roots, h)
-    val1, e1 = _integrate_tp_leg(roots, [i], a_tp, h, tracker.copy(), tol, weight)
-    val2, e2 = _integrate_tp_leg(roots, [j], b_tp, h, tracker.copy(), tol, weight)
-    # from_tp -> h  plus  h -> to_tp
-    return val1 - val2, e1 + e2
+
+def _bernstein(s):
+    """Parameter rho >= 1 of the Bernstein ellipse (foci -1, 1) through s."""
+    r = np.abs(s + np.sqrt(s - 1) * np.sqrt(s + 1))
+    return np.maximum(r, 1.0 / r)
+
+
+def _arc_rho(w, beta: float) -> float:
+    """Bernstein parameter of the nearest singularity of the arc integrand.
+
+    w = (e_k - m) / h is the third root in chord coordinates; its preimages
+    under s -> s + i beta (1 - s^2), and for beta != 0 the zeros -+1 - i/beta
+    of 1 - 2 i beta s + beta^2 (1 - s^2), are the singularities in s.
+    """
+    if beta == 0.0:
+        return float(_bernstein(w))
+    disc = np.sqrt(1 - 4 * beta**2 - 4j * beta * w)
+    sing = np.array([1 + disc, 1 - disc]) / (2j * beta)
+    sing = np.append(sing, np.array([1, -1]) - 1j / beta)
+    return float(np.min(_bernstein(sing)))
+
+
+def _chord_period(p, roots, i, j, tol):
+    """(P, dP/da, dP/db, errors) of the action P from roots[i] to roots[j].
+
+    One Gauss-Chebyshev sum on the arc x(s) = m + h (s + i beta (1 - s^2))
+    (see the module docstring) gives I0 = int dx/sqrt(V) and
+    I1 = int x dx/sqrt(V); then dP/da = -I1, dP/db = -14 I0 and P follows
+    from Euler's identity.  errors holds the estimated errors of dP/da, dP/db
+    and P, in that order.
+    """
+    e_i, e_j, e_k = (complex(roots[n]) for n in (i, j, 3 - i - j))
+    m, h = 0.5 * (e_i + e_j), 0.5 * (e_j - e_i)
+    w = (e_k - m) / h
+    ref = m                                      # the sheet: principal factors here
+    if abs(e_k - m) < _HOP * abs(e_j - e_i):
+        beta, ref = 1.0, m + 1j * h              # hop over the third root, +i side
+        rho = _arc_rho(w, beta)
+    else:
+        # the chord, or the arc bent away from a third root near the chord
+        away = -1.0 if w.imag >= 0 else 1.0
+        rho, beta = max(((_arc_rho(w, b), b) for b in (0.0, away)), key=lambda rb: rb[0])
+    # the M-node rule reaches tol; the sum has 3M nodes, which contain its M
+    need = np.log(1.0 / tol) / (2.0 * max(np.log(rho), 1e-300))
+    n_coarse = int(np.clip(np.ceil(need), 8, _MAX_COARSE))
+    n = 3 * n_coarse
+    s = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
+
+    x0 = m + 1j * beta * h
+    ends = np.array([e_i, e_j, e_k])
+    fac = np.sqrt(ref - ends) * np.sqrt((x0 - ends) / (ref - ends))  # sqrt(x0 - r)
+    x = m + h * (s + 1j * beta * (1 - s * s))
+    q = 1 - 2j * beta * s + beta**2 * (1 - s * s)
+    f0 = h * (1 - 2j * beta * s) * np.sqrt(1 + beta**2) / (
+        2 * fac[0] * fac[1] * np.sqrt(q) * fac[2] * np.sqrt((x - e_k) / (x0 - e_k))
+    )
+    f1 = x * f0
+    i0, i1 = np.pi / n * f0.sum(), np.pi / n * f1.sum()
+    trunc0 = abs(i0 - np.pi / n_coarse * f0[1::3].sum())
+    trunc1 = abs(i1 - np.pi / n_coarse * f1[1::3].sum())
+    if max(trunc0, trunc1) > 1e4 * tol:
+        raise QuadratureError(f"period rule stalled at error {max(trunc0, trunc1):.3g}")
+    err0 = trunc0 + _ROUNDING * np.pi / n * np.abs(f0).sum()
+    err1 = trunc1 + _ROUNDING * np.pi / n * np.abs(f1).sum()
+    value = -(4 * p.a * i1 + 84 * p.b * i0) / 5
+    err_value = (4 * abs(p.a) * err1 + 84 * abs(p.b) * err0) / 5
+    return complex(value), complex(-i1), complex(-14 * i0), (err1, 14 * err0, err_value)
 
 
 def turning_point_action(
@@ -362,20 +436,36 @@ def turning_point_action(
 ) -> ActionValue:
     """Integral of sqrt(V) between two simple turning points.
 
-    The path runs from_tp -> side_hint -> to_tp; side_hint is a regular point
-    that selects which side of the third turning point the path passes and
-    pins the sheet (sqrt(V) there is the principal product of factor roots).
-    Defaults to the midpoint of the two endpoints, moved off the chord when
-    the third turning point sits on it.
+    With a side_hint the path runs from_tp -> side_hint -> to_tp in two
+    straight legs, integrated by the adaptive branch-tracked rule; side_hint
+    is a regular point that selects which side of the third turning point the
+    path passes and pins the sheet (sqrt(V) there is the principal product of
+    factor roots).  Without one the value is the period rule of the module
+    docstring: the sheet is pinned at the chord's midpoint, or at the hop
+    apex when the third turning point sits on the chord near it.
     """
-    val, err = _tp_integral(p, from_tp, to_tp, side_hint, tol, _w_sqrtV)
-    return ActionValue(value=val, est_error=err)
+    roots, i, j, scale = _turning_point_pair(p, from_tp, to_tp)
+    if i == j:
+        return ActionValue(value=0.0 + 0.0j, est_error=0.0)
+    if side_hint is None:
+        val, _, _, errs = _chord_period(p, roots, i, j, tol)
+        return ActionValue(value=val, est_error=errs[2])
+    hint = complex(side_hint)
+    if min(abs(hint - r) for r in roots) < 1e-9 * scale:
+        raise ClearanceError("side_hint too close to a turning point")
+    a_tp, b_tp = complex(roots[i]), complex(roots[j])
+    tracker = _FactorTracker(roots, hint)
+    val1, e1 = _integrate_tp_leg(roots, [i], a_tp, hint, tracker.copy(), tol, _w_sqrtV)
+    val2, e2 = _integrate_tp_leg(roots, [j], b_tp, hint, tracker.copy(), tol, _w_sqrtV)
+    # from_tp -> hint  plus  hint -> to_tp
+    return ActionValue(value=val1 - val2, est_error=e1 + e2)
 
 
 def _orient_sign(value: complex, cycle_id: str) -> float:
-    """CONVENTION: Im(period) > 0 on a1 and < 0 on a-1 (ties broken by Re > 0)."""
+    """CONVENTION: Im(period) > 0 on a1 and < 0 on a-1 (ties, Im at the
+    rounding level of the value, broken by Re > 0)."""
     want_positive = cycle_id == "a1"
-    if value.imag != 0:
+    if abs(value.imag) > 1e-13 * abs(value):
         return 1.0 if (value.imag > 0) == want_positive else -1.0
     return 1.0 if value.real >= 0 else -1.0
 
@@ -436,11 +526,11 @@ def cycle_period(
     """Period over cycle a1 (around tp0, tp1) or a-1 (around tp0, tp-1).
 
     Normalized so that quantizing potentials sit exactly at i*pi*(n - 1/2)
-    on a1 and -i*pi*(m - 1/2) on a-1: the value is the branch-tracked
-    integral of sqrt(V) between the two encircled turning points with the
-    orientation fixed by the sign of its imaginary part.  The gradient
-    dP/da = -int lam / sqrt(V) dlam, dP/db = -14 int dlam / sqrt(V) is
-    integrated in the same sweep, on the same path, sheet and orientation
+    on a1 and -i*pi*(m - 1/2) on a-1: the value is the integral of sqrt(V)
+    between the two encircled turning points (the period rule of the module
+    docstring) with the orientation fixed by the sign of its imaginary part.
+    The gradient dP/da = -int lam / sqrt(V) dlam, dP/db = -14 int dlam /
+    sqrt(V) comes from the same sum, on the same path, sheet and orientation
     (endpoint motion drops out since sqrt(V) vanishes there); est_error is
     the largest error over the three.
     """
@@ -450,12 +540,13 @@ def cycle_period(
         labels = label_turning_points_by_periods(p)
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
-    val, err = _tp_integral(p, lam0, lam, None, tol, _w_period)
-    # a zero-length cycle comes back as a scalar 0
-    value, da, db = np.zeros(3, dtype=complex) + val
+    roots, i, j, _ = _turning_point_pair(p, lam0, lam)
+    if i == j:
+        return CyclePeriod(cycle_id=cycle_id, value=0j, est_error=0.0, gradient=(0j, 0j))
+    value, da, db, errs = _chord_period(p, roots, i, j, tol)
     s = _orient_sign(value, cycle_id)
     return CyclePeriod(
-        cycle_id=cycle_id, value=s * value, est_error=err, gradient=(s * da, s * db)
+        cycle_id=cycle_id, value=s * value, est_error=max(errs), gradient=(s * da, s * db)
     )
 
 
@@ -484,8 +575,9 @@ def safe_nodes(a: complex, b: complex, roots, clearance: float, depth: int = 0):
     )
 
 
-def alpha_at(p: CubicPotential, z: complex) -> float:
-    """|alpha| at z, alpha = (4 V V'' - 5 V'^2) / (32 V^{5/2}); sheet-free."""
+def alpha_at(p: CubicPotential, z):
+    """|alpha| at z (a point or an array of points),
+    alpha = (4 V V'' - 5 V'^2) / (32 V^{5/2}); sheet-free."""
     V = p(z)
     return abs(4 * V * p.d2(z) - 5 * p.d1(z) ** 2) / (32.0 * abs(V) ** 2.5)
 
@@ -518,9 +610,7 @@ def alpha_integral(
             seg = s1 - s0
 
             def f(ts):
-                return np.array(
-                    [alpha_at(p, s0 + t * seg) * abs(seg) for t in np.asarray(ts)]
-                )
+                return alpha_at(p, s0 + ts * seg) * abs(seg)
 
             val, _ = _adaptive(f, 0.0, 1.0, tol)
             total += float(val.real)

@@ -9,12 +9,11 @@ import numpy as np
 from .stokes import PHI, StokesComplexGraph
 
 
-def _disk_map(z: complex) -> complex:
+def _disk_map(z):
     """Compactification onto the unit disk: r e^{i phi} -> (2/pi) atan(r) e^{i phi}."""
-    r = abs(z)
-    if r == 0:
-        return 0j
-    return (2.0 / np.pi) * np.arctan(r) * z / r
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    return np.where(r == 0, 0j, (2.0 / np.pi) * np.arctan(r) * z / np.where(r == 0, 1.0, r))
 
 
 def graph_to_json(g: StokesComplexGraph) -> str:
@@ -27,7 +26,7 @@ def graph_to_json(g: StokesComplexGraph) -> str:
     seen_internal = set()
     for ln in g.lines:
         kind, t = ln.terminal
-        poly = [[float(z.real), float(z.imag)] for z in ln.points]
+        poly = np.column_stack((ln.points.real, ln.points.imag)).tolist()
         if kind == "tp":
             key = frozenset((ln.origin, t))
             if key in seen_internal:
@@ -46,8 +45,7 @@ def graph_to_json(g: StokesComplexGraph) -> str:
             "class_code": g.class_code,
             "shift": g.decoration_shift,
             "tp_labels": labels,
-        },
-        indent=2,
+        }
     )
 
 
@@ -67,8 +65,9 @@ def graph_to_svg(
         radius = 1.45 * max(max(abs(z) for z in g.internal_vertices), 1e-9)
         radius = max(radius, 2.0)
 
-    def xy(z: complex):
-        w = _disk_map(z) if compactified else z
+    def xy(z):
+        """Picture coordinates of a point or an array of points."""
+        w = _disk_map(z) if compactified else np.asarray(z, dtype=complex)
         x = (w.real / radius * 0.5 + 0.5) * size
         y = (-w.imag / radius * 0.5 + 0.5) * size
         return x, y
@@ -91,12 +90,13 @@ def graph_to_svg(
         pts = ln.points
         if not compactified:
             pts = pts[np.abs(pts) <= radius * 1.02]
-        coords = " ".join(f"{xy(z)[0]:.2f},{xy(z)[1]:.2f}" for z in pts)
+        xs, ys = xy(pts)
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )
     for z, m in zip(g.internal_vertices, g.multiplicities):
-        x, y = xy(z)
+        x, y = (float(c) for c in xy(z))
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{3 + 2 * m}" fill="#2980b9"/>'
         )

@@ -228,20 +228,74 @@ def _central_differences(p, labels, cycle_id, h):
     return fd_a, fd_b
 
 
+def _from_roots(r0, r1, r2):
+    """The potential with roots r0, r1, r2 moved to sum zero, and those roots."""
+    c = (r0 + r1 + r2) / 3
+    r0, r1, r2 = r0 - c, r1 - c, r2 - c
+    p = CubicPotential(-2 * (r0 * r1 + r0 * r2 + r1 * r2), r0 * r1 * r2 / 7)
+    roots = list(turning_points(p).roots)
+    return p, [min(roots, key=lambda r: abs(r - z)) for z in (r0, r1, r2)]
+
+
 def test_gradient_follows_the_hop_over_a_root_on_the_chord():
     # tp-1 sits within 0.05 |tp1 - tp0| of the chord midpoint, so the period
     # path hops over it; the gradient must be taken along that same path
-    r0, r1, r2 = -1 - 0.01j, 1 - 0.01j, 0.02j
-    p = CubicPotential(-2 * (r0 * r1 + r0 * r2 + r1 * r2), r0 * r1 * r2 / 7)
-    roots = list(turning_points(p).roots)
-    labels = {
-        name: min(roots, key=lambda r: abs(r - z))
-        for name, z in (("tp0", r0), ("tp1", r1), ("tp-1", r2))
-    }
+    p, roots = _from_roots(-1 - 0.01j, 1 - 0.01j, 0.02j)
+    labels = dict(zip(("tp0", "tp1", "tp-1"), roots))
     da, db = cycle_period(p, "a1", labels=labels).gradient
     fd_a, fd_b = _central_differences(p, labels, "a1", 1e-6)
     assert da == pytest.approx(fd_a, rel=1e-6)
     assert db == pytest.approx(fd_b, rel=1e-6)
+
+
+def _hop_zone_potentials(n, seed):
+    """Potentials whose third root lies within 0.05 |chord| of the midpoint
+    of the chord between the other two (the labels tp0, tp1)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        r0, r1 = (complex(*rng.normal(size=2)) for _ in range(2))
+        w = 0.099 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+        out.append(_from_roots(r0, r1, 0.5 * (r0 + r1) + 0.5 * w * (r1 - r0)))
+    return out
+
+
+def test_period_rule_matches_the_adaptive_sweep():
+    # the period rule against the adaptive two-leg sweep through the same apex
+    # (the chord midpoint, or the hop apex m + i h), on the same sheet
+    box = [CubicPotential(a, b) for a, b in (
+        (1.1 + 0.4j, -0.3 + 0.2j), (-0.7 - 1.2j, 0.5 + 0.1j), (2.0 - 0.5j, -0.4j), (0.4, -0.3),
+    )]
+    cases = [(p, list(turning_points(p).roots)) for p in box] + _hop_zone_potentials(6, seed=11)
+    for p, (r0, r1, r2) in cases:
+        labels = {"tp0": r0, "tp1": r1, "tp-1": r2}
+        for cycle_id, end, third in (("a1", r1, r2), ("a-1", r2, r1)):
+            m, h = 0.5 * (r0 + end), 0.5 * (end - r0)
+            apex = m + 1j * h if abs(third - m) < 0.05 * abs(end - r0) else m
+            ref = turning_point_action(p, r0, end, side_hint=apex, tol=1e-13)
+            rule = turning_point_action(p, r0, end)
+            assert abs(rule.value - ref.value) <= 1e-11 * max(1.0, abs(ref.value))
+            assert abs(rule.value - ref.value) <= rule.est_error + ref.est_error
+            period = cycle_period(p, cycle_id, labels=labels)
+            err = min(abs(period.value - ref.value), abs(period.value + ref.value))
+            assert err <= 1e-11 * max(1.0, abs(ref.value))
+            assert err <= period.est_error + ref.est_error
+
+
+def test_period_rule_bends_away_from_a_root_on_the_chord():
+    # three real roots: the outer pair's chord runs through the middle root,
+    # off its midpoint, so the arc bends to the side of the chord opposite to
+    # the root's rounding-level imaginary part
+    p = CubicPotential(3.0, 0.1)
+    lo, mid, hi = sorted(turning_points(p).roots, key=lambda r: r.real)
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    assert abs(mid - m) > 0.05 * abs(hi - lo)
+    away = 1j * h if ((mid - m) / h).imag < 0 else -1j * h
+    ref = turning_point_action(p, lo, hi, side_hint=m + away, tol=1e-13)
+    rule = turning_point_action(p, lo, hi)
+    err = min(abs(rule.value - ref.value), abs(rule.value + ref.value))
+    assert err <= 1e-11 * max(1.0, abs(ref.value))
+    assert err <= rule.est_error + ref.est_error
 
 
 _box = st.floats(-3.0, 3.0)
@@ -272,6 +326,11 @@ def test_gradient_property(coords, cycle_id, x, m):
     assert scaled.value == pytest.approx(x**2.5 * base.value, rel=1e-8)
     assert scaled.gradient[0] == pytest.approx(x**0.5 * w**-2 * da, rel=1e-8)
     assert scaled.gradient[1] == pytest.approx(x**-0.5 * w**-3 * db, rel=1e-8)
+    # Legendre's relation: the two cycles meet once, so det J = +-7 pi i
+    other = cycle_period(p, "a-1" if cycle_id == "a1" else "a1", labels=labels).gradient
+    det = da * other[1] - db * other[0]
+    assert abs(abs(det) - 7 * np.pi) <= 1e-12 * 7 * np.pi
+    assert abs(det.real) <= 1e-12 * 7 * np.pi
 
 
 def test_alpha_closed_form_pure_cubic():
