@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import CubicPotential, turning_points
+from .potential import CubicPotential, TurningPointSet, turning_points
 
 _GAUSS_N = 20
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
@@ -342,10 +342,9 @@ def line_action(
     return ActionValue(value=total, est_error=err)
 
 
-def _turning_point_pair(p, from_tp, to_tp):
-    """(roots, i, j, scale): the entries of the roots of V at two simple
-    turning points, snapped to the nearest root."""
-    tps = turning_points(p)
+def _turning_point_pair(tps, from_tp, to_tp):
+    """(roots, i, j, scale): the entries of the roots of V (the solved tps)
+    at two simple turning points, snapped to the nearest root."""
     roots = np.array(tps.all_with_repeats, dtype=complex)
     scale = max(tps.scale, 1e-12)
     di = np.abs(from_tp - roots)
@@ -444,7 +443,7 @@ def turning_point_action(
     docstring: the sheet is pinned at the chord's midpoint, or at the hop
     apex when the third turning point sits on the chord near it.
     """
-    roots, i, j, scale = _turning_point_pair(p, from_tp, to_tp)
+    roots, i, j, scale = _turning_point_pair(turning_points(p), from_tp, to_tp)
     if i == j:
         return ActionValue(value=0.0 + 0.0j, est_error=0.0)
     if side_hint is None:
@@ -522,6 +521,7 @@ def cycle_period(
     cycle_id: str,
     labels: dict[str, complex] | None = None,
     tol: float = 1e-11,
+    tps: TurningPointSet | None = None,
 ) -> CyclePeriod:
     """Period over cycle a1 (around tp0, tp1) or a-1 (around tp0, tp-1).
 
@@ -532,15 +532,19 @@ def cycle_period(
     The gradient dP/da = -int lam / sqrt(V) dlam, dP/db = -14 int dlam /
     sqrt(V) comes from the same sum, on the same path, sheet and orientation
     (endpoint motion drops out since sqrt(V) vanishes there); est_error is
-    the largest error over the three.
+    the largest error over the three.  tps, the turning points of p when the
+    caller has already solved them, saves solving them again; each label is
+    snapped to the nearest of them.
     """
     if cycle_id not in ("a1", "a-1"):
         raise ValueError("cycle_id must be 'a1' or 'a-1'")
     if labels is None:
         labels = label_turning_points_by_periods(p)
+    if tps is None:
+        tps = turning_points(p)
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
-    roots, i, j, _ = _turning_point_pair(p, lam0, lam)
+    roots, i, j, _ = _turning_point_pair(tps, lam0, lam)
     if i == j:
         return CyclePeriod(cycle_id=cycle_id, value=0j, est_error=0.0, gradient=(0j, 0j))
     value, da, db, errs = _chord_period(p, roots, i, j, tol)

@@ -53,14 +53,14 @@ class BsbSolution:
 _PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
-def _labels_from_roots(p: CubicPotential, prev_labels: dict[str, complex]):
-    """Re-attach tp0/tp1/tp-1 to the current roots by optimal matching.
+def _labels_from_roots(tps, prev_labels: dict[str, complex]):
+    """Re-attach tp0/tp1/tp-1 to the solved roots tps by optimal matching.
 
     The assignment must be unambiguous: a trial point whose best root
     permutation is not clearly cheaper than the runner-up is rejected,
     since the iteration could otherwise change branch silently.
     """
-    roots = list(turning_points(p).roots)
+    roots = list(tps.roots)
     if len(roots) != 3:
         raise SolverError("turning points collided during iteration")
     names = ("tp0", "tp1", "tp-1")
@@ -80,16 +80,20 @@ def _targets(idx: BsbIndex) -> tuple[complex, complex]:
     return 1j * np.pi * (idx.n - 0.5), -1j * np.pi * (idx.m - 0.5)
 
 
-def _system(p: CubicPotential, labels, t1: complex, t2: complex, tol: float):
-    """Residuals F of the two period conditions and their Jacobian J."""
-    P1 = cycle_period(p, "a1", labels=labels, tol=tol)
-    P2 = cycle_period(p, "a-1", labels=labels, tol=tol)
+def _system(p: CubicPotential, tps, labels, t1: complex, t2: complex, tol: float):
+    """Residuals F of the two period conditions and their Jacobian J.
+
+    tps are the solved turning points of p; each label is snapped to the
+    nearest of them.
+    """
+    P1 = cycle_period(p, "a1", labels=labels, tol=tol, tps=tps)
+    P2 = cycle_period(p, "a-1", labels=labels, tol=tol, tps=tps)
     return np.array([P1.value - t1, P2.value - t2]), np.array([P1.gradient, P2.gradient])
 
 
 def _newton_targets(p, labels, t1, t2, tol, max_iter):
     """Damped Newton on the two periods toward arbitrary target values."""
-    F, J = _system(p, labels, t1, t2, tol=1e-9)
+    F, J = _system(p, turning_points(p), labels, t1, t2, tol=1e-9)
     norm = float(np.max(np.abs(F)))
     qtol = 1e-9
     for it in range(max_iter):
@@ -105,8 +109,9 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
         for _ in range(9):
             q = CubicPotential(p.a + lam * step[0], p.b + lam * step[1])
             try:
-                labels_q = _labels_from_roots(q, labels)
-                Fq, Jq = _system(q, labels_q, t1, t2, tol=qtol)
+                tps_q = turning_points(q)
+                labels_q = _labels_from_roots(tps_q, labels)
+                Fq, Jq = _system(q, tps_q, labels_q, t1, t2, tol=qtol)
             except (SolverError, ValueError):
                 lam *= 0.5
                 continue
@@ -139,7 +144,7 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
         raise SolverError(f"point classifies as {g.class_code} "
                           f"(shift {g.decoration_shift}), not the quantizing class")
     labels = dict(g.tp_labels)
-    F, _ = _system(p, labels, t1, t2, 1e-10)
+    F, _ = _system(p, turning_points(p), labels, t1, t2, 1e-10)
     if float(np.max(np.abs(F))) > 1e-6:
         raise SolverError("the classified labels miss the period targets")
     return labels, relative_errors(p, g).max_finite

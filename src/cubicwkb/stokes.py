@@ -10,9 +10,12 @@ relation computed from the embedded graph, which also yields the shift and
 the turning-point labels used by the quantization machinery.
 
 Lines are traced by predictor-corrector continuation of their level set
-(see _trace_one).  Lines that end at one ray are ordered by their angular
-deviation from it at one common radius: the deviation decays like
-r^{-5/2}, so values read at different radii cannot be compared.
+(see _trace_one): the level change along each predictor chord is summed by
+Simpson's rule, so the step can be a fifth of the local cap.  Lines that end
+at one ray are ordered by their angular deviation from it at one common
+radius: the deviation decays like r^{-5/2}, so values read at different
+radii cannot be compared.  Each line is read where it crosses that circle on
+its level set (_crossing), not on a chord between its polyline points.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .action import (
     _vanishing_set,
     _w_sqrtV,
 )
-from .potential import CubicPotential, turning_points
+from .potential import CubicPotential, TurningPointSet, turning_points
 
 PHI = [(2 * k + 1) * np.pi / 5 for k in range(-2, 3)]  # ray angles, k = -2..2
 
@@ -103,7 +106,8 @@ class StokesComplexGraph:
         if wall[0] == "int":
             v = self.internal_vertices
             return 0.5 * (v[wall[1]] + v[wall[2]])
-        return complex(_crossing(self.lines[wall[1]].points, radius))
+        tps = TurningPointSet(self.internal_vertices, self.multiplicities)
+        return _crossing(self.lines[wall[1]].points, radius, tps.all_with_repeats)
 
 
 # canonical non-consecutive pairs failing the relation, per class (labels -2..2)
@@ -160,11 +164,15 @@ def _sqrt_continue(V: complex, prev: complex) -> complex:
 def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
     """Continue one level curve Re(u S) = const from a turning point outward.
 
-    The predictor steps h = 0.05 hcap along the unit tangent turn conj(w)/|w|,
+    The predictor steps h = 0.2 hcap along the unit tangent turn conj(w)/|w|,
     w = sqrt(V) already continued to z; hcap is a fifth of the distance to
-    the nearest turning point, at most 0.1 (1 + |z|).  The corrector is one
-    transverse Newton step onto the level set.  A step makes at most two
-    square-root continuations, at the predicted and the corrected point.
+    the nearest turning point, at most 0.1 (1 + |z|).  The level drift of
+    the step, Re(u int w dz) along the chord, is summed by Simpson's rule,
+    whose error is O(h^5) per step (a trapezoid's O(h^3) would let a saddle
+    connection at this step length miss its trap).  The corrector is one
+    transverse Newton step onto the level set.  A step makes at most three
+    square-root continuations: at the chord's midpoint, at the predicted
+    point and at the corrected point.
 
     The loop runs on Python complex scalars (V included), not numpy: a line
     takes thousands of steps over at most three roots, and numpy's per-call
@@ -227,14 +235,15 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
         hcap = 0.2 * d_min
         hcap = max(hcap, 1e-6 * scale)
         hcap = min(max(hcap, 0.05 * r_launch), 0.1 * (1.0 + abs(z)))
-        h = 0.05 * hcap
+        h = 0.2 * hcap
 
-        # predictor: tangent step, then continue the root to the new point
-        z_new = z + h * turn * w.conjugate() / abs(w)
-        w_new = _sqrt_continue(V(z_new), w)
-        # trapezoid of d(level) = Re(u w dz) for the drift projection
-        drift += (u * 0.5 * (w + w_new) * (z_new - z)).real
-        z, w = z_new, w_new
+        # predictor: tangent step, continuing the root to the chord's midpoint
+        # and end; Simpson's rule on the chord gives d(level) = Re(u w dz)
+        dz = h * turn * w.conjugate() / abs(w)
+        w_mid = _sqrt_continue(V(z + 0.5 * dz), w)
+        w_new = _sqrt_continue(V(z + dz), w_mid)
+        drift += (u * (w + 4.0 * w_mid + w_new) * dz).real / 6.0
+        z, w = z + dz, w_new
         # corrector: transverse Newton projection back onto the level set;
         # the guard is relative to the distance from the nearest turning
         # point so the correction stays active during saddle approaches
@@ -289,13 +298,39 @@ def _assemble(lines):
     return internal, external
 
 
-def _crossing(pts, radius):
-    """The point where a polyline that ends outside |x| = radius last
-    crosses that circle, interpolated linearly on the crossing segment."""
+def _crossing(pts, radius, roots):
+    """The point where a Stokes line (a polyline that ends outside
+    |x| = radius) last crosses that circle, on the line's level set.
+
+    Starting from the chord interpolation, Newton on the angle of
+    x = radius e^{i phi} zeroes Re int sqrt(V) from the last polyline point
+    z0 inside the circle to x, summed by Simpson's rule on the chord; V is
+    4 prod (x - r) over the roots with repeats.  A chord read off a coarse
+    polyline sags off the line by more than the deviations of nearly
+    coincident lines at a ray differ.
+    """
+
+    def V(z):
+        out = 4.0
+        for r in roots:
+            out *= z - r
+        return out
+
     q = int(np.nonzero(np.abs(pts) <= radius)[0][-1])
-    z0, d = pts[q], pts[q + 1] - pts[q]  # solve |z0 + t d| = radius
-    a2, b1, c0 = abs(d) ** 2, (np.conj(z0) * d).real, abs(z0) ** 2 - radius**2
-    return z0 + d * (-b1 + np.sqrt(b1 * b1 - a2 * c0)) / a2
+    z0, d = complex(pts[q]), complex(pts[q + 1] - pts[q])
+    a2, b1, c0 = abs(d) ** 2, (z0.conjugate() * d).real, abs(z0) ** 2 - radius**2
+    x = z0 + d * (-b1 + (b1 * b1 - a2 * c0) ** 0.5) / a2
+    # the sheet of z0: the tangent i conj(w0) points along the polyline
+    w0 = cmath.sqrt(V(z0))
+    if (1j * (w0 * d).conjugate()).real < 0:
+        w0 = -w0
+    # the chord start is off by up to ~4e-7 rad; the second step is at rounding
+    for _ in range(2):
+        w_mid = _sqrt_continue(V(0.5 * (z0 + x)), w0)
+        w_x = _sqrt_continue(V(x), w_mid)
+        level = ((w0 + 4.0 * w_mid + w_x) * (x - z0)).real / 6.0
+        x *= cmath.exp(-1j * level / (1j * w_x * x).real)
+    return x
 
 
 def _rotation_system(lines_by_edge, tps, opts):
@@ -344,7 +379,7 @@ def _rotation_system(lines_by_edge, tps, opts):
     # the arcs at -inf / +inf; every deviation is read at |x| = R_eval
     for (vi, k, pts, idx) in external:
         ang_v = float(np.angle(pts[1] - pts[0]))
-        dev = _wrap(float(np.angle(_crossing(pts, R_eval))) - PHI[k + 2])
+        dev = _wrap(cmath.phase(_crossing(pts, R_eval, tps.all_with_repeats)) - PHI[k + 2])
         add_edge(("v", vi), ("e", k), ("ext", idx), ang_v, -dev)
 
     # boundary arcs (key angle +/- inf places them around the line darts)

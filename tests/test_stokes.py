@@ -248,7 +248,7 @@ def test_traced_lines_stay_on_their_level_set(anti_stokes):
     for p in pots:
         res = _level_residuals(p, anti_stokes)
         assert len(res) > 0
-        assert np.max(res) <= 1e-5, (p, np.max(res))
+        assert np.max(res) <= 1e-6, (p, np.max(res))
 
 
 def _near_boundary_and_box_potentials():
@@ -265,6 +265,12 @@ def _near_boundary_and_box_potentials():
             out.append(CubicPotential(a0 + shift * 10.0 ** rng.uniform(-2.5, -1.5), b0))
         else:
             out.append(CubicPotential(a0, b0 + shift * 10.0 ** rng.uniform(-4.0, -2.0)))
+    # deeper a-shifts: three lines end at one ray with deviations there that
+    # differ by about 1e-8, so the order read off a chord between polyline
+    # points depends on the sampling
+    for da in (2.310129700083158e-05j, 5.105562660992064e-05j,
+               8.281405209022604e-05j, 3.0387640612018394e-04j):
+        out.append(CubicPotential(a0 + da, b0))
     out += [CubicPotential(a, b) for a, b in random_potentials(43, 10, box=3.0)]
     return out
 
