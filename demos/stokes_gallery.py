@@ -6,6 +6,7 @@ into demos/out/.
 """
 
 import pathlib
+import sys
 
 import numpy as np
 
@@ -27,13 +28,17 @@ representatives = {
     "320": real_orbit_potential(),
 }
 
+wrong = []
 for want, p in representatives.items():
     g = classify(p)
     name = OUT / f"class_{g.class_code}.svg"
     name.write_text(graph_to_svg(g, compactified=False))
     disk = OUT / f"class_{g.class_code}_disk.svg"
     disk.write_text(graph_to_svg(g, compactified=True))
-    tag = "" if g.class_code == want else f"  (expected {want}!)"
+    tag = ""
+    if g.class_code != want:
+        tag = f"  (expected {want}!)"
+        wrong.append(want)
     print(
         f"a={p.a:+.4f}  b={p.b:+.4f}  ->  class {g.class_code}, "
         f"shift {g.decoration_shift}, {len(g.internal_edges)} internal lines"
@@ -41,3 +46,5 @@ for want, p in representatives.items():
     )
 
 print(f"\nSVGs written to {OUT}/")
+if wrong:
+    sys.exit(f"wrong class for the representatives of {', '.join(wrong)}")

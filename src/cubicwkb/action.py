@@ -30,14 +30,16 @@ the weights (4, 6) of (a, b), P = (4 a dP/da + 6 b dP/db) / 5.
 
 Paths.  Along an arbitrary path (line_action, and turning_point_action with
 a side_hint) the square root is evaluated in factored form
-    sqrt(V) = 2 * eta * sqrt(x - r1) * sqrt(x - r2) * sqrt(x - r3),
-with each factor continued separately along the path (a factor can only
-vanish at its own root, so nearest-of-two continuation per factor is
-unambiguous away from that root).  The overall sheet sign eta is pinned by a
-seed value at one reference point.  Endpoints that coincide with simple
-turning points are handled with the substitution x = tp + t^2 * (end - tp),
-which removes the square-root endpoint singularity exactly: the vanishing
-factor is t * sqrt(end - tp) on the tracked sheet.
+    sqrt(V) = 2 * eta * sqrt(x - r1) * sqrt(x - r2) * sqrt(x - r3).
+The factors start as the principal roots at one reference point, and the
+sheet sign eta is pinned there by the path's seed value.  _split_points cuts
+each segment into pieces no longer than half their distance to any root, and
+on such a piece every factor continues from the piece's start x0 by one ratio
+rule on the whole node array, sqrt(x - r) = sqrt(x0 - r) sqrt((x - r)/(x0 - r))
+with the principal root of a ratio within 1/2 of 1 (_continue).  Endpoints
+that coincide with turning points are handled with the substitution
+x = tp + t^2 * (end - tp), which removes the square-root endpoint singularity
+exactly: each vanishing factor is t * sqrt(end - tp) on the continued sheet.
 """
 
 from __future__ import annotations
@@ -95,31 +97,6 @@ class CyclePeriod:
     gradient: tuple[complex, complex]   # (dP/da, dP/db)
 
 
-class _FactorTracker:
-    """Continues the three factors sqrt(x - r_i) along a point sequence."""
-
-    __slots__ = ("roots", "vals")
-
-    def __init__(self, roots, z0):
-        self.roots = np.asarray(roots, dtype=complex)
-        self.vals = np.sqrt(z0 - self.roots)
-
-    def advance(self, z) -> np.ndarray:
-        prin = np.sqrt(z - self.roots)
-        flip = np.abs(prin - self.vals) > np.abs(prin + self.vals)
-        self.vals = np.where(flip, -prin, prin)
-        return self.vals
-
-    def sqrtV(self) -> complex:
-        return 2.0 * self.vals[0] * self.vals[1] * self.vals[2]
-
-    def copy(self) -> "_FactorTracker":
-        t = _FactorTracker.__new__(_FactorTracker)
-        t.roots = self.roots
-        t.vals = self.vals.copy()
-        return t
-
-
 def _seg_min_dist(a: complex, b: complex, r: complex) -> float:
     """Distance from point r to the segment [a, b]."""
     d = b - a
@@ -174,10 +151,24 @@ def _adaptive(f, a, b, tol, depth=0):
     return v1 + v2, e1 + e2
 
 
-def _integrate_regular(roots, tracker, a, b, tol, weight):
-    """Integral of weight(z, sqrtV) along the regular segment [a, b].
+def _continue(vals, x0, x, roots):
+    """The factors sqrt(x - r), one per root r, continued along [x0, x] from
+    vals = sqrt(x0 - r); x is a point or an array of points (a row each).
 
-    Advances tracker to b.  weight must be vectorizable point-by-point.
+    sqrt(x - r) = sqrt(x0 - r) sqrt((x - r) / (x0 - r)) with the principal
+    root of the ratio.  That is the continuation while |x - x0| <= |x0 - r| / 2,
+    where the ratio stays in the disk |w - 1| <= 1/2, clear of the principal
+    cut: true on every piece of _split_points, for every root it does not skip.
+    """
+    x = np.asarray(x)[..., None]
+    return vals * np.sqrt((x - roots) / (x0 - roots))
+
+
+def _integrate_regular(roots, vals, a, b, tol):
+    """(int sqrt(V) dx along the regular segment [a, b], its error, vals at b).
+
+    vals holds the factors sqrt(a - r) of the sheet; each piece of
+    _split_points is summed on whole node arrays continued from its start.
     """
     pieces = _split_points(a, b, roots)
     total = 0.0 + 0.0j
@@ -185,22 +176,15 @@ def _integrate_regular(roots, tracker, a, b, tol, weight):
     for u, v in zip(pieces[:-1], pieces[1:]):
         if u == v:
             continue
-        base = tracker.copy()
 
-        def f(ss):
-            t = base.copy()
-            out = np.empty(len(ss), dtype=complex)
-            for i, s in enumerate(np.asarray(ss)):
-                z = u + s * (v - u)
-                fac = t.advance(z)
-                out[i] = weight(z, 2.0 * fac[0] * fac[1] * fac[2]) * (v - u)
-            return out
+        def f(s):
+            return 2.0 * np.prod(_continue(vals, u, u + s * (v - u), roots), axis=-1) * (v - u)
 
         val, e = _adaptive(f, 0.0, 1.0, tol)
         total += val
         err += e
-        tracker.advance(v)
-    return total, err
+        vals = _continue(vals, u, v, roots)
+    return total, err, vals
 
 
 def _vanishing_set(roots, tp, scale):
@@ -208,69 +192,44 @@ def _vanishing_set(roots, tp, scale):
     return [i for i, r in enumerate(roots) if abs(r - tp) <= 1e-9 * max(scale, 1e-12)]
 
 
-def _tp_leg_states(roots, vanish, tp, b, tracker_at_b):
-    """Piece boundaries (in t) and tracker states for the leg tp -> b.
+def _integrate_tp_leg(roots, vanish, tp, b, vals_b, tol):
+    """(int sqrt(V) dx from the turning point tp to the regular point b, its
+    error) on the sheet of the factors vals_b = sqrt(b - r) at b.
 
-    The leg is parameterized x = tp + t^2 (b - tp), t in [0, 1].  States are
-    produced by walking the tracker from b (t = 1) down to t = 0; the factors
-    vanishing at tp are excluded from the step-size rule (they are evaluated
-    in the exact form t * sqrt(b - tp) rather than through the tracker).
+    The leg is x = tp + t^2 (b - tp), t in [0, 1], and dx = 2 t (b - tp) dt.
+    Each factor vanishing at tp (the indices vanish) is exactly
+    t sqrt(b - tp) there, so the integrand is regular at t = 0.  The other
+    factors are continued from b back to each piece boundary of _split_points
+    (which skips the vanishing roots), then from there over the piece's nodes.
     """
     d = b - tp
+    others = [i for i in range(len(roots)) if i not in vanish]
+    rest = roots[others]
+    van = complex(np.prod(vals_b[vanish]))
+    nv = len(vanish)
     lam_pts = _split_points(tp, b, roots, skip=set(vanish))
     t_bounds = [float(np.sqrt(abs(l - tp) / abs(d))) if d != 0 else 0.0 for l in lam_pts]
     t_bounds[0], t_bounds[-1] = 0.0, 1.0
-    states = [None] * len(t_bounds)
-    walk = tracker_at_b.copy()
-    states[-1] = walk.copy()
-    for k in range(len(t_bounds) - 2, -1, -1):
-        walk.advance(tp + t_bounds[k] ** 2 * d)
-        states[k] = walk.copy()
-    return t_bounds, states
-
-
-def _integrate_tp_leg(roots, vanish, tp, b, tracker_at_b, tol, weight_t):
-    """Integral from turning point tp to regular point b on the tracked sheet.
-
-    weight_t(z, van_t, fac, others, d, t) must include the Jacobian
-    2 t (b - tp) dt of the substitution; van_t = t^len(vanish) * van, where
-    van is the product of the tracked sqrt(b - r_i) over the vanishing
-    factors, is exactly the vanishing part of sqrt(V).  The weight may
-    return a scalar or a vector.  Returns (value, error) oriented tp -> b.
-    """
-    d = b - tp
-    others = [i for i in range(3) if i not in vanish]
-    van = complex(np.prod([tracker_at_b.vals[i] for i in vanish]))
-    nv = len(vanish)
-    t_bounds, states = _tp_leg_states(roots, vanish, tp, b, tracker_at_b)
+    xs = [tp + t**2 * d for t in t_bounds]
+    states = [vals_b[others]]
+    for k in range(len(xs) - 2, -1, -1):
+        states.append(_continue(states[-1], xs[k + 1], xs[k], rest))
+    states.reverse()
     total = 0.0 + 0.0j
     err = 0.0
     for k in range(len(t_bounds) - 1):
         t0, t1 = t_bounds[k], t_bounds[k + 1]
         if t0 == t1:
             continue
-        base = states[k]
 
-        def f(ts):
-            t = base.copy()
-            out = []
-            for tt in ts:
-                z = tp + tt**2 * d
-                out.append(weight_t(z, tt**nv * van, t.advance(z), others, d, tt))
-            return np.array(out)
+        def f(t):
+            reg = np.prod(_continue(states[k], xs[k], tp + t**2 * d, rest), axis=-1)
+            return 2.0 * t**nv * van * reg * 2.0 * t * d
 
         val, e = _adaptive(f, t0, t1, tol)
         total += val
         err += e
     return total, err
-
-
-def _w_sqrtV(z, van_t, fac, others, d, tt):
-    # sqrt(V) dx = 2 * (vanishing part) * (regular factors) * 2 t d dt
-    reg = 1.0 + 0.0j
-    for i in others:
-        reg *= fac[i]
-    return 2.0 * van_t * reg * 2.0 * tt * d
 
 
 def line_action(
@@ -310,18 +269,16 @@ def line_action(
                 )
 
     ref = nodes[1] if start_is_tp else nodes[0]
-    tracker = _FactorTracker(roots, ref)
+    vals = np.sqrt(ref - roots)
     if path.branch_seed == 0:
         raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
-    w_ref = tracker.sqrtV()
+    w_ref = 2.0 * vals[0] * vals[1] * vals[2]
     eta = -1.0 if abs(path.branch_seed + w_ref) < abs(path.branch_seed - w_ref) else 1.0
 
     total = 0.0 + 0.0j
     err = 0.0
     if start_is_tp:
-        val, e = _integrate_tp_leg(roots, van0, nodes[0], nodes[1], tracker, tol, _w_sqrtV)
-        total += eta * val
-        err += e
+        total, err = _integrate_tp_leg(roots, van0, nodes[0], nodes[1], vals, tol)
         first_seg = 1
     else:
         first_seg = 0
@@ -330,16 +287,13 @@ def line_action(
     for k in range(first_seg, last):
         u, v = nodes[k], nodes[k + 1]
         if k == last - 1 and end_is_tp:
-            val, e = _integrate_tp_leg(roots, vanN, nodes[last], u, tracker, tol, _w_sqrtV)
-            total += -eta * val  # leg was oriented tp -> u
-            err += e
+            val, e = _integrate_tp_leg(roots, vanN, nodes[last], u, vals, tol)
+            total -= val  # the leg runs tp -> u
         else:
-            val, e = _integrate_regular(
-                roots, tracker, u, v, tol, lambda z, w: eta * w
-            )
+            val, e, vals = _integrate_regular(roots, vals, u, v, tol)
             total += val
-            err += e
-    return ActionValue(value=total, est_error=err)
+        err += e
+    return ActionValue(value=eta * total, est_error=err)
 
 
 def _turning_point_pair(tps, from_tp, to_tp):
@@ -435,13 +389,15 @@ def turning_point_action(
 ) -> ActionValue:
     """Integral of sqrt(V) between two simple turning points.
 
-    With a side_hint the path runs from_tp -> side_hint -> to_tp in two
-    straight legs, integrated by the adaptive branch-tracked rule; side_hint
-    is a regular point that selects which side of the third turning point the
-    path passes and pins the sheet (sqrt(V) there is the principal product of
-    factor roots).  Without one the value is the period rule of the module
-    docstring: the sheet is pinned at the chord's midpoint, or at the hop
-    apex when the third turning point sits on the chord near it.
+    With a side_hint the value is line_action along from_tp -> side_hint ->
+    to_tp, with the sheet seeded by the principal product of the factors at
+    side_hint; side_hint selects which side of the third turning point the
+    path passes.  Only side_hint itself must keep off the turning points: a
+    leg may run through one (from 0 via 2 to 1 when 1 is a root), so the
+    legs are not held to line_action's clearance.  Without a side_hint the
+    value is the period rule of the module docstring: the sheet is pinned at
+    the chord's midpoint, or at the hop apex when the third turning point
+    sits on the chord near it.
     """
     roots, i, j, scale = _turning_point_pair(turning_points(p), from_tp, to_tp)
     if i == j:
@@ -452,12 +408,9 @@ def turning_point_action(
     hint = complex(side_hint)
     if min(abs(hint - r) for r in roots) < 1e-9 * scale:
         raise ClearanceError("side_hint too close to a turning point")
-    a_tp, b_tp = complex(roots[i]), complex(roots[j])
-    tracker = _FactorTracker(roots, hint)
-    val1, e1 = _integrate_tp_leg(roots, [i], a_tp, hint, tracker.copy(), tol, _w_sqrtV)
-    val2, e2 = _integrate_tp_leg(roots, [j], b_tp, hint, tracker.copy(), tol, _w_sqrtV)
-    # from_tp -> hint  plus  hint -> to_tp
-    return ActionValue(value=val1 - val2, est_error=e1 + e2)
+    seed = 2.0 * complex(np.prod(np.sqrt(hint - roots)))
+    path = BranchedPath((complex(roots[i]), hint, complex(roots[j])), seed)
+    return line_action(p, path, tol, clearance=0.0)
 
 
 def _orient_sign(value: complex, cycle_id: str) -> float:
@@ -470,11 +423,12 @@ def _orient_sign(value: complex, cycle_id: str) -> float:
 
 
 def _pair_scores(p: CubicPotential, roots, tol: float) -> dict[tuple[int, int], float]:
-    """|Re A| / |A| of the turning-point action A of each root pair (i, j), i < j."""
+    """|Re A| / |A| of the turning-point action A of each pair (i, j), i < j,
+    of the three simple roots of p (by the period rule)."""
     scores = {}
     for i in range(3):
         for j in range(i + 1, 3):
-            v = turning_point_action(p, roots[i], roots[j], tol=tol).value
+            v = _chord_period(p, roots, i, j, tol)[0]
             scores[(i, j)] = abs(v.real) / max(abs(v), 1e-300)
     return scores
 

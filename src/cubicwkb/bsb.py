@@ -17,7 +17,7 @@ import numpy as np
 import scipy.optimize as so
 
 from .action import QuadratureError, cycle_period, label_turning_points_by_periods
-from .potential import CubicPotential, GroupElement, apply_group, turning_points
+from .potential import CubicPotential, GroupElement, TurningPointSet, apply_group, turning_points
 from .stokes import ClassificationError, classify
 from .wkb import relative_errors
 
@@ -144,7 +144,8 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
         raise SolverError(f"point classifies as {g.class_code} "
                           f"(shift {g.decoration_shift}), not the quantizing class")
     labels = dict(g.tp_labels)
-    F, _ = _system(p, turning_points(p), labels, t1, t2, 1e-10)
+    tps = TurningPointSet(g.internal_vertices, g.multiplicities)
+    F, _ = _system(p, tps, labels, t1, t2, 1e-10)
     if float(np.max(np.abs(F))) > 1e-6:
         raise SolverError("the classified labels miss the period targets")
     return labels, relative_errors(p, g).max_finite

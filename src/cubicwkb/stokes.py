@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import (
-    _FactorTracker,
-    _integrate_tp_leg,
-    _labels_around,
-    _pair_scores,
-    _vanishing_set,
-    _w_sqrtV,
-)
+from .action import _integrate_tp_leg, _labels_around, _pair_scores, _vanishing_set
 from .potential import CubicPotential, TurningPointSet, turning_points
 
 PHI = [(2 * k + 1) * np.pi / 5 for k in range(-2, 3)]  # ray angles, k = -2..2
@@ -203,11 +196,9 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
     # through the turning point itself
     all_roots = np.array(tps.all_with_repeats, dtype=complex)
     vanish = _vanishing_set(all_roots, tp, scale)
-    tracker = _FactorTracker(all_roots, z)
-    s_launch, _ = _integrate_tp_leg(
-        all_roots, vanish, tp, z, tracker, 1e-14, _w_sqrtV
-    )
-    w_tracked = tracker.sqrtV()
+    vals = np.sqrt(z - all_roots)
+    s_launch, _ = _integrate_tp_leg(all_roots, vanish, tp, z, vals, 1e-14)
+    w_tracked = 2.0 * vals[0] * vals[1] * vals[2]
     if abs(w_tracked - w) > abs(w_tracked + w):
         s_launch = -s_launch
     # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes

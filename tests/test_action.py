@@ -57,6 +57,30 @@ def test_line_action_matches_dense_trapezoid():
     assert abs(got.value - oracle) < 1e-8
 
 
+def test_line_action_across_every_principal_cut():
+    # the roots of (2, 0) are -1, 0 and 1; the polyline's middle segment
+    # crosses the real axis at -3, on the principal cut of all three factors
+    p = CubicPotential(2, 0)
+    nodes = (2.0 + 0.3j, -3.0 + 0.3j, -3.0 - 0.3j, 2.0 - 0.3j)
+    seed = np.sqrt(p(nodes[0]))
+    got = line_action(p, BranchedPath(nodes=nodes, branch_seed=seed)).value
+    oracle, w = 0.0, seed
+    for z0, z1 in zip(nodes[:-1], nodes[1:]):
+        sign = 1.0 if abs(np.sqrt(p(z0)) - w) < abs(np.sqrt(p(z0)) + w) else -1.0
+        oracle += trapezoid_oracle(p, z0, z1, n=200_000, seed_sign=sign)
+        w = _continued(p, z0, z1, w)
+    assert abs(got - oracle) < 1e-8 * abs(oracle)
+
+    # additivity from a turning point to a turning point across the cuts
+    path = (1.0,) + nodes[:3] + (-1.0,)
+    whole = line_action(p, BranchedPath(nodes=path, branch_seed=seed)).value
+    head = line_action(p, BranchedPath(nodes=path[:2], branch_seed=seed)).value
+    body = line_action(p, BranchedPath(nodes=path[1:4], branch_seed=seed)).value
+    w = _continued(p, path[2], path[3], _continued(p, path[1], path[2], seed))
+    tail = line_action(p, BranchedPath(nodes=path[3:], branch_seed=w)).value
+    assert head + body + tail == pytest.approx(whole, abs=1e-10)
+
+
 def test_concatenation_additivity():
     p = CubicPotential(1.0 + 0.5j, 0.3)
     seed = np.sqrt(p(3.0 + 1.0j))
