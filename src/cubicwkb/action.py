@@ -297,7 +297,7 @@ def line_action(
 
 
 def _turning_point_pair(tps, from_tp, to_tp):
-    """(roots, i, j, scale): the entries of the roots of V (the solved tps)
+    """(roots, i, j): the entries of the roots of V (the solved tps)
     at two simple turning points, snapped to the nearest root."""
     roots = np.array(tps.all_with_repeats, dtype=complex)
     scale = max(tps.scale, 1e-12)
@@ -309,7 +309,7 @@ def _turning_point_pair(tps, from_tp, to_tp):
     mult = np.repeat(tps.multiplicities, tps.multiplicities)  # per entry of roots
     if i != j and (mult[i] != 1 or mult[j] != 1):
         raise ValueError("endpoints must be simple turning points")
-    return roots, i, j, scale
+    return roots, i, j
 
 
 def _bernstein(s):
@@ -392,25 +392,21 @@ def turning_point_action(
     With a side_hint the value is line_action along from_tp -> side_hint ->
     to_tp, with the sheet seeded by the principal product of the factors at
     side_hint; side_hint selects which side of the third turning point the
-    path passes.  Only side_hint itself must keep off the turning points: a
-    leg may run through one (from 0 via 2 to 1 when 1 is a root), so the
-    legs are not held to line_action's clearance.  Without a side_hint the
-    value is the period rule of the module docstring: the sheet is pinned at
-    the chord's midpoint, or at the hop apex when the third turning point
-    sits on the chord near it.
+    path passes, and both legs keep line_action's clearance.  Without a
+    side_hint the value is the period rule of the module docstring: the
+    sheet is pinned at the chord's midpoint, or at the hop apex when the
+    third turning point sits on the chord near it.
     """
-    roots, i, j, scale = _turning_point_pair(turning_points(p), from_tp, to_tp)
+    roots, i, j = _turning_point_pair(turning_points(p), from_tp, to_tp)
     if i == j:
         return ActionValue(value=0.0 + 0.0j, est_error=0.0)
     if side_hint is None:
         val, _, _, errs = _chord_period(p, roots, i, j, tol)
         return ActionValue(value=val, est_error=errs[2])
     hint = complex(side_hint)
-    if min(abs(hint - r) for r in roots) < 1e-9 * scale:
-        raise ClearanceError("side_hint too close to a turning point")
     seed = 2.0 * complex(np.prod(np.sqrt(hint - roots)))
     path = BranchedPath((complex(roots[i]), hint, complex(roots[j])), seed)
-    return line_action(p, path, tol, clearance=0.0)
+    return line_action(p, path, tol)
 
 
 def _orient_sign(value: complex, cycle_id: str) -> float:
@@ -498,7 +494,7 @@ def cycle_period(
         tps = turning_points(p)
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
-    roots, i, j, _ = _turning_point_pair(tps, lam0, lam)
+    roots, i, j = _turning_point_pair(tps, lam0, lam)
     if i == j:
         return CyclePeriod(cycle_id=cycle_id, value=0j, est_error=0.0, gradient=(0j, 0j))
     value, da, db, errs = _chord_period(p, roots, i, j, tol)

@@ -30,17 +30,14 @@ Wronskians.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  bound for cubicbench's tracer
 
-from .action import QuadratureError, ray_tail
+from .action import ray_tail
 from .potential import CubicPotential, turning_points
-from .stokes import ClassificationError, StokesComplexGraph, classify
-
-_log = logging.getLogger("cubicwkb")
+from .stokes import _crossing, _ray_deviation, trace_stokes_lines
 
 # order of the Taylor series each transport step sums
 TAYLOR_ORDER = 30
@@ -105,14 +102,14 @@ def default_radius(p: CubicPotential) -> float:
 class _Ray:
     """Branch-coherent quantities along the outward ray arg x = 2 pi k / 5."""
 
-    def __init__(self, p: CubicPotential, k: int, R: float):
+    def __init__(self, p: CubicPotential, k: int, R: float, roots):
         self.p = p
         self.k = k
         self.R = R
         self.theta = 2.0 * np.pi * k / 5.0
         self.eps = -1.0 if (k % 2) else 1.0
         self.u = np.exp(1j * self.theta)
-        self.roots = np.array(turning_points(p).all_with_repeats, dtype=complex)
+        self.roots = np.array(roots, dtype=complex)
 
     def half_power(self, r: float) -> complex:
         return self.eps * np.sqrt(r) * np.exp(0.5j * self.theta)
@@ -283,10 +280,11 @@ def _transport(p, nodes, v, dv, l, rtol):
     return states
 
 
-def _radial_leg(p, k, R, r_foot, rtol):
+def _radial_leg(p, k, R, r_foot, rtol, roots):
     """The normalized solution of sector k carried from |x| = R inward along
-    its own ray to |x| = r_foot: (v, dv, log_scale, est_error) at the foot."""
-    ray = _Ray(p, k, R)
+    its own ray to |x| = r_foot: (v, dv, log_scale, est_error) at the foot;
+    ``roots`` are the turning points with repeats."""
+    ray = _Ray(p, k, R, roots)
     v, dv, l, est = ray.initial_data()
     m = max(abs(v), abs(dv) / (2.0 * R**1.5))
     v, dv, l = v / m, dv / m, l + np.log(m)
@@ -300,10 +298,7 @@ def _radial_leg(p, k, R, r_foot, rtol):
 
 
 def stokes_multipliers(
-    p: CubicPotential,
-    R: float | None = None,
-    rtol: float = 1e-13,
-    graph: StokesComplexGraph | None = None,
+    p: CubicPotential, R: float | None = None, rtol: float = 1e-13
 ) -> StokesMultipliers:
     """All five Stokes multipliers via Wronskian ratios of recessive solutions.
 
@@ -318,63 +313,39 @@ def stokes_multipliers(
     tps = turning_points(p)
     if R < 2.0 * tps.scale:
         raise MonodromyError("R too small: turning points too close to the circle")
-    g = graph
-    if g is None:
-        # the graph is only used to route transports and choose evaluation
-        # walls; for potentials sitting on a class boundary (where
-        # classification is ambiguous by design) the corridor geometry of a
-        # slightly perturbed neighbour serves equally well, since the
-        # solutions are entire and paths are free to deform
-        try:
-            g = classify(p)
-        except (ClassificationError, ValueError, QuadratureError):
-            scale = max(tps.scale, 1.0)
-            for eps in (3e-4, 1e-3, 3e-3):
-                try:
-                    g = classify(
-                        CubicPotential(p.a, p.b + eps * scale**3 * (1 + 1j))
-                    )
-                except (ClassificationError, ValueError, QuadratureError):
-                    continue
-                _log.warning(
-                    "classify failed at a=%s, b=%s; routing through the graph "
-                    "of b + eps*scale^3*(1+i) with eps=%g",
-                    p.a, p.b, eps,
-                )
-                break
-            if g is None:
-                raise MonodromyError("no usable routing graph near this potential")
+    roots = tps.all_with_repeats
     r_foot = max(1.35 * max(tps.scale, 1e-12), 1.0)
 
-    # consecutive-sector corridors, ordered from the lower sector's side
+    # The corridor between sectors k and k+1 is the lines that end on ray k,
+    # ordered from sector k's side; each is a wall, met where it crosses
+    # |x| = 0.85 r_foot.  No classification is needed, so potentials on a
+    # class boundary are routed by their own lines.
+    lines = trace_stokes_lines(p)
     corridors = {}
     for k in range(-2, 3):
-        kn = _s5(k + 1)
-        walls = g.corridors.get((k, kn))
-        if not walls:
-            raise MonodromyError(f"no corridor between sectors {k} and {kn}")
-        corridors[k] = walls
-
-    def wall_endpoints(w):
-        if w[0] == "int":
-            return {w[1], w[2]}
-        return {g.lines[w[1]].origin}
+        at_ray = sorted(
+            (ln for ln in lines if ln.terminal == ("ray", k)),
+            key=lambda ln: _ray_deviation(ln, tps),
+        )
+        if not at_ray:
+            raise MonodromyError(f"no Stokes line ends on ray {k}")
+        corridors[k] = [
+            (ln.origin, _crossing(ln.points, 0.85 * r_foot, roots)) for ln in at_ray
+        ]
 
     def walk(start, walls):
-        """Waypoints from start through a wall sequence, bridging across
-        shared turning points so the path hugs the complex (the ODE is
-        regular at turning points, and Re S is constant along each wall);
-        also the node index of each wall's point."""
+        """Waypoints from start through a wall sequence, bridging across the
+        turning point two consecutive walls share so the path hugs the
+        complex (the ODE is regular at turning points, and Re S is constant
+        along each wall); also the node index of each wall's point."""
         pts, at = [start], []
         prev = None
-        for w in walls:
-            if prev is not None:
-                common = wall_endpoints(prev) & wall_endpoints(w)
-                if common:
-                    pts.append(complex(g.internal_vertices[common.pop()]))
-            pts.append(g.wall_point(w, 0.85 * r_foot))
+        for origin, point in walls:
+            if origin == prev:
+                pts.append(complex(tps.roots[origin]))
+            pts.append(point)
             at.append(len(pts) - 1)
-            prev = w
+            prev = origin
         return pts, at
 
     # Each solution is carried inward along its own ray to its foot, then
@@ -387,11 +358,11 @@ def stokes_multipliers(
     init_est = 0.0
     data = {}  # (j, eval_key) -> (v, dv, l, quality)
     for j in range(-2, 3):
-        v, dv, l, est = _radial_leg(p, j, R, r_foot, rtol)
+        v, dv, l, est = _radial_leg(p, j, R, r_foot, rtol, roots)
         init_est += est
         foot = r_foot * np.exp(1j * (2.0 * np.pi * j / 5.0))
         c0, c1, c2 = corridors[j], corridors[_s5(j + 1)], corridors[_s5(j + 2)]
-        nodes, at = walk(foot, c0 + c1 + (c2[0],))
+        nodes, at = walk(foot, c0 + c1 + c2[:1])
         states = _transport(p, nodes, v, dv, l, rtol)
         for off, i in zip((0, 1, 2), (0, len(c0), len(c0) + len(c1))):
             data[(j, _s5(j + off))] = states[at[i]]

@@ -92,6 +92,11 @@ class StokesComplexGraph:
     def n_internal_edges(self) -> int:
         return len(self.internal_edges)
 
+    @property
+    def tps(self) -> TurningPointSet:
+        """The turning points the graph was traced from."""
+        return TurningPointSet(self.internal_vertices, self.multiplicities)
+
     def wall_point(self, wall, radius: float) -> complex:
         """A point on a wall of the complex: the midpoint of an internal edge,
         or where an external line crosses |x| = radius, which must lie
@@ -99,18 +104,14 @@ class StokesComplexGraph:
         if wall[0] == "int":
             v = self.internal_vertices
             return 0.5 * (v[wall[1]] + v[wall[2]])
-        tps = TurningPointSet(self.internal_vertices, self.multiplicities)
-        return _crossing(self.lines[wall[1]].points, radius, tps.all_with_repeats)
-
-
-# canonical non-consecutive pairs failing the relation, per class (labels -2..2)
-_ALL_NONCONSEC = frozenset(frozenset(((k - 2) % 5 - 2, (k) % 5 - 2)) for k in range(5))
+        return _crossing(self.lines[wall[1]].points, radius, self.tps.all_with_repeats)
 
 
 def _pairset(pairs):
     return frozenset(frozenset(p) for p in pairs)
 
 
+# canonical non-consecutive pairs failing the relation, per class (labels -2..2)
 _CANONICAL_FAIL = {
     "300": _pairset([]),
     "310": _pairset([(0, 2), (0, -2)]),
@@ -265,11 +266,11 @@ def trace_stokes_lines(
 def _assemble(lines):
     """Deduplicate traced lines into internal and external edges.
 
-    External entries carry the index of the traced line for later geometric
+    External entries carry the traced line and its index for later geometric
     lookups (corridor crossing points, SVG export).
     """
     internal: dict[frozenset, list] = {}
-    external: list[tuple[int, int, np.ndarray, int]] = []
+    external: list[tuple[int, int, StokesLine, int]] = []
     for idx, ln in enumerate(lines):
         kind, t = ln.terminal
         if kind == "unresolved":
@@ -279,7 +280,7 @@ def _assemble(lines):
                 raise ClassificationError("Stokes line returned to its own vertex")
             internal.setdefault(frozenset((ln.origin, t)), []).append(ln)
         else:
-            external.append((ln.origin, t, ln.points, idx))
+            external.append((ln.origin, t, ln, idx))
     for pair, lns in internal.items():
         if len(lns) != 2:
             raise AmbiguousClassError(
@@ -324,6 +325,17 @@ def _crossing(pts, radius, roots):
     return x
 
 
+def _ray_deviation(line, tps, opts=None):
+    """Signed angle from the ray a line ends on, k, to where the line crosses
+    the common radius 0.92 R_max.  The lines that end on one ray are ordered
+    by it, increasing from the side of sector k to that of sector k+1.
+    """
+    opts = opts or TraceOptions()
+    R_eval = opts.r_max_factor * (1.0 + tps.scale) * 0.92
+    x = _crossing(line.points, R_eval, tps.all_with_repeats)
+    return _wrap(cmath.phase(x) - PHI[line.terminal[1] + 2])
+
+
 def _rotation_system(lines_by_edge, tps, opts):
     """Build the combinatorial embedding: CCW dart order at every vertex.
 
@@ -338,8 +350,6 @@ def _rotation_system(lines_by_edge, tps, opts):
 
     def add_vertex(v):
         incid.setdefault(v, [])
-
-    R_eval = opts.r_max_factor * (1.0 + tps.scale) * 0.92
 
     def add_edge(u, v, key, ang_u, ang_v):
         nonlocal did
@@ -367,11 +377,10 @@ def _rotation_system(lines_by_edge, tps, opts):
     # external edges: at the internal vertex, the launch angle; at the
     # external vertex the CCW cycle is (arc toward k+1, lines by decreasing
     # deviation from the ray, arc toward k-1), encoded by sort key -dev with
-    # the arcs at -inf / +inf; every deviation is read at |x| = R_eval
-    for (vi, k, pts, idx) in external:
-        ang_v = float(np.angle(pts[1] - pts[0]))
-        dev = _wrap(cmath.phase(_crossing(pts, R_eval, tps.all_with_repeats)) - PHI[k + 2])
-        add_edge(("v", vi), ("e", k), ("ext", idx), ang_v, -dev)
+    # the arcs at -inf / +inf
+    for (vi, k, ln, idx) in external:
+        ang_v = float(np.angle(ln.points[1] - ln.points[0]))
+        add_edge(("v", vi), ("e", k), ("ext", idx), ang_v, -_ray_deviation(ln, tps, opts))
 
     # boundary arcs (key angle +/- inf places them around the line darts)
     for k in range(-2, 3):

@@ -20,7 +20,7 @@ from .action import (
     cycle_period,
     safe_nodes,
 )
-from .potential import CubicPotential, turning_points
+from .potential import CubicPotential
 from .stokes import StokesComplexGraph
 
 LOG3_HALF = np.log(3.0) / 2.0
@@ -111,7 +111,7 @@ def relative_errors(
     the embedded graph.  Also reports whether the small-error relation
     (rho < log(3)/2) coincides with the connectivity relation.
     """
-    tps = turning_points(p)
+    tps = g.tps
     roots = tps.all_with_repeats
     clearance = 0.05 * max(tps.separation, 1e-12) if len(tps.roots) > 1 else 0.0
     rho = np.full((5, 5), np.inf)

@@ -129,16 +129,21 @@ def test_turning_point_action_same_point_zero():
 
 def test_turning_point_action_antisymmetry():
     p = CubicPotential(2, 0)
-    a = turning_point_action(p, 0.0, 1.0, side_hint=2.0)
-    b = turning_point_action(p, 1.0, 0.0, side_hint=2.0)
+    a = turning_point_action(p, 0.0, 1.0, side_hint=0.5 + 0.5j)
+    b = turning_point_action(p, 1.0, 0.0, side_hint=0.5 + 0.5j)
     assert a.value == pytest.approx(-b.value, abs=1e-12)
 
 
+def test_turning_point_action_side_hint_path_keeps_clearance():
+    # from 0 via 2 to 1 on (2, 0), the first leg runs through the root 1
+    with pytest.raises(ClearanceError):
+        turning_point_action(CubicPotential(2, 0), 0.0, 1.0, side_hint=2.0)
+
+
 def test_turning_point_action_value_against_oracle():
-    # V < 0 between the roots 0 and 1, so the action is purely imaginary on
-    # the sheet fixed positive at x = 2
+    # V < 0 between the roots 0 and 1, so the action is purely imaginary
     p = CubicPotential(2, 0)
-    got = turning_point_action(p, 0.0, 1.0, side_hint=2.0).value
+    got = turning_point_action(p, 0.0, 1.0, side_hint=0.5 + 0.5j).value
     import scipy.integrate as si
 
     mag, _ = si.quad(lambda t: np.sqrt(-(4 * t**3 - 4 * t)), 0, 1, limit=200)

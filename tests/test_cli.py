@@ -42,6 +42,14 @@ def test_classify_split_double_root_is_ambiguous(capsys):
     assert out == "" and "ambiguous" in err
 
 
+def test_verify_split_double_root(capsys):
+    # the point classify refuses above: the oracle needs no class
+    p = apply_group(GroupElement(1.0, 1), CubicPotential(6.0, 2.0 / 7.0))
+    code, out, _ = run_cli(capsys, "verify", "--a", repr(complex(p.a)), "--b", repr(complex(p.b)))
+    assert code == EXIT_OK
+    assert max(json.loads(out)["normalized_residuals"]) <= 1e-6
+
+
 def test_classify_quantizing_with_svg(tmp_path, capsys, sol_11):
     svg_path = tmp_path / "complex.svg"
     code, out, _ = run_cli(
