@@ -541,13 +541,16 @@ def alpha_integral(
     path: BranchedPath,
     tol: float = 1e-11,
     clearance: float | None = None,
+    tps: TurningPointSet | None = None,
 ) -> float:
     """int |alpha(lam) dlam| along the path; the WKB relative-error density.
 
     |alpha| does not depend on the square-root sheet, so branch_seed is
-    accepted for interface symmetry but not used.
+    accepted for interface symmetry but not used.  tps, the turning points
+    of p when the caller has already solved them, saves solving them again.
     """
-    tps = turning_points(p)
+    if tps is None:
+        tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
     sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)
     clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize as so
 
 from .action import QuadratureError, cycle_period, label_turning_points_by_periods
 from .potential import CubicPotential, GroupElement, TurningPointSet, apply_group, turning_points
@@ -192,29 +191,59 @@ def solve_bsb(
     )
 
 
+def _bracketed_newton(fdf, lo, hi, f_lo, max_iter=100):
+    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) differ in sign.
+
+    fdf(t) returns (f(t), f'(t)).  Newton steps from the midpoint; whenever a
+    step would leave the current bracket (or f' is zero), the bracket is
+    bisected instead.  Stops on an exact zero or once a step is within a few
+    ulps, |dt| <= 1e-15 + 8.9e-16 |t|.
+    """
+    t = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        f, df = fdf(t)
+        if f == 0.0:
+            return t
+        if (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = t, f
+        else:
+            hi = t
+        t_new = t - (f / df if df != 0.0 else np.inf)
+        if not min(lo, hi) < t_new < max(lo, hi):
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= 1e-15 + 8.9e-16 * abs(t_new):
+            return t_new
+        t = t_new
+    raise SolverError(f"no root in the bracket after {max_iter} iterations")
+
+
 @lru_cache(maxsize=8)
 def _orbit_point(tol: float = 1e-13) -> tuple[float, float]:
-    """(b_hat, Im P1) for the real quantizing orbit at a = -1."""
+    """(b_hat, Im P1) for the real quantizing orbit at a = -1.
 
-    def re_p1(b):
-        p = CubicPotential(-1.0, b)
+    b_hat = -e^t solves Re P_a1(-1, -e^t) = 0: an 18-point grid in t brackets
+    the root, and _bracketed_newton takes d/dt Re P_a1 = Re(dP/db (-e^t))
+    from the gradient that comes with the period.
+    """
+
+    def p1(t):
+        p = CubicPotential(-1.0, -np.exp(t))
         labels = label_turning_points_by_periods(p)
-        return cycle_period(p, "a1", labels=labels, tol=1e-12).value.real
+        P = cycle_period(p, "a1", labels=labels, tol=1e-12)
+        return P.value.real, (P.gradient[1] * p.b).real
 
-    lo, hi = np.log(1e-3), np.log(0.3)
-    grid = np.linspace(lo, hi, 18)
-    vals = [re_p1(-np.exp(t)) for t in grid]
-    bracket = None
+    grid = np.linspace(np.log(1e-3), np.log(0.3), 18)
+    vals = [p1(t)[0] for t in grid]
+    t_star = None
     for t0, t1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if v0 == 0.0:
-            bracket = (t0, t0)
+            t_star = t0
             break
         if v0 * v1 < 0:
-            bracket = (t0, t1)
+            t_star = _bracketed_newton(p1, t0, t1, v0)
             break
-    if bracket is None:
+    if t_star is None:
         raise SolverError("failed to bracket the real quantizing orbit")
-    t_star = so.brentq(lambda t: re_p1(-np.exp(t)), *bracket, xtol=1e-15, rtol=8.9e-16)
     b_hat = -np.exp(t_star)
     p = CubicPotential(-1.0, b_hat)
     labels = label_turning_points_by_periods(p)

@@ -250,11 +250,16 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
 
 
 def trace_stokes_lines(
-    p: CubicPotential, opts: TraceOptions | None = None
+    p: CubicPotential, opts: TraceOptions | None = None, tps: TurningPointSet | None = None
 ) -> list[StokesLine]:
-    """Trace all Stokes lines (anti-Stokes with opts.anti_stokes=True)."""
+    """Trace all Stokes lines (anti-Stokes with opts.anti_stokes=True).
+
+    tps, the turning points of p when the caller has already solved them,
+    saves solving them again.
+    """
     opts = opts or TraceOptions()
-    tps = turning_points(p)
+    if tps is None:
+        tps = turning_points(p)
     rays = [f + np.pi / 5 for f in PHI] if opts.anti_stokes else PHI
     return [
         _trace_one(p, tps, vi, di, theta, opts, rays)
@@ -615,7 +620,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
 
 
 def _classify_once(p, tps, opts):
-    lines = trace_stokes_lines(p, opts)
+    lines = trace_stokes_lines(p, opts, tps)
     internal, external = _assemble(lines)
 
     # graph invariants

@@ -135,7 +135,7 @@ def relative_errors(
                 full.extend(seg if not full else seg[1:])
             mid = alpha_integral(
                 p, BranchedPath(nodes=tuple(full), branch_seed=1.0), tol=tol,
-                clearance=0.5 * clearance if clearance else None,
+                clearance=0.5 * clearance if clearance else None, tps=tps,
             )
             tails = alpha_ray_tail(p, nodes[0]) + alpha_ray_tail(p, nodes[-1])
             val = mid + tails

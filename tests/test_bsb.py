@@ -35,6 +35,51 @@ def test_real_orbit_constants_match_reference():
     assert b_s == pytest.approx(-0.1470, rel=1e-3)
 
 
+def test_orbit_point_matches_brentq():
+    # independent oracle: scipy's brentq on the same 18-point bracket
+    from scipy.optimize import brentq
+
+    def re_p1(t):
+        p = CubicPotential(-1.0, -np.exp(t))
+        return cycle_period(p, "a1", labels=label_turning_points_by_periods(p), tol=1e-12).value.real
+
+    grid = np.linspace(np.log(1e-3), np.log(0.3), 18)
+    vals = [re_p1(t) for t in grid]
+    k = next(i for i in range(17) if vals[i] * vals[i + 1] < 0)
+    b_ref = -np.exp(brentq(re_p1, grid[k], grid[k + 1], xtol=1e-15, rtol=8.9e-16))
+    p = CubicPotential(-1.0, b_ref)
+    y_ref = cycle_period(p, "a1", labels=label_turning_points_by_periods(p), tol=1e-13).value.imag
+    x = (np.pi / y_ref) ** 0.4
+    expected = (-1.0 / b_ref**2, -(x**2), b_ref * x**3)
+
+    bsb._orbit_point.cache_clear()
+    b_hat, y0 = bsb._orbit_point()
+    assert b_hat == pytest.approx(b_ref, rel=1e-14, abs=0)
+    assert y0 == pytest.approx(y_ref, rel=1e-14, abs=0)
+    for got, want in zip(real_orbit_constants(), expected):
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_bracketed_newton_bisects_when_a_step_leaves_the_bracket():
+    calls = []
+
+    def fdf(t):
+        calls.append(t)
+        return np.arctan(t), 1.0 / (1.0 + t * t)
+
+    lo, hi = -3.0, 20.0
+    f_mid, df_mid = fdf(0.5 * (lo + hi))
+    assert not lo < 0.5 * (lo + hi) - f_mid / df_mid < hi  # plain Newton overshoots
+    calls.clear()
+    root = bsb._bracketed_newton(fdf, lo, hi, np.arctan(lo))
+    assert abs(root) <= 1e-15
+    assert all(lo <= t <= hi for t in calls)
+    assert len(calls) < 20
+    with pytest.raises(SolverError):
+        bsb._bracketed_newton(fdf, lo, hi, np.arctan(lo), max_iter=3)
+    assert bsb._bracketed_newton(lambda t: (t, 1.0), -1.0, 1.0, -1.0) == 0.0
+
+
 def test_real_poles_power_law():
     pairs = real_poles(5)
     _, a_s, b_s = real_orbit_constants()
