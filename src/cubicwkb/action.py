@@ -130,13 +130,12 @@ def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
 
 
 def _gauss_panel(f, a, b):
-    """Panel integral of f (a scalar or a vector per node) and its largest
-    component error."""
+    """Panel integral of f and its error estimate."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     i2 = half * (_GW2 @ f(mid + half * _GX2))
     i1 = half * (_GW @ f(mid + half * _GX))
-    return i2, float(np.max(np.abs(i2 - i1)))
+    return i2, float(abs(i2 - i1))
 
 
 def _adaptive(f, a, b, tol, depth=0):
@@ -574,28 +573,20 @@ def alpha_integral(
     return total
 
 
-def ray_tail(f, R: float, tol: float):
-    """(int_R^inf f(r) dr, error) by the substitution r = R / s^2, s in (0, 1].
-
-    f may return a scalar or a vector; every component must decay faster
-    than r^{-1} (the Gauss nodes never reach s = 0).
-    """
-
-    def g(ss):
-        return np.array([f(R / s**2) * (2.0 * R / s**3) for s in ss])
-
-    return _adaptive(g, 0.0, 1.0, tol)
-
-
 def alpha_ray_tail(p: CubicPotential, start: complex, tol: float = 1e-12) -> float:
     """int_start^inf |alpha| |dlam| along the outward ray through start.
 
-    alpha decays like r^{-7/2}, so under r = R / s^2 the integrand vanishes
-    like s^4 at s = 0.
+    Integrated over s in (0, 1] after the substitution r = R / s^2: alpha
+    decays like r^{-7/2}, so the integrand vanishes like s^4 at s = 0 (the
+    Gauss nodes never reach it).
     """
     R = abs(start)
     if R == 0:
         raise ValueError("tail ray must start away from the origin")
     u = start / R
-    val, _ = ray_tail(lambda r: alpha_at(p, r * u), R, tol)
+
+    def f(ss):
+        return alpha_at(p, (R / ss**2) * u) * (2.0 * R / ss**3)
+
+    val, _ = _adaptive(f, 0.0, 1.0, tol)
     return float(val.real)

@@ -5,9 +5,11 @@ Each sector carries a normalized recessive solution fixed by
     arg x = 2 pi k / 5,
 with the half-power branch chosen so Re x^{5/2} -> +inf along that ray and
 the quarter power taken as the principal branch.  Initial data at
-x_k = R exp(2 pi i k / 5) come from the exact WKB gauge transform plus
-regularized tail integrals along the outward ray, so the per-sector
-normalization constants are coherent to O(rho(R)^3).
+x_k = R exp(2 pi i k / 5) come from the formal solution at infinity: since
+V is a polynomial, Y = psi'/psi has a series in s = x^{1/2} whose
+coefficients, the same for all five sectors, follow from Y' + Y^2 = V one
+convolution each.  It is summed to the rounding floor of the log scale, or
+to its smallest term window when R is too small for that.
 
 Multipliers are extracted by a central connection: each solution is carried
 radially inward along its own ray (the stable direction) and then through
@@ -22,10 +24,10 @@ by Taylor series.  Because V is a cubic polynomial, the Taylor coefficients
 about any point obey an exact four-term recurrence (``_taylor_step``); a
 step is accepted when the last two terms of the series are within ``rtol``
 of max(|psi|, |h psi'|) at both of its ends, and halved otherwise.  The
-reported ``est_error`` is the normalization error of the initial data plus,
-for the worst multiplier, the transport tolerance ``rtol`` amplified by the
-climb of each solution along its path and by the cancellation in its
-Wronskians.
+reported ``est_error`` adds, over the five sectors, the first omitted term
+window of the series and the rounding floor, and then, for the worst
+multiplier, the transport tolerance ``rtol`` amplified by the climb of each
+solution along its path and by the cancellation in its Wronskians.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ray_tail
 from .potential import CubicPotential, TurningPointSet, turning_points
 from .stokes import _crossing, _ray_deviation, trace_stokes_lines
 
@@ -43,6 +44,12 @@ TAYLOR_ORDER = 30
 _TAYLOR_INV = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(TAYLOR_ORDER - 1))
 # a step halved this often without meeting the tail tolerance is a failure
 _MAX_HALVINGS = 40
+# coefficients of the formal solution at infinity, d_{-3} .. d_{97}: six
+# leading ones, then 19 windows of five
+_SERIES_LEN = 101
+# rounding floor of the initial data, in units of eps * R^{5/2}, the size of
+# the log scale (and of the climb along each radial leg)
+_ROUNDING_FLOOR = 4.0
 
 
 class MonodromyError(RuntimeError):
@@ -84,16 +91,6 @@ class StokesMultipliers:
         return float(max(self.normalized_residuals))
 
 
-def _tail_bracket(x: complex, a: complex, b: complex) -> complex:
-    """sqrt(1 + q) - 1 + a/(4 x^2) with q = -a/(2 x^2) - 7 b/x^3.
-
-    Evaluated as -q^2 / (2 (1 + sqrt(1 + q))^2) - 7 b/(2 x^3), an exact
-    rewriting free of the cancellation between sqrt(1 + q) - 1 and -q/2.
-    """
-    q = -0.5 * a / x**2 - 7.0 * b / x**3
-    return -(q**2) / (2.0 * (1.0 + np.sqrt(1.0 + q)) ** 2) - 3.5 * b / x**3
-
-
 def default_radius(p: CubicPotential, tps: TurningPointSet | None = None) -> float:
     """The normalization radius; tps, the turning points of p if already solved."""
     if tps is None:
@@ -114,99 +111,65 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-class _Ray:
-    """Branch-coherent quantities along the outward ray arg x = 2 pi k / 5."""
+def _formal_series(p: CubicPotential) -> np.ndarray:
+    """Coefficients d_j (at index j + 3) of the formal solution at infinity.
 
-    def __init__(self, p: CubicPotential, k: int, R: float, roots):
-        self.p = p
-        self.k = k
-        self.R = R
-        self.theta = 2.0 * np.pi * k / 5.0
-        self.eps = -1.0 if (k % 2) else 1.0
-        self.u = np.exp(1j * self.theta)
-        self.roots = np.array(roots, dtype=complex)
+    With s = x^{1/2}, the log-derivative Y = psi'/psi = sum_{j>=-3} d_j s^{-j}
+    of the recessive solution solves Y' + Y^2 = V with V = 4 s^6 - 2 a s^2
+    - 28 b.  Matching powers of s gives d_{-3} = -2, d_{-2} = d_{-1} = d_0
+    = 0, d_1 = a/2, d_2 = -3/4 and, from the coefficient of s^{-m},
+        d_{m+3} = (V_m - sum_{i=-2}^{m+2} d_i d_{m-i} + ((m-2)/2) d_{m-2})
+                  / (2 d_{-3}).
+    The series is asymptotic: its terms shrink with |s| and then grow.
+    """
+    d = np.zeros(_SERIES_LEN, dtype=complex)
+    d[0], d[4], d[5] = -2.0, 0.5 * p.a, -0.75
+    for m in range(_SERIES_LEN - 6):
+        V_m = -28.0 * p.b if m == 0 else 0.0
+        conv = d[1 : m + 6] @ d[m + 5 : 0 : -1]
+        d[m + 6] = (V_m - conv + 0.5 * (m - 2) * d[m + 1]) / (2.0 * d[0])
+    return d
 
-    def half_power(self, r: float) -> complex:
-        return self.eps * np.sqrt(r) * np.exp(0.5j * self.theta)
 
-    def w(self, r: float) -> complex:
-        """sqrt(V) on the recessive branch at x = r * exp(i theta)."""
-        lam = r * self.u
-        prod = np.prod(1.0 - self.roots / lam)
-        s = self.half_power(r)
-        return 2.0 * s**3 * np.sqrt(prod)
+def _sector_starts(p: CubicPotential, R: float) -> dict:
+    """Initial data (v, dv, log_scale, est_error) of each sector's normalized
+    recessive solution at x = R exp(2 pi i k / 5), keyed by k.
 
-    def alpha(self, r: float) -> complex:
-        lam = r * self.u
-        V = self.p(lam)
-        w = self.w(r)
-        return (4.0 * V * self.p.d2(lam) - 5.0 * self.p.d1(lam) ** 2) / (32.0 * w**5)
-
-    def alpha_over_2w(self, r: float) -> complex:
-        return self.alpha(r) / (2.0 * self.w(r))
-
-    def d_alpha_over_2w(self, r: float) -> complex:
-        """d/dx of alpha/(2w) at x = r e^{i theta} (analytic derivative)."""
-        lam = r * self.u
-        V = self.p(lam)
-        V1 = self.p.d1(lam)
-        V2 = self.p.d2(lam)
-        w = self.w(r)
-        alpha = (4.0 * V * V2 - 5.0 * V1**2) / (32.0 * w**5)
-        num1 = 4.0 * V * 24.0 - 6.0 * V1 * V2  # d/dx of (4 V V'' - 5 V'^2)
-        dalpha = num1 / (32.0 * w**5) - 5.0 * alpha * V1 / (2.0 * V)
-        dw = V1 / (2.0 * w)
-        return dalpha / (2.0 * w) - alpha * dw / (2.0 * w**2)
-
-    def normalization(self):
-        """(log N, U1, U2, est_error) for the initial data at r = R."""
-        p, R, u = self.p, self.R, self.u
-        a, b = p.a, p.b
-
-        def tails(r):
-            lam = r * u
-            alpha = self.alpha(r)
-            return u * np.array([
-                # action tail T_inf: w - (2 x^{3/2} - (a/2) x^{-1/2})
-                #   = 2 s^3 (sqrt(1 + q) - 1 + a/(4 x^2)), q = -a/(2x^2) - 7b/x^3
-                2.0 * self.half_power(r) ** 3 * _tail_bracket(lam, a, b),
-                # log-derivative tail M_inf: -(1/4)(V'/V - 3/x) = -(ax + 21b)/(x V)
-                -(a * lam + 21.0 * b) / (lam * p(lam)),
-                # alpha tails I_a, J2 for the Volterra corrections
-                alpha,
-                alpha * self.alpha_over_2w(r),
-            ])
-
-        (T_inf, M_inf, I_a, J2), err = ray_tail(tails, R, 1e-13)
-
-        s_R = self.half_power(R)
-        G_R = 0.8 * R**2.5 - a * s_R
-        logN = (
-            -G_R
-            + T_inf
-            - M_inf
-            - 0.75 * np.log(R)
-            - 0.75j * self.theta
+    On the branch of s = x^{1/2} where s^5 = R^{5/2} > 0, v = 1, dv = Y(x) and
+        log psi(x) = -(4/5) R^{5/2} + a s - (3/4)(log R + i theta)
+                     + sum_{j>=3} d_j s^{2-j} / (1 - j/2),
+    whose constant fixes psi ~ x^{-3/4} exp(-(4/5) x^{5/2} + a x^{1/2}).  The
+    sum runs over 5-term windows until one falls below the rounding floor of
+    the log scale, or else up to the smallest window (optimal truncation);
+    est_error is that first omitted window plus the floor.
+    """
+    d = _formal_series(p)
+    j = np.arange(-3.0, _SERIES_LEN - 3)
+    floor = _ROUNDING_FLOOR * np.finfo(float).eps * R**2.5
+    starts = {}
+    for k in range(-2, 3):
+        theta = 2.0 * np.pi * k / 5.0
+        s = (-1.0 if k % 2 else 1.0) * np.sqrt(R) * np.exp(0.5j * theta)
+        Y_terms = d * s**-j
+        log_terms = Y_terms[6:] * s**2 / (1.0 - 0.5 * j[6:])
+        windows = np.abs(log_terms).reshape(-1, 5).sum(1)
+        below = np.flatnonzero(windows < floor)
+        # (a window is nan where a power overflows on a zero coefficient,
+        # which only a radius far inside the unit circle brings about)
+        n = int(below[0]) if below.size else int(np.nanargmin(windows))
+        log_psi = (
+            -0.8 * R**2.5
+            + p.a * s
+            - 0.75 * (np.log(R) + 1j * theta)
+            + log_terms[: 5 * n].sum()
         )
-        a2w = self.alpha_over_2w(R)
-        da2w = self.d_alpha_over_2w(R)
-        w_R = self.w(R)
-        U1 = -a2w * (1.0 + I_a - a2w) - da2w / (2.0 * w_R)
-        U2 = 1.0 + I_a + 0.5 * I_a**2 - J2
-        # neglected terms are O(rho^3) with rho ~ |I_a|
-        est = float(abs(I_a) ** 3 + err)
-        return logN, U1, U2, est
-
-    def initial_data(self):
-        """(v, v', log_scale, est_error) of the normalized solution at r = R."""
-        logN, U1, U2, est = self.normalization()
-        lam = self.R * self.u
-        V = self.p(lam)
-        w = self.w(self.R)
-        corr = self.p.d1(lam) / (4.0 * V)
-        psi = U1 + U2
-        dpsi = (w - corr) * U1 + (-w - corr) * U2
-        return psi, dpsi, logN, est
+        starts[k] = (
+            1.0 + 0j,
+            complex(Y_terms[: 5 * n + 6].sum()),
+            complex(log_psi),
+            float(windows[n] + floor),
+        )
+    return starts
 
 
 def _s5(k: int) -> int:
@@ -295,21 +258,17 @@ def _transport(p, nodes, v, dv, l, rtol):
     return states
 
 
-def _radial_leg(p, k, R, r_foot, rtol, roots):
-    """The normalized solution of sector k carried from |x| = R inward along
-    its own ray to |x| = r_foot: (v, dv, log_scale, est_error) at the foot;
-    ``roots`` are the turning points with repeats."""
-    ray = _Ray(p, k, R, roots)
-    v, dv, l, est = ray.initial_data()
-    m = max(abs(v), abs(dv) / (2.0 * R**1.5))
-    v, dv, l = v / m, dv / m, l + np.log(m)
+def _radial_leg(p, k, R, r_foot, rtol, v, dv, l):
+    """The normalized solution of sector k, given as (v, dv, log_scale) at
+    |x| = R, carried inward along its own ray to |x| = r_foot: (v, dv,
+    log_scale) at the foot."""
     # split the leg so the growth per piece stays well inside the double
     # range (the solution climbs by e^{(4/5) R^{5/2}} overall)
     n_rad = max(1, int(0.8 * R**2.5 / 150.0) + 1)
-    radii = np.geomspace(R, r_foot, n_rad + 1)
-    nodes = [r * np.exp(1j * ray.theta) for r in radii]
+    u = np.exp(2j * np.pi * k / 5.0)
+    nodes = [r * u for r in np.geomspace(R, r_foot, n_rad + 1)]
     v, dv, l, _ = _transport(p, nodes, v, dv, l, rtol)[-1]
-    return v, dv, l, est
+    return v, dv, l
 
 
 def stokes_multipliers(
@@ -326,6 +285,8 @@ def stokes_multipliers(
     """
     tps = turning_points(p)
     R = float(R) if R is not None else default_radius(p, tps)
+    if not np.isfinite(R) or R <= 0.0:
+        raise MonodromyError(f"R must be a positive finite radius, got {R}")
     if R < 2.0 * tps.scale:
         raise MonodromyError("R too small: turning points too close to the circle")
     roots = tps.all_with_repeats
@@ -370,11 +331,13 @@ def stokes_multipliers(
     # walls, whose levels sit at the saddle values).  The up walk from sector
     # j passes the evaluation points of j, j+1 and j+2, the down walk those
     # of j-1 and j-2.
+    starts = _sector_starts(p, R)
     init_est = 0.0
     data = {}  # (j, eval_key) -> (v, dv, l, quality)
     for j in range(-2, 3):
-        v, dv, l, est = _radial_leg(p, j, R, r_foot, rtol, roots)
+        v, dv, l, est = starts[j]
         init_est += est
+        v, dv, l = _radial_leg(p, j, R, r_foot, rtol, v, dv, l)
         foot = r_foot * np.exp(1j * (2.0 * np.pi * j / 5.0))
         c0, c1, c2 = corridors[j], corridors[_s5(j + 1)], corridors[_s5(j + 2)]
         nodes, at = walk(foot, c0 + c1 + c2[:1])

@@ -9,9 +9,9 @@ from cubicwkb.action import BranchedPath, line_action
 from cubicwkb.cli import EXIT_NUMERICAL, main
 from cubicwkb.monodromy import (
     MonodromyError,
+    _formal_series,
     _radial_leg,
-    _Ray,
-    _tail_bracket,
+    _sector_starts,
     _transport,
     default_radius,
     stokes_multipliers,
@@ -64,7 +64,8 @@ def test_radius_robustness(sigma_04):
     s2 = stokes_multipliers(p, R=1.25 * default_radius(p))
     for k in range(-2, 3):
         assert s1.sigma[k] == pytest.approx(s2.sigma[k], rel=1e-7, abs=1e-8)
-    # est_error accounts for the change of radius (measured ratio 1.4)
+    # est_error accounts for the change of radius (moved / (est_1 + est_2)
+    # measured 1.7; the transport tolerance dominates both estimates)
     moved = max(abs(s1.sigma[k] - s2.sigma[k]) for k in range(-2, 3))
     assert moved <= 4.0 * (s1.est_error + s2.est_error)
 
@@ -90,37 +91,61 @@ def test_radius_guard(capsys):
     code = main(["verify", "--a", "2", "--b", "0", "--radius", "1.5"])
     assert code == EXIT_NUMERICAL
     assert "R too small" in capsys.readouterr().err
+    # a non-finite radius is refused before any quadrature runs on it
+    for bad in ("nan", "inf"):
+        with pytest.raises(MonodromyError):
+            stokes_multipliers(CubicPotential(0, 0), R=float(bad))
+        code = main(["verify", "--a", "0", "--b", "0", "--radius", bad])
+        assert code == EXIT_NUMERICAL
+        assert "finite radius" in capsys.readouterr().err
 
 
-def test_tail_bracket_matches_mpmath():
+def test_formal_series_matches_mpmath():
+    # the float coefficients against the same recurrence in 50 digits, and
+    # the truncated Y = psi'/psi against the Riccati equation Y' + Y^2 = V
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(3)
+    n = len(_formal_series(CubicPotential(0, 0)))
     with mp.workdps(50):
-        for mag in np.geomspace(1e-12, 0.5, 40):
-            # q = -a/(2x^2) - 7b/x^3 of modulus mag, split between a and b
-            x = complex(*rng.uniform(1.0, 20.0, 2))
-            t = rng.uniform(0.0, 1.0)
-            qa = mag * t * np.exp(2j * np.pi * rng.uniform())
-            qb = mag * (1.0 - t) * np.exp(2j * np.pi * rng.uniform())
-            a, b = -2.0 * qa * x**2, -qb * x**3 / 7.0
-            X, A, B = mp.mpc(x), mp.mpc(a), mp.mpc(b)
-            q = -A / (2 * X**2) - 7 * B / X**3
-            exact = mp.sqrt(1 + q) - 1 + A / (4 * X**2)
-            got = _tail_bracket(x, a, b)
-            assert abs(mp.mpc(got) - exact) <= 1e-13 * abs(exact)
+        for _ in range(4):
+            a, b = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
+            p = CubicPotential(complex(a), complex(b))
+            A, B = mp.mpc(a), mp.mpc(b)
+            ref = [mp.mpc(0)] * n  # ref[j + 3] = d_j
+            ref[0], ref[4], ref[5] = mp.mpf(-2), A / 2, -mp.mpf(3) / 4
+            for m in range(n - 6):
+                V_m = -28 * B if m == 0 else 0
+                conv = mp.fsum(ref[i + 3] * ref[m - i + 3] for i in range(-2, m + 3))
+                ref[m + 6] = (V_m - conv + mp.mpf(m - 2) / 2 * ref[m + 1]) / (2 * ref[0])
+            d = _formal_series(p)
+            for got, want in zip(d, ref):
+                assert abs(mp.mpc(got) - want) <= 1e-13 * (abs(want) + 1)
+
+            R = default_radius(p)
+            for k in range(-2, 3):
+                s = (-1) ** k * mp.sqrt(R) * mp.expjpi(mp.mpf(k) / 5)
+                terms = [ref[i] * s ** (3 - i) for i in range(40)]
+                Y = mp.fsum(terms)
+                dY = mp.fsum(-(i - 3) / (2 * s**2) * t for i, t in enumerate(terms))
+                V = 4 * s**6 - 2 * A * s**2 - 28 * B
+                assert abs(dY + Y**2 - V) <= 1e-13 * abs(V)
+    d = _formal_series(CubicPotential(0, 0))
+    assert d[5] == -0.75 and d[10] == 21 / 64
+    assert _formal_series(CubicPotential(1.5 - 2j, 0.3))[4] == 0.75 - 1j
 
 
-def test_ray_normalization_matches_bessel_k():
+@pytest.mark.parametrize("R", [4.0, 8.0])
+def test_ray_normalization_matches_bessel_k(R):
     # V = 4x^3: the recessive solution of ray 0 is
     # sqrt(8/(5 pi)) sqrt(x) K_{1/5}((4/5) x^{5/2}) ~ x^{-3/4} e^{-(4/5) x^{5/2}};
     # by the Z5 symmetry the other rays carry rotated copies of equal modulus
     mp = pytest.importorskip("mpmath")
-    R = 8.0
+    starts = _sector_starts(CubicPotential(0, 0), R)
     with mp.workdps(50):
         psi = _bessel_k_psi(mp, mp.mpf(R))
         dpsi = mp.diff(lambda x: _bessel_k_psi(mp, x), mp.mpf(R))
         for k in range(-2, 3):
-            v, dv, logN, _ = _Ray(CubicPotential(0, 0), k, R, (0, 0, 0)).initial_data()
+            v, dv, logN, _ = starts[k]
             scale = mp.exp(mp.mpc(logN))
             got, dgot = mp.mpc(v) * scale, mp.mpc(dv) * scale
             if k == 0:
@@ -129,6 +154,23 @@ def test_ray_normalization_matches_bessel_k():
             else:
                 assert abs(abs(got) - abs(psi)) <= 1e-9 * abs(psi)
                 assert abs(abs(dgot) - abs(dpsi)) <= 1e-9 * abs(dpsi)
+
+
+def test_initial_data_error_estimate_bounds_bessel_k():
+    # below R = 3.5 the series stops at its smallest window (optimal
+    # truncation), about twice the error and 4.6e-12 at R = 3; above, the
+    # rounding floor bounds it
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for R in (1.5, 2.0, 2.5, 3.0, 4.0, 8.0):
+            _, _, logN, est = _sector_starts(CubicPotential(0, 0), R)[0]
+            psi = _bessel_k_psi(mp, mp.mpf(R))
+            err = abs(mp.exp(mp.mpc(logN)) / psi - 1)
+            assert err <= est
+            if R <= 3.0:
+                assert est <= 4.0 * err
+            if R == 3.0:
+                assert est < 1e-11
 
 
 def test_transport_matches_bessel_k():
@@ -161,13 +203,14 @@ def test_radial_legs_grow_like_wkb():
     R = default_radius(p)
     tps = turning_points(p)
     r_foot = max(1.35 * tps.scale, 1.0)
+    starts = _sector_starts(p, R)
     for k in range(-2, 3):
-        ray = _Ray(p, k, R, tps.all_with_repeats)
-        v0, _, l0, _ = ray.initial_data()
-        v, _, l, _ = _radial_leg(p, k, R, r_foot, 1e-13, tps.all_with_repeats)
+        v0, dv0, l0, _ = starts[k]
+        v, _, l = _radial_leg(p, k, R, r_foot, 1e-13, v0, dv0, l0)
         growth = (l.real + np.log(abs(v))) - (l0.real + np.log(abs(v0)))
-        x_R, x_foot = R * ray.u, r_foot * ray.u
-        S = line_action(p, BranchedPath(nodes=(x_R, x_foot), branch_seed=ray.w(R)))
+        u = np.exp(2j * np.pi * k / 5)
+        x_R, x_foot = R * u, r_foot * u
+        S = line_action(p, BranchedPath(nodes=(x_R, x_foot), branch_seed=-dv0 / v0))
         expected = -S.value.real + 0.25 * np.log(abs(p(x_R) / p(x_foot)))
         assert growth > 10.0
         assert growth == pytest.approx(expected, abs=0.25)
