@@ -34,7 +34,6 @@ from .stokes import (
     ClassificationError,
     SectorRelation,
     StokesComplexGraph,
-    TraceOptions,
     classify,
     classify_by_periods,
     sector_relation,
@@ -71,7 +70,7 @@ __all__ = [
     "alpha_integral", "cycle_period", "label_turning_points_by_periods",
     "line_action", "turning_point_action",
     "AmbiguousClassError", "ClassificationError", "SectorRelation",
-    "StokesComplexGraph", "TraceOptions", "classify", "classify_by_periods",
+    "StokesComplexGraph", "classify", "classify_by_periods",
     "sector_relation", "trace_stokes_lines",
     "AsymptoticValues", "RelativeError", "asymptotic_values_320",
     "relative_errors",

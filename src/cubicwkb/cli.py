@@ -29,7 +29,6 @@ from .potential import CubicPotential
 from .stokes import (
     AmbiguousClassError,
     ClassificationError,
-    TraceOptions,
     classify,
     trace_stokes_lines,
 )
@@ -112,9 +111,8 @@ def cmd_classify(args) -> int:
 
 def cmd_trace(args) -> int:
     p = CubicPotential(args.a, args.b)
-    opts = TraceOptions(anti_stokes=args.anti)
     try:
-        lines = trace_stokes_lines(p, opts)
+        lines = trace_stokes_lines(p, anti_stokes=args.anti)
     except ClassificationError as exc:
         print(f"tracing failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

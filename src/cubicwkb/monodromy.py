@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import CubicPotential, TurningPointSet, turning_points
-from .stokes import _crossing, _ray_deviation, trace_stokes_lines
+from .stokes import _crossing, _order_at_infinity, trace_stokes_lines
 
 # order of the Taylor series each transport step sums
 TAYLOR_ORDER = 30
@@ -291,23 +291,23 @@ def stokes_multipliers(
         raise MonodromyError("R too small: turning points too close to the circle")
     roots = tps.all_with_repeats
     r_foot = max(1.35 * max(tps.scale, 1e-12), 1.0)
+    if R <= r_foot:
+        raise MonodromyError(f"R too small: inside the foot circle |x| = {r_foot:g}")
 
     # The corridor between sectors k and k+1 is the lines that end on ray k,
-    # ordered from sector k's side; each is a wall, met where it crosses
-    # |x| = 0.85 r_foot.  No classification is needed, so potentials on a
-    # class boundary are routed by their own lines.
+    # in counterclockwise order, from sector k's side; each is a wall, met
+    # where it crosses |x| = 0.85 r_foot.  No classification is needed, so
+    # potentials on a class boundary are routed by their own lines.
     lines = trace_stokes_lines(p, tps=tps)
-    corridors = {}
-    for k in range(-2, 3):
-        at_ray = sorted(
-            (ln for ln in lines if ln.terminal == ("ray", k)),
-            key=lambda ln: _ray_deviation(ln, tps),
+    corridors = {k: [] for k in range(-2, 3)}
+    for i in _order_at_infinity(lines, tps):
+        ln = lines[i]
+        corridors[ln.terminal[1]].append(
+            (ln.origin, _crossing(ln.points, 0.85 * r_foot, roots))
         )
-        if not at_ray:
+    for k, walls in corridors.items():
+        if not walls:
             raise MonodromyError(f"no Stokes line ends on ray {k}")
-        corridors[k] = [
-            (ln.origin, _crossing(ln.points, 0.85 * r_foot, roots)) for ln in at_ray
-        ]
 
     def walk(start, walls):
         """Waypoints from start through a wall sequence, bridging across the

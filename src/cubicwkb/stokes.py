@@ -6,8 +6,14 @@ another turning point or escapes along one of the five asymptotic rays
 arg x = (2k+1) pi / 5.  The resulting decorated graph falls into one of the
 seven classes 300, 310, 311, 320, 100, 110, 000 (modulo a Z5 shift of the
 ray decoration); the class is recognized from the sector-connectivity
-relation computed from the embedded graph, which also yields the shift and
-the turning-point labels used by the quantization machinery.
+relation, which also yields the shift and the turning-point labels used by
+the quantization machinery.
+
+The complex is a forest whose trees all reach infinity, so its faces, the
+half-planes and strips of Strebel, Quadratic Differentials (1984), ch. III,
+are fixed by the counterclockwise order of the lines at infinity
+(_order_at_infinity): the relation is read off that order by the gap rule
+of _compute_relation, with no planar embedding of the graph.
 
 Lines are traced by predictor-corrector continuation of their level set
 (see _trace_one): the level change along each predictor chord is summed by
@@ -21,6 +27,7 @@ its level set (_crossing), not on a chord between its polyline points.
 from __future__ import annotations
 
 import cmath
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +56,6 @@ _TRAP_FACTOR = 1e-4
 _LAUNCH_FACTOR = 1e-2
 _MAX_STEPS = 60000
 _R_FACTOR = 10.0                    # tracing radius, in units of 1 + scale
-
-
-@dataclass(frozen=True)
-class TraceOptions:
-    r_max_factor: float = _R_FACTOR
-    anti_stokes: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def _sqrt_continue(V: complex, prev: complex) -> complex:
     return -w if abs(w + prev) < abs(w - prev) else w
 
 
-def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
+def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     """Continue one level curve Re(u S) = const from a turning point outward.
 
     The predictor steps h = 0.2 hcap along the unit tangent turn conj(w)/|w|,
@@ -178,12 +179,12 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
     sep = tps.separation if len(roots) > 1 else scale
     r_launch = _LAUNCH_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else _LAUNCH_FACTOR * scale
     r_trap = _TRAP_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else 0.0
-    R_max = opts.r_max_factor * (1.0 + tps.scale)
+    R_max = _R_FACTOR * (1.0 + tps.scale)
     V = CubicPotential(complex(p.a), complex(p.b))
 
     z = tp + r_launch * cmath.exp(1j * theta)
     w = cmath.sqrt(V(z))
-    turn = 1j if not opts.anti_stokes else 1.0
+    turn = 1j if not anti_stokes else 1.0
     if (turn * w.conjugate() * cmath.exp(-1j * theta)).real < 0:
         w = -w
 
@@ -203,7 +204,7 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
     if abs(w_tracked - w) > abs(w_tracked + w):
         s_launch = -s_launch
     # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
-    u = 1.0 + 0.0j if not opts.anti_stokes else -1.0j
+    u = 1.0 + 0.0j if not anti_stokes else -1.0j
     drift = float((u * s_launch).real)
     for n in range(1, _MAX_STEPS + 1):
         dists = [abs(z - r) for r in roots]
@@ -250,33 +251,30 @@ def _trace_one(p, tps, origin, direction_index, theta, opts, rays):
 
 
 def trace_stokes_lines(
-    p: CubicPotential, opts: TraceOptions | None = None, tps: TurningPointSet | None = None
+    p: CubicPotential, anti_stokes: bool = False, tps: TurningPointSet | None = None
 ) -> list[StokesLine]:
-    """Trace all Stokes lines (anti-Stokes with opts.anti_stokes=True).
+    """Trace all Stokes lines (anti-Stokes lines with anti_stokes=True) out
+    to radius _R_FACTOR (1 + scale).
 
     tps, the turning points of p when the caller has already solved them,
     saves solving them again.
     """
-    opts = opts or TraceOptions()
     if tps is None:
         tps = turning_points(p)
-    rays = [f + np.pi / 5 for f in PHI] if opts.anti_stokes else PHI
+    rays = [f + np.pi / 5 for f in PHI] if anti_stokes else PHI
     return [
-        _trace_one(p, tps, vi, di, theta, opts, rays)
+        _trace_one(p, tps, vi, di, theta, anti_stokes, rays)
         for vi, (tp, m) in enumerate(zip(tps.roots, tps.multiplicities))
-        for di, theta in enumerate(_launch_directions(p, tp, m, opts.anti_stokes))
+        for di, theta in enumerate(_launch_directions(p, tp, m, anti_stokes))
     ]
 
 
 def _assemble(lines):
-    """Deduplicate traced lines into internal and external edges.
-
-    External entries carry the traced line and its index for later geometric
-    lookups (corridor crossing points, SVG export).
-    """
+    """Deduplicate traced lines into internal edges (each traced from both
+    ends) and external edges (vertex, ray k), the latter in line order."""
     internal: dict[frozenset, list] = {}
-    external: list[tuple[int, int, StokesLine, int]] = []
-    for idx, ln in enumerate(lines):
+    external: list[tuple[int, int]] = []
+    for ln in lines:
         kind, t = ln.terminal
         if kind == "unresolved":
             raise ClassificationError(f"unresolved Stokes line from vertex {ln.origin}")
@@ -285,7 +283,7 @@ def _assemble(lines):
                 raise ClassificationError("Stokes line returned to its own vertex")
             internal.setdefault(frozenset((ln.origin, t)), []).append(ln)
         else:
-            external.append((ln.origin, t, ln, idx))
+            external.append((ln.origin, t))
     for pair, lns in internal.items():
         if len(lns) != 2:
             raise AmbiguousClassError(
@@ -330,218 +328,118 @@ def _crossing(pts, radius, roots):
     return x
 
 
-def _ray_deviation(line, tps, opts=None):
+def _ray_deviation(line, tps):
     """Signed angle from the ray a line ends on, k, to where the line crosses
     the common radius 0.92 R_max.  The lines that end on one ray are ordered
     by it, increasing from the side of sector k to that of sector k+1.
     """
-    opts = opts or TraceOptions()
-    R_eval = opts.r_max_factor * (1.0 + tps.scale) * 0.92
+    R_eval = _R_FACTOR * (1.0 + tps.scale) * 0.92
     x = _crossing(line.points, R_eval, tps.all_with_repeats)
     return _wrap(cmath.phase(x) - PHI[line.terminal[1] + 2])
 
 
-def _rotation_system(lines_by_edge, tps, opts):
-    """Build the combinatorial embedding: CCW dart order at every vertex.
+def _order_at_infinity(lines, tps):
+    """Indices of the lines that end on a ray, in counterclockwise order at
+    infinity: by ray k = -2..2, then by increasing _ray_deviation."""
+    ends = [i for i, ln in enumerate(lines) if ln.terminal[0] == "ray"]
+    return sorted(ends, key=lambda i: (lines[i].terminal[1], _ray_deviation(lines[i], tps)))
 
-    Vertices are ('v', i) internal and ('e', k) external; boundary arcs
-    between consecutive external vertices are included as edges so each face
-    is a single closed walk.
+
+def _compute_relation(internal, lines, tps):
+    """Sector relation and corridor walls from the order of the lines at
+    infinity.
+
+    The complex is a forest of at most two internal edges whose trees all
+    reach infinity, so its faces are fixed by the cyclic order of the line
+    ends.  Gap i lies between lines i and i+1 of that order.  Its face goes
+    in along line i+1, round that line's tree across the internal edges on
+    the tree path, and out along the tree's previous line j into gap j: that
+    stretch is one boundary component, and the orbits of i -> j are the
+    faces.  A gap between rays k and k+1 is sector k+1; a gap between two
+    lines on one ray is the end of a band.  A corridor enters each face
+    through one component and leaves it through another, so it stops at the
+    sector faces, which have only one.  Walls are ("ext", line index) and
+    ("int", i, j), i < j.
     """
-    internal, external = lines_by_edge
-    darts = {}  # dart id -> (u, v, edge_key)
-    incid = {}  # vertex -> list of (sort_angle, dart_id)
-    did = 0
+    order = _order_at_infinity(lines, tps)
+    n = len(order)
+    origin = [lines[i].origin for i in order]
+    ray = [lines[i].terminal[1] for i in order]
+    tree = list(range(len(tps.roots)))
+    for a, b in internal:
+        tree = [tree[a] if t == tree[b] else t for t in tree]
 
-    def add_vertex(v):
-        incid.setdefault(v, [])
+    def edge(u, v):
+        return ("int", min(u, v), max(u, v))
 
-    def add_edge(u, v, key, ang_u, ang_v):
-        nonlocal did
-        d1, d2 = did, did + 1
-        did += 2
-        darts[d1] = (u, v, key, d2)
-        darts[d2] = (v, u, key, d1)
-        incid[u].append((ang_u, d1))
-        incid[v].append((ang_v, d2))
+    def path(u, v):
+        # at most three vertices: a tree path has at most two edges
+        if u == v:
+            return []
+        if frozenset((u, v)) in internal:
+            return [edge(u, v)]
+        w = next(w for w in range(len(tree))
+                 if frozenset((u, w)) in internal and frozenset((w, v)) in internal)
+        return [edge(u, w), edge(w, v)]
 
-    for i in range(len(tps.roots)):
-        add_vertex(("v", i))
-    for k in range(-2, 3):
-        add_vertex(("e", k))
+    # component of gap i: its walls, and the gap it leads to
+    walls, nxt = [], []
+    for i in range(n):
+        m = (i + 1) % n
+        j = next(j for j in ((m - s) % n for s in range(1, n + 1))
+                 if tree[origin[j]] == tree[origin[m]])
+        walls.append([("ext", order[m])] + path(origin[m], origin[j]) + [("ext", order[j])])
+        nxt.append(j)
+    face_of, faces = [None] * n, []
+    for i in range(n):
+        if face_of[i] is None:
+            faces.append([])
+            while face_of[i] is None:
+                face_of[i] = len(faces) - 1
+                faces[-1].append(i)
+                i = nxt[i]
+    sector_face = {(ray[i] + 3) % 5 - 2: face_of[i]
+                   for i in range(n) if ray[i] != ray[(i + 1) % n]}
+    sides = {}
+    for c, ws in enumerate(walls):
+        for key in ws:
+            sides.setdefault(key, []).append(c)
+    # each wall has one side in each of two faces; an internal line on more
+    # stretches means its ends interleave at infinity, as when two nearly
+    # coincident lines at a ray are read out of order
+    if any(len(cs) != 2 for cs in sides.values()):
+        raise AmbiguousClassError("the lines at infinity are in no planar order")
 
-    # internal edges: angle at each endpoint from the traced polylines
-    for pair, lns in internal.items():
-        i, j = sorted(pair)
-        ln = next(l for l in lns if l.origin == i)
-        ang_i = float(np.angle(ln.points[1] - ln.points[0]))
-        ln2 = next(l for l in lns if l.origin == j)
-        ang_j = float(np.angle(ln2.points[1] - ln2.points[0]))
-        add_edge(("v", i), ("v", j), ("int", i, j), ang_i, ang_j)
-
-    # external edges: at the internal vertex, the launch angle; at the
-    # external vertex the CCW cycle is (arc toward k+1, lines by decreasing
-    # deviation from the ray, arc toward k-1), encoded by sort key -dev with
-    # the arcs at -inf / +inf
-    for (vi, k, ln, idx) in external:
-        ang_v = float(np.angle(ln.points[1] - ln.points[0]))
-        add_edge(("v", vi), ("e", k), ("ext", idx), ang_v, -_ray_deviation(ln, tps, opts))
-
-    # boundary arcs (key angle +/- inf places them around the line darts)
-    for k in range(-2, 3):
-        kn = k + 1 if k < 2 else -2
-        add_edge(("e", k), ("e", kn), ("arc", k), -np.inf, np.inf)
-
-    rot = {}
-    for v, lst in incid.items():
-        lst.sort(key=lambda t: t[0])
-        rot[v] = [d for _, d in lst]
-    return darts, rot
-
-
-def _faces(darts, rot):
-    """Face orbits of the embedding: next dart = rotation successor of twin."""
-    pos = {}
-    for v, lst in rot.items():
-        for i, d in enumerate(lst):
-            pos[d] = (v, i)
-    seen = set()
-    faces = []
-    for d0 in darts:
-        if d0 in seen:
-            continue
-        walk = []
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            walk.append(d)
-            twin = darts[d][3]
-            v, i = pos[twin]
-            d = rot[v][(i + 1) % len(rot[v])]
-        faces.append(walk)
-    return faces
-
-
-def _face_info(faces, darts):
-    """Identify sector faces (by their boundary arc) and boundary components."""
-    info = []
-    for walk in faces:
-        arcs = [d for d in walk if darts[d][2][0] == "arc"]
-        # boundary components: cut the cyclic walk at arcs and at external
-        # vertices (points at infinity)
-        comp_of = {}
-        comp = 0
-        n = len(walk)
-        # find a cut position to start from, if any
-        cuts = []
-        for i in range(n):
-            d_prev = walk[i - 1]
-            d = walk[i]
-            junction = darts[d][0]
-            if darts[d_prev][2][0] == "arc" or darts[d][2][0] == "arc" or junction[0] == "e":
-                cuts.append(i)
-        if not cuts:
-            for d in walk:
-                comp_of[d] = 0
-        else:
-            start = cuts[0]
-            comp = -1
-            for off in range(n):
-                i = (start + off) % n
-                if i in cuts or off == 0:
-                    comp += 1
-                d = walk[i]
-                if darts[d][2][0] != "arc":
-                    comp_of[d] = comp
-        info.append({"walk": walk, "arcs": arcs, "comp_of": comp_of})
-    return info
-
-
-def _compute_relation(internal, external, tps, opts):
-    """Sector relation and corridor walls from the embedded graph."""
-    darts, rot = _rotation_system((internal, external), tps, opts)
-    faces = _faces(darts, rot)
-    info = _face_info(faces, darts)
-
-    # map arc k -> sector face: the face walk containing arc dart (Ek->Ek+1)
-    # on the inner side is the sector with rays phi_k, phi_{k+1}, i.e.
-    # Sigma_{k+1}
-    sector_face = {}
-    outer = None
-    for fi, rec in enumerate(info):
-        arc_keys = {darts[d][2][1] for d in rec["arcs"]}
-        if len(rec["arcs"]) == 5 and all(
-            darts[d][2][0] == "arc" for d in rec["walk"]
-        ):
-            outer = fi
-            continue
-        for d in rec["arcs"]:
-            k = darts[d][2][1]
-            sec = k + 1 if k + 1 <= 2 else k + 1 - 5
-            if sec in sector_face:
-                raise ClassificationError("two faces claim the same sector arc")
-            sector_face[sec] = fi
-    if len(sector_face) != 5:
-        raise ClassificationError("could not identify the five sector faces")
-
-    face_of_dart = {}
-    for fi, rec in enumerate(info):
-        for d in rec["walk"]:
-            face_of_dart[d] = fi
-
-    # adjacency moves through graph-edge walls
-    def wall_moves(fi, entry_comp):
-        rec = info[fi]
-        for d in rec["walk"]:
-            kind = darts[d][2][0]
-            if kind == "arc":
-                continue
-            if entry_comp is not None and rec["comp_of"][d] == entry_comp:
-                continue
-            twin = darts[d][3]
-            yield darts[d][2], twin, face_of_dart[twin]
+    def moves(face, entry):
+        for c in faces[face]:
+            if c != entry:
+                for key in walls[c]:
+                    a, b = sides[key]
+                    yield key, b if a == c else a
 
     related = np.eye(5, dtype=bool)
     corridors = {}
-    from collections import deque
-
     for l in range(-2, 3):
-        start = sector_face[l]
-        # BFS over (face, entry component)
-        prev = {}
-        dq = deque()
-        seen_states = set()
-        for key, twin, nf in wall_moves(start, None):
-            st = (nf, info[nf]["comp_of"].get(twin))
-            if st not in seen_states:
-                seen_states.add(st)
-                prev[st] = (None, key)
-                dq.append(st)
-        reached = {}
-        while dq:
-            fi, comp = dq.popleft()
-            # is fi a sector face?
-            for k, sf in sector_face.items():
-                if sf == fi and k != l and k not in reached:
-                    reached[k] = (fi, comp)
-            # continue only through band-type faces (sector faces have one
-            # boundary component, so the move generator yields nothing new)
-            for key, twin, nf in wall_moves(fi, comp):
-                st = (nf, info[nf]["comp_of"].get(twin))
-                if st not in seen_states:
-                    seen_states.add(st)
-                    prev[st] = ((fi, comp), key)
-                    dq.append(st)
-        for k, st in reached.items():
+        # BFS over entry components, from sector l's face
+        prev, reached = {}, {}
+        queue = deque([(sector_face[l], None)])
+        while queue:
+            face, entry = queue.popleft()
+            if entry is not None:
+                for k, sf in sector_face.items():
+                    if sf == face and k != l and k not in reached:
+                        reached[k] = entry
+            for key, c in moves(face, entry):
+                if c not in prev:
+                    prev[c] = (entry, key)
+                    queue.append((face_of[c], c))
+        for k, c in reached.items():
             related[(l + 2) % 5, (k + 2) % 5] = True
-            # recover wall sequence
-            walls = []
-            cur = st
-            while cur is not None:
-                parent, key = prev[cur]
-                walls.append(key)
-                cur = parent
-            corridors[(l, k)] = tuple(reversed(walls))
+            walk = []
+            while c is not None:
+                c, key = prev[c]
+                walk.append(key)
+            corridors[(l, k)] = tuple(reversed(walk))
     return SectorRelation(matrix=related), corridors
 
 
@@ -599,28 +497,17 @@ def _match_class(n_simple, n_int, fail_set, ext_valence):
 def classify(p: CubicPotential) -> StokesComplexGraph:
     """Trace, assemble, and classify the Stokes complex of the potential.
 
-    Lines are traced to radius _R_FACTOR (1 + scale); if that fails, the
-    whole classification is retried once at three times the radius.  Roots
-    closer than the launch radius (a multiple root that rounding has split)
-    are refused before any tracing: launched past a neighbouring root, the
-    lines mean nothing.
+    Lines are traced once, to radius _R_FACTOR (1 + scale).  Roots closer
+    than the launch radius (a multiple root that rounding has split) are
+    refused before any tracing: launched past a neighbouring root, the lines
+    mean nothing.
     """
     tps = turning_points(p)
     if 0.0 < tps.separation < _LAUNCH_FACTOR * 1e-3 * max(tps.scale, 1.0):
         raise AmbiguousClassError(
             f"turning points {tps.separation:.1e} apart, inside the launch radius"
         )
-    last_exc = None
-    for rf in (_R_FACTOR, 3 * _R_FACTOR):
-        try:
-            return _classify_once(p, tps, TraceOptions(r_max_factor=rf))
-        except ClassificationError as exc:
-            last_exc = exc
-    raise last_exc
-
-
-def _classify_once(p, tps, opts):
-    lines = trace_stokes_lines(p, opts, tps)
+    lines = trace_stokes_lines(p, tps=tps)
     internal, external = _assemble(lines)
 
     # graph invariants
@@ -632,7 +519,7 @@ def _classify_once(p, tps, opts):
         for i in pair:
             valency[i] += 1
     ext_valence = {k: 0 for k in range(-2, 3)}
-    for vi, k, *_ in external:
+    for vi, k in external:
         valency[vi] += 1
         ext_valence[k] += 1
     for i, m in enumerate(tps.multiplicities):
@@ -647,7 +534,7 @@ def _classify_once(p, tps, opts):
     if n_int >= 3:
         raise ClassificationError("internal subgraph has a cycle")
 
-    relation, corridors = _compute_relation(internal, external, tps, opts)
+    relation, corridors = _compute_relation(internal, lines, tps)
     # consecutive sectors must always be related
     for k in range(-2, 3):
         kn = k + 1 if k < 2 else -2
@@ -670,7 +557,7 @@ def _classify_once(p, tps, opts):
         multiplicities=tuple(tps.multiplicities),
         lines=tuple(lines),
         internal_edges=tuple(tuple(sorted(pair)) for pair in internal),
-        external_edges=tuple((vi, k) for vi, k, *_ in external),
+        external_edges=tuple(external),
         class_code=code,
         decoration_shift=shift,
         tp_labels=labels,
@@ -697,7 +584,7 @@ def _tp_labels(code, shift, tps, internal, external):
         if deg[i0] != 2:
             raise ClassificationError("320 graph without a double-internal vertex")
         ext_of = {i: set() for i in range(len(roots))}
-        for vi, k, *_ in external:
+        for vi, k in external:
             ext_of[vi].add(k)
         # rays of tp1 sit at canonical positions {0, 1} shifted by m
         s0 = (0 + shift + 2) % 5 - 2

@@ -73,6 +73,16 @@ def test_trace_json(capsys):
     assert len(lines) == 9  # three simple turning points
 
 
+def test_trace_anti_stokes_rays_of_pure_cubic(capsys):
+    # the anti-Stokes lines of 4x^3 end on the rays arg x = 2 pi k / 5
+    code, out, _ = run_cli(capsys, "trace", "--a", "0", "--b", "0", "--anti")
+    assert code == EXIT_OK
+    lines = json.loads(out)
+    assert len(lines) == 5
+    angs = sorted(np.angle(complex(*ln["polyline"][-1])) % (2 * np.pi) for ln in lines)
+    assert np.allclose(angs, [2 * np.pi * k / 5 for k in range(5)], atol=1e-6)
+
+
 def test_poles_csv_schema(tmp_path, capsys):
     out_path = tmp_path / "lattice.csv"
     code, _, err = run_cli(

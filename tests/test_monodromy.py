@@ -91,6 +91,14 @@ def test_radius_guard(capsys):
     code = main(["verify", "--a", "2", "--b", "0", "--radius", "1.5"])
     assert code == EXIT_NUMERICAL
     assert "R too small" in capsys.readouterr().err
+    # a radius at or inside the foot circle |x| = 1 of (0, 0): the radial
+    # legs would run outward
+    for small in ("1e-7", "0.3", "1"):
+        with pytest.raises(MonodromyError):
+            stokes_multipliers(CubicPotential(0, 0), R=float(small))
+        code = main(["verify", "--a", "0", "--b", "0", "--radius", small])
+        assert code == EXIT_NUMERICAL
+        assert "foot circle" in capsys.readouterr().err
     # a non-finite radius is refused before any quadrature runs on it
     for bad in ("nan", "inf"):
         with pytest.raises(MonodromyError):

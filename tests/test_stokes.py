@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_potentials
+from cubicwkb import stokes
 from cubicwkb.action import BranchedPath, line_action
 from cubicwkb.bsb import real_orbit_potential
 from cubicwkb.export import graph_to_json, graph_to_svg
@@ -11,7 +12,7 @@ from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turnin
 from cubicwkb.stokes import (
     PHI,
     AmbiguousClassError,
-    TraceOptions,
+    _order_at_infinity,
     canonical_relation,
     classify,
     classify_by_periods,
@@ -37,7 +38,7 @@ def test_pure_cubic_five_straight_rays():
 
 def test_anti_stokes_rays_of_pure_cubic():
     # anti-Stokes lines of 4x^3 are the rays arg x = 2k pi / 5
-    lines = trace_stokes_lines(CubicPotential(0, 0), TraceOptions(anti_stokes=True))
+    lines = trace_stokes_lines(CubicPotential(0, 0), anti_stokes=True)
     assert len(lines) == 5
     angs = sorted(np.angle(ln.points[-1]) % (2 * np.pi) for ln in lines)
     expected = sorted((2 * np.pi * k / 5) % (2 * np.pi) for k in range(5))
@@ -133,6 +134,35 @@ def test_valency_law_and_acyclicity_random_real():
                     assert g.corridors[(l, k)] == g.corridors[(k, l)][::-1]
 
 
+def test_consecutive_corridors_are_the_lines_at_each_ray():
+    # the corridor from sector k to sector k+1 crosses the lines that end on
+    # ray k, in counterclockwise order: the monodromy oracle's corridor k
+    for a, b in random_potentials(23, 25, box=3.0, real=True):
+        g = classify(CubicPotential(a, b))
+        order = _order_at_infinity(g.lines, g.tps)
+        for k in range(-2, 3):
+            at_ray = tuple(("ext", i) for i in order if g.lines[i].terminal == ("ray", k))
+            assert g.corridors[(k, (k + 3) % 5 - 2)] == at_ray, (a, b, k)
+
+
+def test_interleaved_ends_of_an_internal_line_are_ambiguous(monkeypatch):
+    # lines at infinity read out of order, so that the ends of the two
+    # vertices of an internal line interleave, describe no planar forest
+    p = CubicPotential(2.0, 0.0)
+    g = classify(p)
+    ((u, v),) = g.internal_edges
+    order = _order_at_infinity(g.lines, g.tps)
+    tree = [n for n, i in enumerate(order) if g.lines[i].origin in (u, v)]
+    x, y = next(
+        (x, y) for x, y in zip(tree, tree[1:] + tree[:1])
+        if g.lines[order[x]].origin != g.lines[order[y]].origin
+    )
+    order[x], order[y] = order[y], order[x]
+    monkeypatch.setattr(stokes, "_order_at_infinity", lambda lines, tps: order)
+    with pytest.raises(AmbiguousClassError, match="planar"):
+        classify(p)
+
+
 def test_conjugation_symmetry_real_potentials():
     # real potential: the complex is invariant under conjugation combined
     # with the ray relabelling k -> -1-k
@@ -222,7 +252,7 @@ def _level_residuals(p, anti_stokes):
     roots = np.array(turning_points(p).roots)
     sep = turning_points(p).separation
     out = []
-    for ln in trace_stokes_lines(p, TraceOptions(anti_stokes=anti_stokes)):
+    for ln in trace_stokes_lines(p, anti_stokes=anti_stokes):
         others = np.delete(roots, ln.origin)
         nodes = [ln.points[0], ln.points[1]]
         for z in ln.points[2:]:
@@ -293,16 +323,17 @@ def test_tracing_commutes_with_conjugation():
     # conj(p) = (conj a, conj b) has the mirrored complex: each of its lines
     # is the elementwise conjugate of one line of p, a line ending at a
     # turning point ends at the conjugate root (in conj(p)'s own root
-    # order), and one ending at ray k ends at ray -1-k
+    # order), and one ending at ray k ends at ray -1-k; so sector l of
+    # conj(p) is sector -l of p, and every corridor maps wall by wall
     for a, b in random_potentials(47, 5, box=3.0):
         p, q = CubicPotential(a, b), CubicPotential(np.conj(a), np.conj(b))
         roots_p = np.array(turning_points(p).roots)
         to_p = [int(np.argmin(np.abs(np.conj(r) - roots_p))) for r in turning_points(q).roots]
         assert sorted(to_p) == list(range(len(roots_p)))
-        lines_p = trace_stokes_lines(p)
-        lines_q = trace_stokes_lines(q)
+        gp, gq = classify(p), classify(q)
+        lines_p, lines_q = gp.lines, gq.lines
         assert len(lines_q) == len(lines_p)
-        matched = set()
+        line_to_p = []
         for lq in lines_q:
             mirror = [
                 i for i, lp in enumerate(lines_p)
@@ -310,7 +341,7 @@ def test_tracing_commutes_with_conjugation():
                 and np.max(np.abs(np.conj(lp.points) - lq.points)) <= 1e-10
             ]
             assert len(mirror) == 1, (a, b, lq.origin, lq.direction_index)
-            matched.add(mirror[0])
+            line_to_p.append(mirror[0])
             kind, t = lines_p[mirror[0]].terminal
             kind_q, t_q = lq.terminal
             assert kind_q == kind
@@ -318,4 +349,17 @@ def test_tracing_commutes_with_conjugation():
                 assert to_p[t_q] == t
             else:
                 assert kind == "ray" and t_q == (-1 - t + 2) % 5 - 2
-        assert len(matched) == len(lines_p)
+        assert sorted(line_to_p) == list(range(len(lines_p)))
+
+        def wall_to_p(wall):
+            if wall[0] == "ext":
+                return ("ext", line_to_p[wall[1]])
+            i, j = sorted((to_p[wall[1]], to_p[wall[2]]))
+            return ("int", i, j)
+
+        for l in range(-2, 3):
+            for k in range(-2, 3):
+                assert gq.relation.related(l, k) == gp.relation.related(-l, -k)
+                if k != l and gq.relation.related(l, k):
+                    walls = tuple(wall_to_p(w) for w in gq.corridors[(l, k)])
+                    assert walls == gp.corridors[(-l, -k)], (a, b, l, k)
