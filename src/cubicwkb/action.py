@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import CubicPotential, TurningPointSet, turning_points
+from .potential import CubicPotential, turning_points
 
 _GAUSS_N = 20
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
@@ -436,15 +436,14 @@ def _labels_around(roots, i0: int) -> dict[str, complex]:
     return {"tp0": roots[i0], "tp1": ra, "tp-1": rb}
 
 
-def label_turning_points_by_periods(
-    p: CubicPotential, tol: float = 1e-8
-) -> dict[str, complex]:
+def label_turning_points_by_periods(p: CubicPotential) -> dict[str, complex]:
     """Label three simple turning points tp0 / tp1 / tp-1 for the two cycles.
 
-    tp0 is the root whose two pairwise actions are closest to purely
-    imaginary (the quantizing geometry); tp1 is the remaining root of larger
-    imaginary part.  For real potentials with a single real root this yields
-    tp0 = real root and tp1 in the upper half plane.
+    tp0 is the root whose two pairwise actions (by the period rule at
+    tolerance 1e-8) are closest to purely imaginary (the quantizing
+    geometry); tp1 is the remaining root of larger imaginary part.  For real
+    potentials with a single real root this yields tp0 = real root and tp1
+    in the upper half plane.
     """
     tps = turning_points(p)
     if tuple(tps.multiplicities) != (1, 1, 1):
@@ -460,7 +459,7 @@ def label_turning_points_by_periods(
 
     # otherwise pick the root whose worse pairwise action is closest to
     # purely imaginary (at quantizing potentials both of its pairs are)
-    score = _pair_scores(p, r, tol)
+    score = _pair_scores(p, r, 1e-8)
     worst = [max(s for pair, s in score.items() if i in pair) for i in range(3)]
     return _labels_around(r, int(np.argmin(worst)))
 
@@ -470,7 +469,6 @@ def cycle_period(
     cycle_id: str,
     labels: dict[str, complex] | None = None,
     tol: float = 1e-11,
-    tps: TurningPointSet | None = None,
 ) -> CyclePeriod:
     """Period over cycle a1 (around tp0, tp1) or a-1 (around tp0, tp-1).
 
@@ -481,19 +479,16 @@ def cycle_period(
     The gradient dP/da = -int lam / sqrt(V) dlam, dP/db = -14 int dlam /
     sqrt(V) comes from the same sum, on the same path, sheet and orientation
     (endpoint motion drops out since sqrt(V) vanishes there); est_error is
-    the largest error over the three.  tps, the turning points of p when the
-    caller has already solved them, saves solving them again; each label is
-    snapped to the nearest of them.
+    the largest error over the three.  Each label is snapped to the nearest
+    turning point of p.
     """
     if cycle_id not in ("a1", "a-1"):
         raise ValueError("cycle_id must be 'a1' or 'a-1'")
     if labels is None:
         labels = label_turning_points_by_periods(p)
-    if tps is None:
-        tps = turning_points(p)
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
-    roots, i, j = _turning_point_pair(tps, lam0, lam)
+    roots, i, j = _turning_point_pair(turning_points(p), lam0, lam)
     if i == j:
         return CyclePeriod(cycle_id=cycle_id, value=0j, est_error=0.0, gradient=(0j, 0j))
     value, da, db, errs = _chord_period(p, roots, i, j, tol)
@@ -535,25 +530,19 @@ def alpha_at(p: CubicPotential, z):
     return abs(4 * V * p.d2(z) - 5 * p.d1(z) ** 2) / (32.0 * abs(V) ** 2.5)
 
 
-def alpha_integral(
-    p: CubicPotential,
-    path: BranchedPath,
-    tol: float = 1e-11,
-    clearance: float | None = None,
-    tps: TurningPointSet | None = None,
-) -> float:
-    """int |alpha(lam) dlam| along the path; the WKB relative-error density.
+def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> float:
+    """int |alpha(lam) dlam| along the polyline through nodes, the WKB
+    relative-error density, to tolerance 1e-11.
 
-    |alpha| does not depend on the square-root sheet, so branch_seed is
-    accepted for interface symmetry but not used.  tps, the turning points
-    of p when the caller has already solved them, saves solving them again.
+    |alpha| does not depend on the square-root sheet, so the path needs
+    none.  Every segment keeps clearance (by default 1e-3 times the root
+    separation) from all turning points.
     """
-    if tps is None:
-        tps = turning_points(p)
+    tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
     sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)
     clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)
-    nodes = [complex(z) for z in path.nodes]
+    nodes = [complex(z) for z in nodes]
     for u, v in zip(nodes[:-1], nodes[1:]):
         for r in roots:
             if _seg_min_dist(u, v, r) < clr:
@@ -568,13 +557,14 @@ def alpha_integral(
             def f(ts):
                 return alpha_at(p, s0 + ts * seg) * abs(seg)
 
-            val, _ = _adaptive(f, 0.0, 1.0, tol)
+            val, _ = _adaptive(f, 0.0, 1.0, 1e-11)
             total += float(val.real)
     return total
 
 
-def alpha_ray_tail(p: CubicPotential, start: complex, tol: float = 1e-12) -> float:
-    """int_start^inf |alpha| |dlam| along the outward ray through start.
+def alpha_ray_tail(p: CubicPotential, start: complex) -> float:
+    """int_start^inf |alpha| |dlam| along the outward ray through start, to
+    tolerance 1e-12.
 
     Integrated over s in (0, 1] after the substitution r = R / s^2: alpha
     decays like r^{-7/2}, so the integrand vanishes like s^4 at s = 0 (the
@@ -588,5 +578,5 @@ def alpha_ray_tail(p: CubicPotential, start: complex, tol: float = 1e-12) -> flo
     def f(ss):
         return alpha_at(p, (R / ss**2) * u) * (2.0 * R / ss**3)
 
-    val, _ = _adaptive(f, 0.0, 1.0, tol)
+    val, _ = _adaptive(f, 0.0, 1.0, 1e-12)
     return float(val.real)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .action import QuadratureError, cycle_period, label_turning_points_by_periods
-from .potential import CubicPotential, GroupElement, TurningPointSet, apply_group, turning_points
+from .potential import CubicPotential, GroupElement, apply_group, turning_points
 from .stokes import ClassificationError, classify
 from .wkb import relative_errors
 
@@ -79,20 +79,19 @@ def _targets(idx: BsbIndex) -> tuple[complex, complex]:
     return 1j * np.pi * (idx.n - 0.5), -1j * np.pi * (idx.m - 0.5)
 
 
-def _system(p: CubicPotential, tps, labels, t1: complex, t2: complex, tol: float):
+def _system(p: CubicPotential, labels, t1: complex, t2: complex, tol: float):
     """Residuals F of the two period conditions and their Jacobian J.
 
-    tps are the solved turning points of p; each label is snapped to the
-    nearest of them.
+    Each label is snapped to the nearest turning point of p.
     """
-    P1 = cycle_period(p, "a1", labels=labels, tol=tol, tps=tps)
-    P2 = cycle_period(p, "a-1", labels=labels, tol=tol, tps=tps)
+    P1 = cycle_period(p, "a1", labels=labels, tol=tol)
+    P2 = cycle_period(p, "a-1", labels=labels, tol=tol)
     return np.array([P1.value - t1, P2.value - t2]), np.array([P1.gradient, P2.gradient])
 
 
 def _newton_targets(p, labels, t1, t2, tol, max_iter):
     """Damped Newton on the two periods toward arbitrary target values."""
-    F, J = _system(p, turning_points(p), labels, t1, t2, tol=1e-9)
+    F, J = _system(p, labels, t1, t2, tol=1e-9)
     norm = float(np.max(np.abs(F)))
     qtol = 1e-9
     for it in range(max_iter):
@@ -108,9 +107,8 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
         for _ in range(9):
             q = CubicPotential(p.a + lam * step[0], p.b + lam * step[1])
             try:
-                tps_q = turning_points(q)
-                labels_q = _labels_from_roots(tps_q, labels)
-                Fq, Jq = _system(q, tps_q, labels_q, t1, t2, tol=qtol)
+                labels_q = _labels_from_roots(turning_points(q), labels)
+                Fq, Jq = _system(q, labels_q, t1, t2, tol=qtol)
             except (SolverError, ValueError):
                 lam *= 0.5
                 continue
@@ -143,8 +141,7 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
         raise SolverError(f"point classifies as {g.class_code} "
                           f"(shift {g.decoration_shift}), not the quantizing class")
     labels = dict(g.tp_labels)
-    tps = TurningPointSet(g.internal_vertices, g.multiplicities)
-    F, _ = _system(p, tps, labels, t1, t2, 1e-10)
+    F, _ = _system(p, labels, t1, t2, 1e-10)
     if float(np.max(np.abs(F))) > 1e-6:
         raise SolverError("the classified labels miss the period targets")
     return labels, relative_errors(p, g).max_finite
@@ -154,11 +151,11 @@ def solve_bsb(
     idx: BsbIndex,
     seed: CubicPotential,
     tol: float = 1e-10,
-    max_iter: int = 50,
     check_class: bool = True,
     labels: dict[str, complex] | None = None,
 ) -> BsbSolution:
-    """Damped Newton iteration on the two periods with analytic Jacobian.
+    """Damped Newton iteration on the two periods with analytic Jacobian,
+    at most 50 steps.
 
     The seed must carry the quantizing-type geometry (one root joined to the
     other two by near-imaginary actions) or lie in the Newton basin of it;
@@ -173,7 +170,7 @@ def solve_bsb(
     t1, t2 = _targets(idx)
     if labels is None:
         labels = label_turning_points_by_periods(seed)
-    p, labels, norm = _newton_targets(seed, labels, t1, t2, tol, max_iter)
+    p, labels, norm = _newton_targets(seed, labels, t1, t2, tol, max_iter=50)
 
     rho_max = 0.0
     if check_class:
@@ -218,8 +215,9 @@ def _bracketed_newton(fdf, lo, hi, f_lo, max_iter=100):
 
 
 @lru_cache(maxsize=8)
-def _orbit_point(tol: float = 1e-13) -> tuple[float, float]:
-    """(b_hat, Im P1) for the real quantizing orbit at a = -1.
+def _orbit_point() -> tuple[float, float]:
+    """(b_hat, Im P1) for the real quantizing orbit at a = -1, Im P1 to
+    tolerance 1e-13.
 
     b_hat = -e^t solves Re P_a1(-1, -e^t) = 0: an 18-point grid in t brackets
     the root, and _bracketed_newton takes d/dt Re P_a1 = Re(dP/db (-e^t))
@@ -247,18 +245,18 @@ def _orbit_point(tol: float = 1e-13) -> tuple[float, float]:
     b_hat = -np.exp(t_star)
     p = CubicPotential(-1.0, b_hat)
     labels = label_turning_points_by_periods(p)
-    y0 = cycle_period(p, "a1", labels=labels, tol=tol).value.imag
+    y0 = cycle_period(p, "a1", labels=labels, tol=1e-13).value.imag
     return float(b_hat), float(y0)
 
 
-def real_orbit_constants(tol: float = 1e-13) -> tuple[float, float, float]:
+def real_orbit_constants() -> tuple[float, float, float]:
     """(mu_star, a_star, b_star) of the real pole family.
 
     mu_star is the orbit invariant in the a^3/b^2 form (~ -3158.92); a_star
     and b_star normalize the family so the cycle condition holds exactly at
     half-integer multiples of i pi.
     """
-    b_hat, y0 = _orbit_point(tol)
+    b_hat, y0 = _orbit_point()
     mu_star = -1.0 / b_hat**2
     x = (np.pi / y0) ** 0.4
     a_star = -(x**2)
@@ -272,11 +270,11 @@ def real_orbit_potential() -> CubicPotential:
     return CubicPotential(-1.0, b_hat)
 
 
-def real_poles(n_max: int, tol: float = 1e-13) -> list[tuple[float, float]]:
+def real_poles(n_max: int) -> list[tuple[float, float]]:
     """(a_n, b_n) for n = 1..n_max from the exact power law of the family."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _, a_star, b_star = real_orbit_constants(tol)
+    _, a_star, b_star = real_orbit_constants()
     return [
         (a_star * (n - 0.5) ** 0.8, b_star * (n - 0.5) ** 1.2)
         for n in range(1, n_max + 1)

@@ -53,9 +53,12 @@ REFERENCE_NUMERIC = {
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace(" ", "").replace("i", "j"))
+        z = complex(s.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number: {s!r}") from exc
+    if not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"must be a finite complex number, got {s!r}")
+    return z
 
 
 def _positive_int(s: str) -> int:
@@ -63,6 +66,13 @@ def _positive_int(s: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _positive_float(s: str) -> float:
+    x = float(s)
+    if not (np.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {s!r}")
+    return x
 
 
 def _load_config(path: str | None) -> dict:
@@ -263,7 +273,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     o = sub.add_parser("poles", help="solve the quantization lattice, emit CSV")
     o.add_argument("--nmax", type=_positive_int, default=5)
     o.add_argument("--mmax", type=_positive_int, default=5)
-    o.add_argument("--tol", type=float, default=1e-10)
+    o.add_argument("--tol", type=_positive_float, default=1e-10)
     o.add_argument("--out", help="CSV path (default stdout)")
     o.set_defaults(func=cmd_poles)
 
@@ -271,7 +281,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     v.add_argument("--a", type=_parse_complex, required=True)
     v.add_argument("--b", type=_parse_complex, required=True)
     v.add_argument("--radius", type=float, default=None)
-    v.add_argument("--threshold", type=float, default=1e-3)
+    v.add_argument("--threshold", type=_positive_float, default=1e-3)
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

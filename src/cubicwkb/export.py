@@ -49,16 +49,14 @@ def graph_to_json(g: StokesComplexGraph) -> str:
     )
 
 
-def graph_to_svg(
-    g: StokesComplexGraph,
-    size: int = 640,
-    compactified: bool = False,
-) -> str:
-    """SVG drawing of the traced complex: polylines, turning points, ray labels.
+def graph_to_svg(g: StokesComplexGraph, compactified: bool = False) -> str:
+    """SVG drawing of the traced complex, 640 px square: polylines, turning
+    points, ray labels.
 
     With compactified=True the plane is shrunk onto the unit disk so the
     asymptotic ray structure is visible in full.
     """
+    size = 640
     if compactified:
         radius = 1.05
     else:

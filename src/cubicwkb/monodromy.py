@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import CubicPotential, TurningPointSet, turning_points
+from .potential import CubicPotential, turning_points
 from .stokes import _crossing, _order_at_infinity, trace_stokes_lines
 
 # order of the Taylor series each transport step sums
@@ -91,11 +91,9 @@ class StokesMultipliers:
         return float(max(self.normalized_residuals))
 
 
-def default_radius(p: CubicPotential, tps: TurningPointSet | None = None) -> float:
-    """The normalization radius; tps, the turning points of p if already solved."""
-    if tps is None:
-        tps = turning_points(p)
-    return float(max(8.0, 4.0 * (1.0 + tps.scale)))
+def default_radius(p: CubicPotential) -> float:
+    """The normalization radius."""
+    return float(max(8.0, 4.0 * (1.0 + turning_points(p).scale)))
 
 
 def solve_ivp(*args, **kwargs):
@@ -284,7 +282,7 @@ def stokes_multipliers(
     scales with it.
     """
     tps = turning_points(p)
-    R = float(R) if R is not None else default_radius(p, tps)
+    R = float(R) if R is not None else default_radius(p)
     if not np.isfinite(R) or R <= 0.0:
         raise MonodromyError(f"R must be a positive finite radius, got {R}")
     if R < 2.0 * tps.scale:
@@ -298,7 +296,7 @@ def stokes_multipliers(
     # in counterclockwise order, from sector k's side; each is a wall, met
     # where it crosses |x| = 0.85 r_foot.  No classification is needed, so
     # potentials on a class boundary are routed by their own lines.
-    lines = trace_stokes_lines(p, tps=tps)
+    lines = trace_stokes_lines(p)
     corridors = {k: [] for k in range(-2, 3)}
     for i in _order_at_infinity(lines, tps):
         ln = lines[i]

@@ -91,20 +91,9 @@ class LaurentSeries:
     coeffs: tuple[complex, ...]  # index j + 2
     order: int
 
-    def coeff(self, j: int) -> complex:
-        return self.coeffs[j + 2]
-
     def eval(self, z: complex) -> complex:
         t = z - self.pole
         return sum(c * t**j for j, c in zip(range(-2, self.order + 1), self.coeffs))
-
-    def eval_d2(self, z: complex) -> complex:
-        t = z - self.pole
-        return sum(
-            j * (j - 1) * c * t ** (j - 2)
-            for j, c in zip(range(-2, self.order + 1), self.coeffs)
-            if j != 0 and j != 1
-        )
 
     def eval_regular(self, z: complex) -> complex:
         """u(z) = y(z) - (z - pole)^{-2}, the regular part of the expansion."""
@@ -142,14 +131,14 @@ def coeff_poly(j: int) -> dict:
     return dict(_coeff_polys(max(j, 5))[j + 2])
 
 
-def pi_residual(s: LaurentSeries, z: complex, safe_radius_factor: float = 0.3) -> float:
+def pi_residual(s: LaurentSeries, z: complex) -> float:
     """|y'' - 6 y^2 + z| of the truncated series at z.
 
-    Bounded by C |z - pole|^{N-3} inside the convergence-safe radius
-    (safe_radius_factor times the pole scale, a configurable heuristic).
+    Bounded by C |z - pole|^{N-3} inside the convergence-safe radius, a
+    heuristic 0.3 max(1, |pole|).
     """
     t = z - s.pole
-    safe = safe_radius_factor * max(1.0, abs(s.pole))
+    safe = 0.3 * max(1.0, abs(s.pole))
     if t == 0:
         raise ValueError("residual undefined at the pole itself")
     if abs(t) > safe:

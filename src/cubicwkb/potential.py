@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 OMEGA = np.exp(2j * np.pi / 5)
+_ROOT_TOL = 1e-8
 
 
 class DegenerateModuliError(ValueError):
@@ -35,6 +37,12 @@ class CubicPotential:
     def is_real(self, tol: float = 0.0) -> bool:
         return abs(np.imag(self.a)) <= tol and abs(np.imag(self.b)) <= tol
 
+    @cached_property
+    def turning_points(self) -> "TurningPointSet":
+        """The roots of V, solved on first use and kept: cached_property
+        writes the instance __dict__, so equality and hash stay on (a, b)."""
+        return _solve_turning_points(self)
+
 
 @dataclass(frozen=True)
 class TurningPointSet:
@@ -42,10 +50,6 @@ class TurningPointSet:
 
     roots: tuple[complex, ...]
     multiplicities: tuple[int, ...]
-
-    @property
-    def simple(self) -> tuple[complex, ...]:
-        return tuple(r for r, m in zip(self.roots, self.multiplicities) if m == 1)
 
     @property
     def all_with_repeats(self) -> tuple[complex, ...]:
@@ -91,14 +95,18 @@ class GroupElement:
         return GroupElement(self.x * other.x, (self.m + other.m) % 5)
 
 
-def turning_points(p: CubicPotential, tol: float = 1e-8) -> TurningPointSet:
-    """Roots of V with multiplicity clustering at relative tolerance tol.
+def turning_points(p: CubicPotential) -> TurningPointSet:
+    """Roots of V with multiplicities, solved once per potential object and
+    sorted by multiplicity (highest first), then real part, then imaginary part."""
+    return p.turning_points
+
+
+def _solve_turning_points(p: CubicPotential) -> TurningPointSet:
+    """Roots of V with multiplicity clustering at relative tolerance _ROOT_TOL.
 
     The cubic always has three roots over C; clusters of roots closer than
-    tol * scale are merged into one multiple turning point.
+    _ROOT_TOL * scale are merged into one multiple turning point.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     raw = np.roots(p.coeffs())
     # two Newton polish passes; keep residuals near machine precision
     for _ in range(2):
@@ -118,7 +126,7 @@ def turning_points(p: CubicPotential, tol: float = 1e-8) -> TurningPointSet:
 
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(raw[i] - raw[j]) <= tol * scale:
+            if abs(raw[i] - raw[j]) <= _ROOT_TOL * scale:
                 idx[find(i)] = find(j)
     clusters: dict[int, list[complex]] = {}
     for i in range(3):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import _integrate_tp_leg, _labels_around, _pair_scores, _vanishing_set
+from .action import BranchedPath, _labels_around, _pair_scores, line_action
 from .potential import CubicPotential, TurningPointSet, turning_points
 
 PHI = [(2 * k + 1) * np.pi / 5 for k in range(-2, 3)]  # ray angles, k = -2..2
@@ -88,10 +88,6 @@ class StokesComplexGraph:
     tp_labels: dict[str, complex]
     relation: SectorRelation
     corridors: dict[tuple[int, int], tuple] = field(default_factory=dict, repr=False)
-
-    @property
-    def n_internal_edges(self) -> int:
-        return len(self.internal_edges)
 
     @property
     def tps(self) -> TurningPointSet:
@@ -195,14 +191,9 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
 
     # seed the level-set drift with the exact action from the turning point
     # to the launch point, so the projection locks onto the separatrix
-    # through the turning point itself
-    all_roots = np.array(tps.all_with_repeats, dtype=complex)
-    vanish = _vanishing_set(all_roots, tp, scale)
-    vals = np.sqrt(z - all_roots)
-    s_launch, _ = _integrate_tp_leg(all_roots, vanish, tp, z, vals, 1e-14)
-    w_tracked = 2.0 * vals[0] * vals[1] * vals[2]
-    if abs(w_tracked - w) > abs(w_tracked + w):
-        s_launch = -s_launch
+    # through the turning point itself; no clearance, since a split double
+    # root can sit inside the launch radius
+    s_launch = line_action(p, BranchedPath((tp, z), w), tol=1e-14, clearance=0.0).value
     # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
     u = 1.0 + 0.0j if not anti_stokes else -1.0j
     drift = float((u * s_launch).real)
@@ -250,17 +241,10 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     return line(("unresolved", -97))
 
 
-def trace_stokes_lines(
-    p: CubicPotential, anti_stokes: bool = False, tps: TurningPointSet | None = None
-) -> list[StokesLine]:
+def trace_stokes_lines(p: CubicPotential, anti_stokes: bool = False) -> list[StokesLine]:
     """Trace all Stokes lines (anti-Stokes lines with anti_stokes=True) out
-    to radius _R_FACTOR (1 + scale).
-
-    tps, the turning points of p when the caller has already solved them,
-    saves solving them again.
-    """
-    if tps is None:
-        tps = turning_points(p)
+    to radius _R_FACTOR (1 + scale)."""
+    tps = turning_points(p)
     rays = [f + np.pi / 5 for f in PHI] if anti_stokes else PHI
     return [
         _trace_one(p, tps, vi, di, theta, anti_stokes, rays)
@@ -443,8 +427,14 @@ def _compute_relation(internal, lines, tps):
     return SectorRelation(matrix=related), corridors
 
 
-def _match_class(n_simple, n_int, fail_set, ext_valence):
-    """Class code and decoration shift from counts + relation fail pattern."""
+def _match_class(n_simple, n_int, relation, ext_valence):
+    """Class code and decoration shift: the (code, m) whose
+    canonical_relation(code, m) is the relation, among the codes that fit
+    the counts of simple points and internal lines.
+
+    310 and 311 are the only codes that share counts, and they fail two
+    pairs and one, so no relation matches both.
+    """
     by_counts = {
         (3, 0): ["300"],
         (3, 1): ["310", "311"],
@@ -459,39 +449,20 @@ def _match_class(n_simple, n_int, fail_set, ext_valence):
             f"no admissible class with {n_simple} simple points and "
             f"{n_int} internal lines"
         )
-    matches = []
-    for code in cands:
-        canon = _CANONICAL_FAIL[code]
-        for m in range(5):
-            shifted = frozenset(
-                frozenset(((x + m + 2) % 5 - 2) for x in pair) for pair in canon
-            )
-            if shifted == fail_set:
-                matches.append((code, m))
+    matches = [(code, m) for code in cands for m in range(5)
+               if np.array_equal(canonical_relation(code, m).matrix, relation.matrix)]
     if not matches:
         raise AmbiguousClassError(
             "relation pattern matches no admissible class", candidates=cands
         )
-    codes = {c for c, _ in matches}
-    if len(codes) > 1:
-        raise AmbiguousClassError("relation pattern is class-ambiguous", candidates=codes)
-    code = codes.pop()
-    shifts = sorted(m for _, m in matches)
-    if len(shifts) == 1:
-        return code, shifts[0]
+    if len(matches) == 1:
+        return matches[0]
     # symmetric fail set (300, 000): disambiguate by external valences
-    pattern = _CANONICAL_VALENCE.get(code)
-    if pattern is not None:
-        good = []
-        for m in shifts:
-            if all(
-                ext_valence.get((k + m + 2) % 5 - 2, 0) == v
-                for k, v in pattern.items()
-            ):
-                good.append(m)
-        if len(good) == 1:
-            return code, good[0]
-    return code, 0
+    code = matches[0][0]
+    good = [m for _, m in matches
+            if all(ext_valence[(k + m + 2) % 5 - 2] == v
+                   for k, v in _CANONICAL_VALENCE[code].items())]
+    return code, good[0] if len(good) == 1 else 0
 
 
 def classify(p: CubicPotential) -> StokesComplexGraph:
@@ -507,7 +478,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
         raise AmbiguousClassError(
             f"turning points {tps.separation:.1e} apart, inside the launch radius"
         )
-    lines = trace_stokes_lines(p, tps=tps)
+    lines = trace_stokes_lines(p)
     internal, external = _assemble(lines)
 
     # graph invariants
@@ -541,15 +512,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
         if not relation.related(k, kn):
             raise ClassificationError("consecutive sectors not related: tracing defect")
 
-    fail_set = frozenset(
-        frozenset((j, k))
-        for j in range(-2, 3)
-        for k in range(-2, 3)
-        if j != k
-        and abs((j - k) % 5) not in (1, 4)
-        and not relation.related(j, k)
-    )
-    code, shift = _match_class(n_simple, n_int, fail_set, ext_valence)
+    code, shift = _match_class(n_simple, n_int, relation, ext_valence)
 
     labels = _tp_labels(code, shift, tps, internal, external)
     return StokesComplexGraph(
@@ -571,8 +534,8 @@ def _tp_labels(code, shift, tps, internal, external):
 
     For 320 the labels are topological: tp0 carries both internal edges, tp1
     is the vertex decorated with rays {shift, shift+1}.  For the remaining
-    classes the assignment is a documented convention (sorted by
-    multiplicity, then real part, then imaginary part).
+    classes the assignment is a documented convention: the order of
+    tps.roots (by multiplicity, then real part, then imaginary part).
     """
     roots = list(tps.roots)
     if code == "320":
@@ -598,12 +561,7 @@ def _tp_labels(code, shift, tps, internal, external):
             raise ClassificationError("320 decoration does not match any shift")
         tpm1 = next(i for i in rest if i != tp1)
         return {"tp0": roots[i0], "tp1": roots[tp1], "tp-1": roots[tpm1]}
-    order = sorted(
-        range(len(roots)),
-        key=lambda i: (-tps.multiplicities[i], roots[i].real, roots[i].imag),
-    )
-    names = ["tp0", "tp1", "tp-1"]
-    return {names[j]: roots[i] for j, i in enumerate(order)}
+    return dict(zip(["tp0", "tp1", "tp-1"], roots))
 
 
 def canonical_relation(class_code: str, shift: int = 0) -> SectorRelation:
@@ -647,19 +605,18 @@ class PeriodClassGuess:
         return class_code in table[self.family]
 
 
-def classify_by_periods(
-    p: CubicPotential, zero_tol: float = 1e-7, nonzero_tol: float = 1e-4
-) -> PeriodClassGuess:
+def classify_by_periods(p: CubicPotential) -> PeriodClassGuess:
     """Fast class guess from Re of the three pairwise turning-point actions.
 
-    A quantizing-type graph has one root whose both pairwise actions are
-    purely imaginary; a single vanishing pair indicates one internal line;
-    none indicates the edgeless class.  For a real potential the action of
-    a complex-conjugate root pair can have vanishing real part by symmetry
-    alone, without the pair being connected: if that is the only vanishing
-    pair the sign data cannot decide between the edgeless and one-edge
-    classes and the guess is "indeterminate".  Raises AmbiguousClassError
-    inside the tolerance band.
+    A pair's action A counts as purely imaginary when |Re A| / |A| < 1e-7,
+    and as not when it is > 1e-4.  A quantizing-type graph has one root
+    whose both pairwise actions are purely imaginary; a single vanishing
+    pair indicates one internal line; none indicates the edgeless class.
+    For a real potential the action of a complex-conjugate root pair can
+    have vanishing real part by symmetry alone, without the pair being
+    connected: if that is the only vanishing pair the sign data cannot
+    decide between the edgeless and one-edge classes and the guess is
+    "indeterminate".  Raises AmbiguousClassError inside the tolerance band.
     """
     tps = turning_points(p)
     if tuple(tps.multiplicities) != (1, 1, 1):
@@ -669,10 +626,10 @@ def classify_by_periods(
     zero = {}
     zero_pairs = []
     for (i, j), score in _pair_scores(p, r, 1e-10).items():
-        if score < zero_tol:
+        if score < 1e-7:
             zero[(i, j)] = True
             zero_pairs.append((r[i], r[j]))
-        elif score > nonzero_tol:
+        elif score > 1e-4:
             zero[(i, j)] = False
         else:
             raise AmbiguousClassError(

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (
-    BranchedPath,
-    alpha_integral,
-    alpha_ray_tail,
-    cycle_period,
-    safe_nodes,
-)
+from .action import alpha_integral, alpha_ray_tail, cycle_period, safe_nodes
 from .potential import CubicPotential
 from .stokes import StokesComplexGraph
 
@@ -40,12 +34,6 @@ class AsymptoticValues:
 
     w: dict[int, tuple[complex, complex]]
     exact_flags: dict[int, bool]
-
-    def as_complex(self, k: int) -> complex:
-        num, den = self.w[k]
-        if den == 0:
-            return complex(np.inf, 0.0)
-        return num / den
 
     def is_infinite(self, k: int) -> bool:
         num, den = self.w[k]
@@ -68,27 +56,26 @@ class RelativeError:
         return float(np.max(finite)) if finite.size else 0.0
 
 
-def _sector_anchor(g: StokesComplexGraph, k: int, factor: float = 3.0) -> complex:
-    """Reference point on the central ray of geometric sector k."""
+def _sector_anchor(g: StokesComplexGraph, k: int) -> complex:
+    """Reference point on the central ray of geometric sector k, at three
+    times the radius of the turning points."""
     scale = max(max(abs(r) for r in g.internal_vertices), 1e-12)
-    return factor * scale * np.exp(2j * np.pi * k / 5)
+    return 3.0 * scale * np.exp(2j * np.pi * k / 5)
 
 
-def asymptotic_values_320(
-    p: CubicPotential, g: StokesComplexGraph, tol: float = 1e-11
-) -> AsymptoticValues:
+def asymptotic_values_320(p: CubicPotential, g: StokesComplexGraph) -> AsymptoticValues:
     """The five asymptotic values of the quantizing class, (0, -2) basis.
 
     w0 = 0, w-2 = inf, w-1 = i e^{-2 dSm1} (exact), hat w2 = -i,
     hat w1 = -i e^{-2 dS1} / (1 + e^{-2 dS1}), with dS1 = P_a1 and
     dSm1 = P_a-1 taken on the classified turning-point labels (the shift is
-    already absorbed into them).  The quantization conditions are the two
-    coincidences hat w1 = w-2 and hat w2 = w-1.
+    already absorbed into them), to tolerance 1e-11.  The quantization
+    conditions are the two coincidences hat w1 = w-2 and hat w2 = w-1.
     """
     if g.class_code != "320":
         raise WrongClassError(f"class {g.class_code}, need 320")
-    e1 = np.exp(-2.0 * cycle_period(p, "a1", labels=g.tp_labels, tol=tol).value)
-    em1 = np.exp(-2.0 * cycle_period(p, "a-1", labels=g.tp_labels, tol=tol).value)
+    e1 = np.exp(-2.0 * cycle_period(p, "a1", labels=g.tp_labels).value)
+    em1 = np.exp(-2.0 * cycle_period(p, "a-1", labels=g.tp_labels).value)
     w = {
         0: (0.0 + 0j, 1.0 + 0j),
         -2: (1.0 + 0j, 0.0 + 0j),
@@ -100,16 +87,15 @@ def asymptotic_values_320(
     return AsymptoticValues(w=w, exact_flags=exact)
 
 
-def relative_errors(
-    p: CubicPotential, g: StokesComplexGraph, tol: float = 1e-11
-) -> RelativeError:
+def relative_errors(p: CubicPotential, g: StokesComplexGraph) -> RelativeError:
     """WKB relative errors rho[l][k] along representative admissible paths.
 
     rho vanishes for consecutive sectors and is infinite for unrelated
-    pairs; otherwise it is int |alpha| over tail(l) + corridor + tail(k),
-    where the corridor crosses exactly the walls joining the two sectors in
-    the embedded graph.  Also reports whether the small-error relation
-    (rho < log(3)/2) coincides with the connectivity relation.
+    pairs; otherwise it is int |alpha| over tail(l) + corridor + tail(k)
+    (alpha_ray_tail and alpha_integral), where the corridor crosses exactly
+    the walls joining the two sectors in the embedded graph.  Also reports
+    whether the small-error relation (rho < log(3)/2) coincides with the
+    connectivity relation.
     """
     tps = g.tps
     roots = tps.all_with_repeats
@@ -133,10 +119,7 @@ def relative_errors(
             for u, v in zip(nodes[:-1], nodes[1:]):
                 seg = safe_nodes(u, v, roots, clearance)
                 full.extend(seg if not full else seg[1:])
-            mid = alpha_integral(
-                p, BranchedPath(nodes=tuple(full), branch_seed=1.0), tol=tol,
-                clearance=0.5 * clearance if clearance else None, tps=tps,
-            )
+            mid = alpha_integral(p, full, clearance=0.5 * clearance if clearance else None)
             tails = alpha_ray_tail(p, nodes[0]) + alpha_ray_tail(p, nodes[-1])
             val = mid + tails
             rho[(l + 2) % 5, (k + 2) % 5] = val

@@ -379,9 +379,8 @@ def test_alpha_tail_decay_rate():
 
 def test_alpha_integral_scaling():
     p = CubicPotential(1.1, 0.4)
-    path = BranchedPath(nodes=(2.0, 2.0 + 2.0j), branch_seed=1.0)
-    base = alpha_integral(p, path)
+    base = alpha_integral(p, (2.0, 2.0 + 2.0j))
     x = 1.6
     q = apply_group(GroupElement(x, 0), p)
-    path_x = BranchedPath(nodes=(2.0 * x, (2.0 + 2.0j) * x), branch_seed=1.0)
-    assert alpha_integral(q, path_x) == pytest.approx(x**-2.5 * base, rel=1e-9)
+    scaled = alpha_integral(q, (2.0 * x, (2.0 + 2.0j) * x))
+    assert scaled == pytest.approx(x**-2.5 * base, rel=1e-9)

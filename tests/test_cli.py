@@ -249,3 +249,20 @@ def test_poles_rejects_empty_lattice(flag, value, monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "poles", flag, value)
     assert code == EXIT_USAGE
     assert called == [] and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("poles", "--tol", v) for v in ("0", "-1", "nan", "inf")]
+    + [("verify", "--a", "0", "--b", "0", "--threshold", "-1")]
+    + [(cmd, "--b", "0", "--a", v) for cmd in ("classify", "verify", "trace")
+       for v in ("nan", "inf", "1e400")],
+)
+def test_nonsense_numbers_are_usage_errors(argv, monkeypatch, capsys):
+    called = []
+    for name in ("solve_lattice", "stokes_multipliers", "classify", "trace_stokes_lines"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: called.append(a))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert called == [] and out == ""
+    assert repr(argv[-1]) in err

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cubicwkb import potential
+from cubicwkb.monodromy import stokes_multipliers
 from cubicwkb.potential import (
     CubicPotential,
     DegenerateModuliError,
@@ -11,6 +13,8 @@ from cubicwkb.potential import (
     orbit_modulus,
     turning_points,
 )
+from cubicwkb.stokes import classify
+from cubicwkb.wkb import relative_errors
 
 
 def test_triple_root_at_origin():
@@ -54,6 +58,21 @@ def test_root_residuals_and_vieta_on_random_sample():
         assert abs(sum(roots)) <= 1e-10 * max(1.0, max(abs(r) for r in roots))
         prod = roots[0] * roots[1] * roots[2]
         assert abs(prod - 7 * b) <= 1e-10 * max(1.0, abs(7 * b))
+
+
+def test_roots_are_solved_once_per_potential(orbit_potential, monkeypatch):
+    p = CubicPotential(orbit_potential.a, orbit_potential.b)
+    assert turning_points(p) is turning_points(p)
+    assert p == orbit_potential and hash(p) == hash(orbit_potential)
+
+    solve = potential._solve_turning_points
+    solved = []
+    monkeypatch.setattr(potential, "_solve_turning_points", lambda q: solved.append(q) or solve(q))
+    q = CubicPotential(orbit_potential.a, orbit_potential.b)
+    g = classify(q)
+    relative_errors(q, g)
+    stokes_multipliers(q)
+    assert solved == [q]
 
 
 def test_double_root_clustering():

@@ -208,6 +208,37 @@ def test_sector_relation_consistency(orbit_potential):
     assert failing == {frozenset((1, -1)), frozenset((1, -2)), frozenset((-1, 2))}
 
 
+# one representative of each class, as in demos/stokes_gallery.py
+GALLERY = {
+    "000": (0.0, 0.0),
+    "110": (6.0, 2.0 / 7.0),
+    "100": (6.0, -2.0 / 7.0),
+    "311": (1.654, -1.649),
+    "310": (2.0, 0.0),
+    "300": (-2.0, 1.0),
+}
+
+
+def test_class_table_reads_both_ways(orbit_potential):
+    reps = {code: CubicPotential(*ab) for code, ab in GALLERY.items()}
+    reps["320"] = orbit_potential
+    for code, p in reps.items():
+        g = classify(p)
+        assert g.class_code == code
+        assert np.array_equal(
+            g.relation.matrix, canonical_relation(code, g.decoration_shift).matrix
+        )
+        n_simple = g.multiplicities.count(1)
+        n_int = len(g.internal_edges)
+        # external valence of each canonical ray k, read at ray k + shift
+        rays = [k for _, k in g.external_edges]
+        valence = {k: rays.count((k + g.decoration_shift + 2) % 5 - 2) for k in range(-2, 3)}
+        for m in range(5):
+            shifted = {(k + m + 2) % 5 - 2: v for k, v in valence.items()}
+            got = stokes._match_class(n_simple, n_int, canonical_relation(code, m), shifted)
+            assert got == (code, 0 if code == "000" else m)
+
+
 def test_classify_by_periods_agreement():
     for a, b in random_potentials(31, 15, box=3.0, real=True):
         p = CubicPotential(a, b)
