@@ -31,7 +31,7 @@ print(f"{'n':>3} {'margin':>10} {'sigma_0':>22} {'norm resid':>12}")
 margins = []
 for n in range(1, 5):
     a_n, b_n = real_poles(n)[-1]
-    sol = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n), check_class=False)
+    sol = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n))
     s = stokes_multipliers(sol.potential)
     ok, margin = tritronquee_test(s, threshold=0.1)
     margins.append(margin)

@@ -16,7 +16,7 @@ for j in range(2, 9):
     print(f"  c_{j} = {dict(coeff_poly(j)) or 0}")
 
 a1, b1 = real_poles(1)[-1]
-sol = solve_bsb(BsbIndex(1, 1), CubicPotential(a1, b1), check_class=False)
+sol = solve_bsb(BsbIndex(1, 1), CubicPotential(a1, b1))
 print(f"\nfirst real pole prediction: a = {sol.a.real:.6f}, b = {sol.b.real:.6f}")
 
 print("\nequation residual at |z - a| = 0.1 versus truncation order:")

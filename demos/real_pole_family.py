@@ -19,7 +19,7 @@ print(f"  b* = {b_star:.8f}")
 print("\npower law vs polished quantization solutions:")
 print(f"{'n':>3} {'a_n (law)':>14} {'a_n (solved)':>14} {'b_n (solved)':>14} {'residual':>10}")
 for n, (a_n, b_n) in enumerate(real_poles(6), start=1):
-    sol = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n), check_class=False)
+    sol = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n))
     print(
         f"{n:>3} {a_n:>14.8f} {sol.a.real:>14.8f} {sol.b.real:>14.8f} "
         f"{sol.residual_norm:>10.1e}"

@@ -467,7 +467,7 @@ def label_turning_points_by_periods(p: CubicPotential) -> dict[str, complex]:
 def cycle_period(
     p: CubicPotential,
     cycle_id: str,
-    labels: dict[str, complex] | None = None,
+    labels: dict[str, complex],
     tol: float = 1e-11,
 ) -> CyclePeriod:
     """Period over cycle a1 (around tp0, tp1) or a-1 (around tp0, tp-1).
@@ -479,13 +479,12 @@ def cycle_period(
     The gradient dP/da = -int lam / sqrt(V) dlam, dP/db = -14 int dlam /
     sqrt(V) comes from the same sum, on the same path, sheet and orientation
     (endpoint motion drops out since sqrt(V) vanishes there); est_error is
-    the largest error over the three.  Each label is snapped to the nearest
-    turning point of p.
+    the largest error over the three.  The labels tp0, tp1, tp-1 come from
+    label_turning_points_by_periods or a classified graph's tp_labels; each
+    is snapped to the nearest turning point of p.
     """
     if cycle_id not in ("a1", "a-1"):
         raise ValueError("cycle_id must be 'a1' or 'a-1'")
-    if labels is None:
-        labels = label_turning_points_by_periods(p)
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
     roots, i, j = _turning_point_pair(turning_points(p), lam0, lam)

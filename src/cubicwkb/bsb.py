@@ -4,12 +4,15 @@ The system is P_a1(a, b) = i pi (n - 1/2), P_a-1(a, b) = -i pi (m - 1/2)
 for positive integers n, m; solutions approximate poles of the tritronquee
 solution (a = pole position, b = the free Laurent coefficient).  Real
 solutions form a single power-law family a_n = a* (n - 1/2)^{4/5},
-b_n = b* (n - 1/2)^{6/5} generated by one scaling orbit.
+b_n = b* (n - 1/2)^{6/5} generated by one scaling orbit.  The whole (n, m)
+lattice comes from one curve of unit-scale solutions with m >= n: the
+periods are homogeneous, and complex conjugation maps cell (m, n) onto
+(n, m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,7 +45,6 @@ class BsbSolution:
     b: complex
     residual_norm: float
     rho_max: float
-    class_checked: bool
 
     @property
     def potential(self) -> CubicPotential:
@@ -127,12 +129,16 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
 def _certify(p: CubicPotential, t1: complex, t2: complex):
     """Certify p as a quantizing solution; return its labels and rho_max.
 
-    The Stokes complex must be of class 320 with decoration shift 0, and the
-    periods taken with the classified labels must meet the targets t1, t2;
-    otherwise SolverError (on the kappa curve: the branch was lost to a root
-    braid).  The R+ action (a, b) -> (x^2 a, x^3 b) carries the certificate
-    along and scales rho_max by exactly x^{-5/2}.
+    a must lie outside the pole-free sector, |arg a| > 4 pi/5; the Stokes
+    complex must be of class 320 with decoration shift 0, and the periods
+    taken with the classified labels must meet the targets t1, t2; otherwise
+    SolverError (on the kappa curve: the branch was lost to a root braid).
+    The R+ action (a, b) -> (x^2 a, x^3 b) and complex conjugation both carry
+    the certificate along; R+ scales rho_max by exactly x^{-5/2}.
     """
+    arg_a = abs(np.angle(complex(p.a)))
+    if arg_a <= 4 * np.pi / 5:
+        raise SolverError(f"|arg a| = {arg_a:.4f} violates the pole sector bound")
     try:
         g = classify(p)
     except (ClassificationError, ValueError, QuadratureError) as exc:
@@ -147,45 +153,19 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
     return labels, relative_errors(p, g).max_finite
 
 
-def solve_bsb(
-    idx: BsbIndex,
-    seed: CubicPotential,
-    tol: float = 1e-10,
-    check_class: bool = True,
-    labels: dict[str, complex] | None = None,
-) -> BsbSolution:
-    """Damped Newton iteration on the two periods with analytic Jacobian,
-    at most 50 steps.
+def solve_bsb(idx: BsbIndex, seed: CubicPotential) -> BsbSolution:
+    """Damped Newton iteration on the two periods with analytic Jacobian, to
+    residual 1e-10 in at most 50 steps, certified by _certify.
 
     The seed must carry the quantizing-type geometry (one root joined to the
     other two by near-imaginary actions) or lie in the Newton basin of it;
-    explicit labels override the geometric labelling of the seed (needed for
-    continuation seeds away from the real family, where all pairwise actions
-    are near-imaginary and the heuristic is blind).
-
-    check_class certifies the converged point by its own classify (_certify)
-    and fills rho_max; without it rho_max is 0.  solve_lattice certifies its
-    cells through their kappa node instead.
+    its roots are labelled by label_turning_points_by_periods.
     """
     t1, t2 = _targets(idx)
-    if labels is None:
-        labels = label_turning_points_by_periods(seed)
-    p, labels, norm = _newton_targets(seed, labels, t1, t2, tol, max_iter=50)
-
-    rho_max = 0.0
-    if check_class:
-        _, rho_max = _certify(p, t1, t2)
-    arg_a = abs(np.angle(complex(p.a)))
-    if arg_a <= 4 * np.pi / 5:
-        raise SolverError(f"|arg a| = {arg_a:.4f} violates the pole sector bound")
-    return BsbSolution(
-        index=idx,
-        a=complex(p.a),
-        b=complex(p.b),
-        residual_norm=norm,
-        rho_max=rho_max,
-        class_checked=check_class,
-    )
+    labels = label_turning_points_by_periods(seed)
+    p, _, norm = _newton_targets(seed, labels, t1, t2, 1e-10, max_iter=50)
+    _, rho_max = _certify(p, t1, t2)
+    return BsbSolution(idx, complex(p.a), complex(p.b), norm, rho_max)
 
 
 def _bracketed_newton(fdf, lo, hi, f_lo, max_iter=100):
@@ -284,46 +264,43 @@ def real_poles(n_max: int) -> list[tuple[float, float]]:
 def _kappa_curve(
     kappas: set[Fraction], tol: float
 ) -> tuple[dict[Fraction, tuple[CubicPotential, dict[str, complex], float]], dict[Fraction, str]]:
-    """Certified unit-scale solutions of P_a1 = i pi, P_a-1 = -i pi kappa.
+    """Certified unit-scale solutions of P_a1 = i pi, P_a-1 = -i pi kappa
+    for the kappas >= 1.
 
     The curve starts at the real orbit point (a*, b*), the kappa = 1
-    solution, and is walked upward through the kappas above 1 and downward
-    through those below, in adaptive fractional steps between consecutive
-    targets.  Every accepted point, the origin included, passes _certify.
-    Returns the solved nodes {kappa: (potential, labels, rho_max)} and the
-    failed kappas {kappa: message}; after a failure the walk goes on from the
-    last accepted node.
+    solution, and is walked upward through the kappas above 1 in adaptive
+    fractional steps between consecutive targets.  Every accepted point, the
+    origin included, passes _certify.  Returns the solved nodes
+    {kappa: (potential, labels, rho_max)} and the failed kappas
+    {kappa: message}; after a failure the walk goes on from the last
+    accepted node.
     """
     _, a_star, b_star = real_orbit_constants()
-    origin = CubicPotential(a_star, b_star)
+    p = CubicPotential(a_star, b_star)
     t1 = 1j * np.pi
-    nodes = {Fraction(1): (origin, *_certify(origin, t1, -t1))}
+    labels, rho = _certify(p, t1, -t1)
+    nodes = {Fraction(1): (p, labels, rho)}
     failures: dict[Fraction, str] = {}
-    for branch in (
-        sorted(k for k in kappas if k > 1),
-        sorted((k for k in kappas if k < 1), reverse=True),
-    ):
-        p, labels, rho = nodes[Fraction(1)]
-        kappa = 1.0
-        for target in branch:
-            start, tau, step = kappa, 0.0, 1.0
-            while tau < 1.0:
-                nxt = min(1.0, tau + step)
-                k = start + (float(target) - start) * nxt
-                t2 = -1j * np.pi * k
-                try:
-                    p2, _, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
-                    labels2, rho2 = _certify(p2, t1, t2)
-                except (SolverError, ValueError, QuadratureError) as exc:
-                    step *= 0.5
-                    if step < 1.0 / 256.0:
-                        failures[target] = f"kappa = {target}: {exc}"
-                        break
-                    continue
-                p, labels, rho, kappa, tau = p2, labels2, rho2, k, nxt
-                step = min(1.5 * step, 1.0 - tau)
-            else:
-                nodes[target] = (p, labels, rho)
+    kappa = 1.0
+    for target in sorted(k for k in kappas if k > 1):
+        start, tau, step = kappa, 0.0, 1.0
+        while tau < 1.0:
+            nxt = min(1.0, tau + step)
+            k = start + (float(target) - start) * nxt
+            t2 = -1j * np.pi * k
+            try:
+                p2, _, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
+                labels2, rho2 = _certify(p2, t1, t2)
+            except (SolverError, ValueError, QuadratureError) as exc:
+                step *= 0.5
+                if step < 1.0 / 256.0:
+                    failures[target] = f"kappa = {target}: {exc}"
+                    break
+                continue
+            p, labels, rho, kappa, tau = p2, labels2, rho2, k, nxt
+            step = min(1.5 * step, 1.0 - tau)
+        else:
+            nodes[target] = (p, labels, rho)
     return nodes, failures
 
 
@@ -332,20 +309,23 @@ def solve_lattice(
 ) -> tuple[dict[tuple[int, int], BsbSolution], dict[tuple[int, int], str]]:
     """Fill the (n, m) lattice from one curve of certified unit-scale solutions.
 
-    The periods are homogeneous, P(x^2 a, x^3 b) = x^{5/2} P(a, b), so the
-    (n, m) solution is the kappa = (m - 1/2)/(n - 1/2) node of the unit
-    curve rescaled by x = (n - 1/2)^{2/5}.  The curve is walked at
-    tol / (max(n_max, m_max) - 1/2), so that the rescaled seeds already meet
-    tol; solve_bsb then polishes each cell.  The rescaling carries the node's
-    certificate (class 320, shift 0, labels) over, so each cell is
-    class_checked with rho_max = (node rho_max) x^{-5/2}.
+    The periods are homogeneous, P(x^2 a, x^3 b) = x^{5/2} P(a, b), and
+    complex conjugation swaps the two cycles: with the labels tp0 -> conj tp0,
+    tp1 -> conj tp-1, tp-1 -> conj tp1, it maps the (m, n) solution onto the
+    (n, m) one.  So, with s = min(n, m) - 1/2, the (n, m) solution is the
+    kappa = (max(n, m) - 1/2)/s node of the unit curve rescaled by
+    x = s^{2/5}, and conjugated when m < n.  The curve is walked at
+    tol / (max(n_max, m_max) - 1/2), so each cell already meets tol, and
+    _newton_targets only confirms it.  Both maps keep the class, the shift,
+    the labels and |arg a|, so each cell carries its node's certificate, with
+    rho_max = (node rho_max) / s.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError("n_max and m_max must be >= 1")
     solved: dict[tuple[int, int], BsbSolution] = {}
     failures: dict[tuple[int, int], str] = {}
     kappa = {
-        (n, m): Fraction(2 * m - 1, 2 * n - 1)
+        (n, m): Fraction(2 * max(n, m) - 1, 2 * min(n, m) - 1)
         for n in range(1, n_max + 1)
         for m in range(1, m_max + 1)
     }
@@ -355,17 +335,19 @@ def solve_lattice(
             failures[(n, m)] = errors[k]
             continue
         p, labels, rho = nodes[k]
-        x = (n - 0.5) ** 0.4
+        s = min(n, m) - 0.5
+        x = s**0.4
+        p = apply_group(GroupElement(x, 0), p)
+        labels = {name: x * z for name, z in labels.items()}
+        if m < n:
+            p = CubicPotential(complex(p.a).conjugate(), complex(p.b).conjugate())
+            labels = {"tp0": labels["tp0"].conjugate(), "tp1": labels["tp-1"].conjugate(),
+                      "tp-1": labels["tp1"].conjugate()}
+        idx = BsbIndex(n, m)
         try:
-            sol = solve_bsb(
-                BsbIndex(n, m),
-                apply_group(GroupElement(x, 0), p),
-                tol=tol,
-                check_class=False,
-                labels={name: x * z for name, z in labels.items()},
-            )
+            p, _, norm = _newton_targets(p, labels, *_targets(idx), tol, max_iter=50)
         except (SolverError, ValueError, QuadratureError) as exc:
             failures[(n, m)] = str(exc)
             continue
-        solved[(n, m)] = replace(sol, rho_max=rho / (n - 0.5), class_checked=True)
+        solved[(n, m)] = BsbSolution(idx, complex(p.a), complex(p.b), norm, rho / s)
     return solved, failures

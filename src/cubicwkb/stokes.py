@@ -104,19 +104,15 @@ class StokesComplexGraph:
         return _crossing(self.lines[wall[1]].points, radius, self.tps.all_with_repeats)
 
 
-def _pairset(pairs):
-    return frozenset(frozenset(p) for p in pairs)
-
-
 # canonical non-consecutive pairs failing the relation, per class (labels -2..2)
 _CANONICAL_FAIL = {
-    "300": _pairset([]),
-    "310": _pairset([(0, 2), (0, -2)]),
-    "311": _pairset([(1, -1)]),
-    "320": _pairset([(1, -1), (1, -2), (-1, 2)]),
-    "100": _pairset([(1, -1), (0, -2), (0, 2)]),
-    "110": _pairset([(0, 2), (0, -2), (1, -2), (-1, 2)]),
-    "000": _pairset([(0, 2), (1, -2), (2, -1), (-2, 0), (-1, 1)]),
+    "300": (),
+    "310": ((0, 2), (0, -2)),
+    "311": ((1, -1),),
+    "320": ((1, -1), (1, -2), (-1, 2)),
+    "100": ((1, -1), (0, -2), (0, 2)),
+    "110": ((0, 2), (0, -2), (1, -2), (-1, 2)),
+    "000": ((0, 2), (1, -2), (2, -1), (-2, 0), (-1, 1)),
 }
 
 # external-vertex valences for classes whose fail-set does not pin the shift
@@ -565,19 +561,13 @@ def _tp_labels(code, shift, tps, internal, external):
 
 
 def canonical_relation(class_code: str, shift: int = 0) -> SectorRelation:
-    """The tabulated relation for a class, with the decoration shift applied."""
-    mat = np.zeros((5, 5), dtype=bool)
-    for j in range(-2, 3):
-        mat[(j + 2) % 5, (j + 2) % 5] = True
-        for k in (j - 1, j + 1):
-            mat[(j + 2) % 5, (k + 2) % 5] = True
-    fail = _CANONICAL_FAIL[class_code]
-    for j in range(-2, 3):
-        for k in range(-2, 3):
-            if j == k or abs((j - k) % 5) in (1, 4):
-                continue
-            pair = frozenset(((j - shift + 2) % 5 - 2, (k - shift + 2) % 5 - 2))
-            mat[(j + 2) % 5, (k + 2) % 5] = pair not in fail
+    """The tabulated relation for a class, with the decoration shift applied:
+    every pair holds except the failing pairs of the table, each label moved
+    by the shift."""
+    mat = np.ones((5, 5), dtype=bool)
+    for j, k in _CANONICAL_FAIL[class_code]:
+        j, k = (j + shift + 2) % 5, (k + shift + 2) % 5
+        mat[j, k] = mat[k, j] = False
     return SectorRelation(matrix=mat)
 
 

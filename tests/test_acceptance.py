@@ -63,7 +63,7 @@ def diagonal_solutions():
     sols = {}
     for n in range(1, 5):
         a_n, b_n = real_poles(n)[-1]
-        sols[n] = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n), check_class=False)
+        sols[n] = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n))
     return sols
 
 
@@ -184,9 +184,10 @@ def test_rescaled_certificate_matches_fresh_classify(lattice_5x5):
     # each cell inherits class, labels and rho_max from its kappa node; a
     # fresh classify of the cell must give the same certificate
     solved, _, _ = lattice_5x5
-    assert len(solved) == 25 and all(s.class_checked for s in solved.values())
+    assert len(solved) == 25
     worst_period, worst_rho = 0.0, 0.0
-    for nm in ((1, 1), (2, 3), (3, 2), (5, 5)):
+    # (5, 1) is the conjugate of (1, 5), whose kappa = 9 ends the walk
+    for nm in ((1, 1), (2, 3), (3, 2), (5, 5), (5, 1)):
         sol = solved[nm]
         p = sol.potential
         g = classify(p)

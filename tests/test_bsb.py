@@ -123,7 +123,6 @@ def test_conjugate_lattice_symmetry(sol_21, sol_12):
 
 def test_solution_invariants(sol_11, sol_21):
     for sol in (sol_11, sol_21):
-        assert sol.class_checked
         assert abs(np.angle(complex(sol.a))) > 4 * np.pi / 5
         assert sol.residual_norm <= 1e-10
         assert sol.rho_max > 0
@@ -133,7 +132,7 @@ def test_polished_power_law_points_converge():
     # the closed-form points are already solutions up to quadrature error
     for n in (1, 2):
         a_n, b_n = real_poles(n)[-1]
-        sol = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n), check_class=False)
+        sol = solve_bsb(BsbIndex(n, n), CubicPotential(a_n, b_n))
         assert sol.residual_norm <= 1e-10
         assert abs(sol.a - a_n) < 1e-6
 
@@ -150,6 +149,17 @@ def test_small_lattice_fill(sol_21, sol_12):
         assert abs(solved[nm].b - direct.b) <= 1e-9
 
 
+def test_lattice_cells_below_the_diagonal_are_conjugates():
+    # cell (n, m) with m < n is the conjugate of (m, n), label for label
+    solved, failures = solve_lattice(4, 4)
+    assert not failures
+    for (n, m), sol in solved.items():
+        if m < n:
+            assert sol.a == solved[(m, n)].a.conjugate()
+            assert sol.b == solved[(m, n)].b.conjugate()
+            assert sol.rho_max == solved[(m, n)].rho_max
+
+
 def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
     certify = bsb._certify
 
@@ -160,9 +170,10 @@ def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(bsb, "_certify", braided_above_two)
     solved, failures = solve_lattice(2, 2, tol=1e-9)
-    assert set(failures) == {(1, 2)}
-    assert failures[(1, 2)]
-    assert set(solved) == {(1, 1), (2, 2), (2, 1)}
+    # kappa = 3 serves (1, 2) and, through conjugation, (2, 1)
+    assert set(failures) == {(1, 2), (2, 1)}
+    assert failures[(1, 2)] and failures[(2, 1)]
+    assert set(solved) == {(1, 1), (2, 2)}
     code = main(["poles", "--nmax", "2", "--mmax", "2",
                  "--out", str(tmp_path / "lattice.csv")])
     assert code == EXIT_AMBIGUOUS
@@ -182,11 +193,11 @@ def test_lattice_propagates_unexpected_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("a bug, not a failed cell")
 
-    monkeypatch.setattr(bsb, "solve_bsb", broken)
+    monkeypatch.setattr(bsb, "_newton_targets", broken)
     with pytest.raises(RuntimeError, match="a bug"):
         solve_lattice(1, 1)
 
 
 def test_solver_rejects_bad_seed():
     with pytest.raises((SolverError, ValueError)):
-        solve_bsb(BsbIndex(1, 1), CubicPotential(0.0, 0.0), check_class=False)
+        solve_bsb(BsbIndex(1, 1), CubicPotential(0.0, 0.0))

@@ -7,6 +7,7 @@ import pytest
 
 import cubicwkb
 import cubicwkb.cli as cli
+from cubicwkb.bsb import real_poles
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group
 
@@ -134,6 +135,17 @@ def test_verify_at_solution(capsys, sol_11):
     report = json.loads(out)
     assert report["tritronquee"]
     assert report["tritronquee_margin"] < 0.1
+
+
+@pytest.mark.parametrize("n, want", [(1, EXIT_OK), (9, EXIT_AMBIGUOUS)])
+def test_verify_exit_code_follows_admissibility(capsys, n, want):
+    # at the real pole n = 9 the oracle's normalized residual is about 1
+    a, b = real_poles(n)[-1]
+    code, out, err = run_cli(capsys, "verify", "--a", repr(a), "--b", repr(b))
+    assert code == want
+    worst = max(json.loads(out)["normalized_residuals"])
+    assert (worst > 1e-6) == (want == EXIT_AMBIGUOUS)
+    assert ("normalized admissibility residual" in err) == (want == EXIT_AMBIGUOUS)
 
 
 def test_constants(capsys):
