@@ -20,14 +20,12 @@ from .potential import (
 )
 from .action import (
     ActionValue,
-    BranchedPath,
     ClearanceError,
     CyclePeriod,
     alpha_integral,
     cycle_period,
     label_turning_points_by_periods,
     line_action,
-    turning_point_action,
 )
 from .stokes import (
     AmbiguousClassError,
@@ -36,7 +34,6 @@ from .stokes import (
     StokesComplexGraph,
     classify,
     classify_by_periods,
-    sector_relation,
     trace_stokes_lines,
 )
 from .wkb import (
@@ -66,12 +63,12 @@ from .export import graph_to_json, graph_to_svg
 __all__ = [
     "CubicPotential", "DegenerateModuliError", "GroupElement", "ModuliCoords",
     "TurningPointSet", "apply_group", "moduli", "orbit_modulus", "turning_points",
-    "ActionValue", "BranchedPath", "ClearanceError", "CyclePeriod",
+    "ActionValue", "ClearanceError", "CyclePeriod",
     "alpha_integral", "cycle_period", "label_turning_points_by_periods",
-    "line_action", "turning_point_action",
+    "line_action",
     "AmbiguousClassError", "ClassificationError", "SectorRelation",
     "StokesComplexGraph", "classify", "classify_by_periods",
-    "sector_relation", "trace_stokes_lines",
+    "trace_stokes_lines",
     "AsymptoticValues", "RelativeError", "asymptotic_values_320",
     "relative_errors",
     "BsbIndex", "BsbSolution", "SolverError", "real_orbit_constants",

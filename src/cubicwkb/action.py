@@ -1,9 +1,8 @@
 """Contour integration of sqrt(V) and the cycle periods.
 
 Periods.  The action P = int sqrt(V) dx between two simple turning points
-e_i -> e_j (cycle_period, and turning_point_action without a side_hint) is
-summed by one fixed rule.  With m = (e_i + e_j)/2 and h = (e_j - e_i)/2 the
-path is the arc
+e_i -> e_j (cycle_period) is summed by one fixed rule.  With
+m = (e_i + e_j)/2 and h = (e_j - e_i)/2 the path is the arc
     x(s) = m + h (s + i beta (1 - s^2)),   s in [-1, 1],
 the chord for beta = 0.  When the third root e_k lies within 0.05 |e_j - e_i|
 of m the arc hops over it with beta = 1, through the apex m + i h; when e_k
@@ -28,8 +27,8 @@ gives I0 = int dx/sqrt(V) and I1 = int x dx/sqrt(V), that is the gradient
 dP/da = -I1, dP/db = -14 I0; the value follows from Euler's identity for
 the weights (4, 6) of (a, b), P = (4 a dP/da + 6 b dP/db) / 5.
 
-Paths.  Along an arbitrary path (line_action, and turning_point_action with
-a side_hint) the square root is evaluated in factored form
+Paths.  Along an arbitrary path (line_action) the square root is evaluated
+in factored form
     sqrt(V) = 2 * eta * sqrt(x - r1) * sqrt(x - r2) * sqrt(x - r3).
 The factors start as the principal roots at one reference point, and the
 sheet sign eta is pinned there by the path's seed value.  _split_points cuts
@@ -67,23 +66,6 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BranchedPath:
-    """Piecewise-linear path with the sqrt(V) sheet fixed by a seed value.
-
-    branch_seed is an approximation of sqrt(V) at the first node (the nearer
-    of the two roots of V is taken).  If the first node coincides with a
-    turning point the seed refers to the first regular node instead.
-    """
-
-    nodes: tuple[complex, ...]
-    branch_seed: complex
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ValueError("path needs at least two nodes")
-
-
-@dataclass(frozen=True)
 class ActionValue:
     value: complex
     est_error: float
@@ -91,7 +73,6 @@ class ActionValue:
 
 @dataclass(frozen=True)
 class CyclePeriod:
-    cycle_id: str
     value: complex
     est_error: float
     gradient: tuple[complex, complex]   # (dP/da, dP/db)
@@ -233,14 +214,19 @@ def _integrate_tp_leg(roots, vanish, tp, b, vals_b, tol):
 
 def line_action(
     p: CubicPotential,
-    path: BranchedPath,
+    nodes,
+    branch_seed: complex,
     tol: float = 1e-11,
     clearance: float | None = None,
 ) -> ActionValue:
-    """Integral of sqrt(V) along the path on the sheet fixed by branch_seed.
+    """Integral of sqrt(V) along the polyline through nodes, on the sheet
+    fixed by branch_seed.
 
-    Interior nodes keep clearance from all turning points; the first or last
-    node may coincide with a simple turning point (endpoint-adapted rule).
+    branch_seed approximates sqrt(V) at the first node (the nearer of the two
+    roots of V is taken), or at the second node when the first is a turning
+    point.  Interior nodes keep clearance from all turning points; the first
+    or last node may coincide with a simple turning point (endpoint-adapted
+    rule).
     """
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
@@ -248,7 +234,9 @@ def line_action(
     clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)
     scale = max(tps.scale, 1.0)
 
-    nodes = [complex(z) for z in path.nodes]
+    nodes = [complex(z) for z in nodes]
+    if len(nodes) < 2:
+        raise ValueError("path needs at least two nodes")
     d0 = np.abs(nodes[0] - roots)
     dN = np.abs(nodes[-1] - roots)
     start_is_tp = float(np.min(d0)) <= 1e-9 * scale
@@ -269,10 +257,10 @@ def line_action(
 
     ref = nodes[1] if start_is_tp else nodes[0]
     vals = np.sqrt(ref - roots)
-    if path.branch_seed == 0:
+    if branch_seed == 0:
         raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
     w_ref = 2.0 * vals[0] * vals[1] * vals[2]
-    eta = -1.0 if abs(path.branch_seed + w_ref) < abs(path.branch_seed - w_ref) else 1.0
+    eta = -1.0 if abs(branch_seed + w_ref) < abs(branch_seed - w_ref) else 1.0
 
     total = 0.0 + 0.0j
     err = 0.0
@@ -297,7 +285,7 @@ def line_action(
 
 def _turning_point_pair(tps, from_tp, to_tp):
     """(roots, i, j): the entries of the roots of V (the solved tps)
-    at two simple turning points, snapped to the nearest root."""
+    at two distinct simple turning points, snapped to the nearest root."""
     roots = np.array(tps.all_with_repeats, dtype=complex)
     scale = max(tps.scale, 1e-12)
     di = np.abs(from_tp - roots)
@@ -305,8 +293,10 @@ def _turning_point_pair(tps, from_tp, to_tp):
     i, j = int(np.argmin(di)), int(np.argmin(dj))
     if di[i] > 1e-6 * scale or dj[j] > 1e-6 * scale:
         raise ValueError("endpoints must be turning points of the potential")
+    if i == j:
+        raise ValueError("both endpoints snap to the same turning point")
     mult = np.repeat(tps.multiplicities, tps.multiplicities)  # per entry of roots
-    if i != j and (mult[i] != 1 or mult[j] != 1):
+    if mult[i] != 1 or mult[j] != 1:
         raise ValueError("endpoints must be simple turning points")
     return roots, i, j
 
@@ -377,35 +367,6 @@ def _chord_period(p, roots, i, j, tol):
     value = -(4 * p.a * i1 + 84 * p.b * i0) / 5
     err_value = (4 * abs(p.a) * err1 + 84 * abs(p.b) * err0) / 5
     return complex(value), complex(-i1), complex(-14 * i0), (err1, 14 * err0, err_value)
-
-
-def turning_point_action(
-    p: CubicPotential,
-    from_tp: complex,
-    to_tp: complex,
-    side_hint: complex | None = None,
-    tol: float = 1e-11,
-) -> ActionValue:
-    """Integral of sqrt(V) between two simple turning points.
-
-    With a side_hint the value is line_action along from_tp -> side_hint ->
-    to_tp, with the sheet seeded by the principal product of the factors at
-    side_hint; side_hint selects which side of the third turning point the
-    path passes, and both legs keep line_action's clearance.  Without a
-    side_hint the value is the period rule of the module docstring: the
-    sheet is pinned at the chord's midpoint, or at the hop apex when the
-    third turning point sits on the chord near it.
-    """
-    roots, i, j = _turning_point_pair(turning_points(p), from_tp, to_tp)
-    if i == j:
-        return ActionValue(value=0.0 + 0.0j, est_error=0.0)
-    if side_hint is None:
-        val, _, _, errs = _chord_period(p, roots, i, j, tol)
-        return ActionValue(value=val, est_error=errs[2])
-    hint = complex(side_hint)
-    seed = 2.0 * complex(np.prod(np.sqrt(hint - roots)))
-    path = BranchedPath((complex(roots[i]), hint, complex(roots[j])), seed)
-    return line_action(p, path, tol)
 
 
 def _orient_sign(value: complex, cycle_id: str) -> float:
@@ -481,20 +442,17 @@ def cycle_period(
     (endpoint motion drops out since sqrt(V) vanishes there); est_error is
     the largest error over the three.  The labels tp0, tp1, tp-1 come from
     label_turning_points_by_periods or a classified graph's tp_labels; each
-    is snapped to the nearest turning point of p.
+    is snapped to the nearest turning point of p, and ValueError is raised
+    when the two labels of the cycle snap to the same one.
     """
     if cycle_id not in ("a1", "a-1"):
         raise ValueError("cycle_id must be 'a1' or 'a-1'")
     lam0 = labels["tp0"]
     lam = labels["tp1"] if cycle_id == "a1" else labels["tp-1"]
     roots, i, j = _turning_point_pair(turning_points(p), lam0, lam)
-    if i == j:
-        return CyclePeriod(cycle_id=cycle_id, value=0j, est_error=0.0, gradient=(0j, 0j))
     value, da, db, errs = _chord_period(p, roots, i, j, tol)
     s = _orient_sign(value, cycle_id)
-    return CyclePeriod(
-        cycle_id=cycle_id, value=s * value, est_error=max(errs), gradient=(s * da, s * db)
-    )
+    return CyclePeriod(value=s * value, est_error=max(errs), gradient=(s * da, s * db))
 
 
 def safe_nodes(a: complex, b: complex, roots, clearance: float, depth: int = 0):
@@ -512,10 +470,12 @@ def safe_nodes(a: complex, b: complex, roots, clearance: float, depth: int = 0):
     d = b - a
     t = ((bad - a) * np.conj(d)).real / abs(d) ** 2
     foot = a + t * d
+    # 2.5 clearance from the root, across the chord from it (to the chord's
+    # left when the root lies on it)
     away = foot - bad
-    if abs(away) < 1e-14:
-        away = 1j * d / abs(d)
-    mid = bad + (2.5 * clearance + abs(away)) * away / max(abs(away), 1e-300)
+    if abs(away) < 1e-14 * abs(d):
+        away = 1j * d
+    mid = bad + 2.5 * clearance * away / abs(away)
     return (
         safe_nodes(a, mid, roots, clearance, depth + 1)[:-1]
         + safe_nodes(mid, b, roots, clearance, depth + 1)

@@ -73,8 +73,12 @@ def _positive_float(s: str) -> float:
     return x
 
 
+# the values a config file may give an on/off flag
+_FLAG_VALUES = {"true": True, "false": False, "1": True, "0": False}
+
+
 def _load_config(path: str | None) -> dict:
-    """Simple key=value config file; values parsed as int/float/str."""
+    """Simple key=value config file; the values are kept as text."""
     if not path:
         return {}
     out = {}
@@ -84,14 +88,7 @@ def _load_config(path: str | None) -> dict:
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, val = (t.strip() for t in line.split("=", 1))
-            for cast in (int, float):
-                try:
-                    out[key] = cast(val)
-                    break
-                except ValueError:
-                    continue
-            else:
-                out[key] = val
+            out[key] = val
     return out
 
 
@@ -285,12 +282,21 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     tb = sub.add_parser("table2", help="comparison table against reference poles")
     tb.set_defaults(func=cmd_table2)
 
-    # argparse applies type only to string defaults: typed options get strings
+    # argparse applies an option's type to a string default, so the config's
+    # text passes the same checks as the flag; on/off flags read their value
     config = {key.replace("-", "_"): val for key, val in (config or {}).items()}
     for parser in sub.choices.values():
-        options = {a.dest: a.type for a in parser._actions if a.option_strings}
-        parser.set_defaults(**{k: str(v) if options[k] else v
-                               for k, v in config.items() if k in options})
+        defaults = {}
+        for a in parser._actions:
+            if a.dest not in config or not a.option_strings:
+                continue
+            val = config[a.dest]
+            if isinstance(a, argparse._StoreTrueAction):
+                if val not in _FLAG_VALUES:
+                    ap.error(f"config value {a.dest} = {val!r}: expected true, false, 1 or 0")
+                val = _FLAG_VALUES[val]
+            defaults[a.dest] = val
+        parser.set_defaults(**defaults)
     return ap
 
 

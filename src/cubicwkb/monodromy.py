@@ -50,6 +50,11 @@ _SERIES_LEN = 101
 # rounding floor of the initial data, in units of eps * R^{5/2}, the size of
 # the log scale (and of the climb along each radial leg)
 _ROUNDING_FLOOR = 4.0
+# a transported solution is rescaled inside a segment once |psi| passes this,
+# far below overflow even after the next step's growth (e^7 at most)
+_RESCALE = 1e250
+# log of the largest double: no multiplier beyond it can be represented
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class MonodromyError(RuntimeError):
@@ -243,6 +248,8 @@ def _transport(p, nodes, v, dv, l, rtol):
             x = b if h == b - x else x + h
             v, dv = psi, hdpsi / h
             mag = abs(v)
+            if mag > _RESCALE:
+                v, dv, l, mag = v / mag, dv / mag, l + np.log(mag), 1.0
             if mag > 0:
                 h_here = -(l.real + np.log(mag))
                 h_min = min(h_min, h_here)
@@ -307,16 +314,27 @@ def stokes_multipliers(
         if not walls:
             raise MonodromyError(f"no Stokes line ends on ray {k}")
 
+    # the polyline of each internal line, keyed (origin, turning point it ends at)
+    internal = {(ln.origin, ln.terminal[1]): ln.points
+                for ln in lines if ln.terminal[0] == "tp"}
+
     def walk(start, walls):
-        """Waypoints from start through a wall sequence, bridging across the
-        turning point two consecutive walls share so the path hugs the
+        """Waypoints from start through a wall sequence, so the path hugs the
         complex (the ODE is regular at turning points, and Re S is constant
-        along each wall); also the node index of each wall's point."""
+        along each wall): two consecutive walls from one turning point are
+        bridged across it, and walls from two turning points joined by an
+        internal line along every 16th point of that line (a chord would
+        cross the face between them, over which both solutions climb).  Also
+        the node index of each wall's point."""
         pts, at = [start], []
         prev = None
         for origin, point in walls:
             if origin == prev:
                 pts.append(complex(tps.roots[origin]))
+            elif (prev, origin) in internal:
+                path = internal[(prev, origin)]
+                pts.extend(complex(z) for z in path[:-1:16])
+                pts.append(complex(path[-1]))
             pts.append(point)
             at.append(len(pts) - 1)
             prev = origin
@@ -381,6 +399,12 @@ def stokes_multipliers(
         nums = wronskian_candidates(k - 1, k + 1)
         wd, ld, ed = wronskian_candidates(k, k + 1)[0]
         wn, ln, en = nums[0]
+        log_s = np.log(abs(wn)) - np.log(abs(wd)) + (ln - ld).real
+        if log_s > _LOG_MAX:
+            raise MonodromyError(
+                f"|sigma_{k}| comes out near e^{log_s:.0f}, beyond the double "
+                f"range (the largest double is e^{_LOG_MAX:.1f})"
+            )
         s_k = (wn / wd) * np.exp(ln - ld)
         sigma[k] = 1j * s_k if k == -2 else -s_k
         sig_err[k] = abs(s_k) * (en + ed)

@@ -104,8 +104,8 @@ def turning_points(p: CubicPotential) -> TurningPointSet:
 def _solve_turning_points(p: CubicPotential) -> TurningPointSet:
     """Roots of V with multiplicity clustering at relative tolerance _ROOT_TOL.
 
-    The cubic always has three roots over C; clusters of roots closer than
-    _ROOT_TOL * scale are merged into one multiple turning point.
+    The cubic always has three roots over C; roots closer than
+    _ROOT_TOL * scale are merged into one multiple turning point, their mean.
     """
     raw = np.roots(p.coeffs())
     # two Newton polish passes; keep residuals near machine precision
@@ -115,27 +115,18 @@ def _solve_turning_points(p: CubicPotential) -> TurningPointSet:
         mask = np.abs(step) < 1e-2 * (1 + np.abs(raw))
         raw = raw - np.where(mask, step, 0.0)
     scale = max(1.0, float(np.max(np.abs(raw))))
-    # union-find clustering by pairwise distance
-    idx = list(range(3))
-
-    def find(i):
-        while idx[i] != i:
-            idx[i] = idx[idx[i]]
-            i = idx[i]
-        return i
-
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(raw[i] - raw[j]) <= _ROOT_TOL * scale:
-                idx[find(i)] = find(j)
-    clusters: dict[int, list[complex]] = {}
-    for i in range(3):
-        clusters.setdefault(find(i), []).append(complex(raw[i]))
-    roots = []
-    mults = []
-    for members in clusters.values():
-        roots.append(sum(members) / len(members))
-        mults.append(len(members))
+    raw = [complex(r) for r in raw]
+    # one close pair is a double root; two or three close pairs, the triple
+    close = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+             if abs(raw[i] - raw[j]) <= _ROOT_TOL * scale]
+    if len(close) == 1:
+        (i, j), = close
+        k = 3 - i - j
+        roots, mults = [(raw[i] + raw[j]) / 2, raw[k]], [2, 1]
+    elif close:
+        roots, mults = [(raw[0] + raw[1] + raw[2]) / 3], [3]
+    else:
+        roots, mults = raw, [1, 1, 1]
     pairs = sorted(zip(roots, mults), key=lambda t: (-t[1], t[0].real, t[0].imag))
     roots = tuple(r for r, _ in pairs)
     mults = tuple(m for _, m in pairs)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import BranchedPath, _labels_around, _pair_scores, line_action
+from .action import _labels_around, _pair_scores, line_action
 from .potential import CubicPotential, TurningPointSet, turning_points
 
 PHI = [(2 * k + 1) * np.pi / 5 for k in range(-2, 3)]  # ray angles, k = -2..2
@@ -44,10 +44,6 @@ class ClassificationError(RuntimeError):
 
 class AmbiguousClassError(ClassificationError):
     """The traced graph sits numerically on a class boundary."""
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
 
 
 # tracing constants; launch and trap radii are in units of the root separation
@@ -122,6 +118,15 @@ _CANONICAL_VALENCE = {
 }
 
 
+def _launch_radius(tps: TurningPointSet) -> float:
+    """Distance from its turning point at which each line is launched: a
+    multiple _LAUNCH_FACTOR of the root separation, floored at 1e-3 scale."""
+    scale = max(tps.scale, 1.0)
+    if len(tps.roots) == 1:
+        return _LAUNCH_FACTOR * scale
+    return _LAUNCH_FACTOR * max(tps.separation, 1e-3 * scale)
+
+
 def _wrap(x: float) -> float:
     return (x + np.pi) % (2 * np.pi) - np.pi
 
@@ -168,9 +173,8 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     roots = [complex(r) for r in tps.roots]
     tp = roots[origin]
     scale = max(tps.scale, 1.0)
-    sep = tps.separation if len(roots) > 1 else scale
-    r_launch = _LAUNCH_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else _LAUNCH_FACTOR * scale
-    r_trap = _TRAP_FACTOR * max(sep, 1e-3 * scale) if len(roots) > 1 else 0.0
+    r_launch = _launch_radius(tps)
+    r_trap = _TRAP_FACTOR * max(tps.separation, 1e-3 * scale) if len(roots) > 1 else 0.0
     R_max = _R_FACTOR * (1.0 + tps.scale)
     V = CubicPotential(complex(p.a), complex(p.b))
 
@@ -189,7 +193,7 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     # to the launch point, so the projection locks onto the separatrix
     # through the turning point itself; no clearance, since a split double
     # root can sit inside the launch radius
-    s_launch = line_action(p, BranchedPath((tp, z), w), tol=1e-14, clearance=0.0).value
+    s_launch = line_action(p, (tp, z), w, tol=1e-14, clearance=0.0).value
     # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
     u = 1.0 + 0.0j if not anti_stokes else -1.0j
     drift = float((u * s_launch).real)
@@ -448,9 +452,7 @@ def _match_class(n_simple, n_int, relation, ext_valence):
     matches = [(code, m) for code in cands for m in range(5)
                if np.array_equal(canonical_relation(code, m).matrix, relation.matrix)]
     if not matches:
-        raise AmbiguousClassError(
-            "relation pattern matches no admissible class", candidates=cands
-        )
+        raise AmbiguousClassError("relation pattern matches no admissible class")
     if len(matches) == 1:
         return matches[0]
     # symmetric fail set (300, 000): disambiguate by external valences
@@ -470,7 +472,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
     mean nothing.
     """
     tps = turning_points(p)
-    if 0.0 < tps.separation < _LAUNCH_FACTOR * 1e-3 * max(tps.scale, 1.0):
+    if 0.0 < tps.separation < _launch_radius(tps):
         raise AmbiguousClassError(
             f"turning points {tps.separation:.1e} apart, inside the launch radius"
         )
@@ -571,18 +573,9 @@ def canonical_relation(class_code: str, shift: int = 0) -> SectorRelation:
     return SectorRelation(matrix=mat)
 
 
-def sector_relation(g: StokesComplexGraph) -> SectorRelation:
-    """The sector relation of a classified graph (table row, shift applied)."""
-    canon = canonical_relation(g.class_code, g.decoration_shift)
-    if not np.array_equal(canon.matrix, g.relation.matrix):
-        raise ClassificationError("computed relation disagrees with the class table")
-    return g.relation
-
-
 @dataclass(frozen=True)
 class PeriodClassGuess:
     family: str                 # "300", "31x", "320", or "indeterminate"
-    zero_pairs: tuple[tuple[complex, complex], ...]
     labels: dict[str, complex] | None
 
     def consistent_with(self, class_code: str) -> bool:
@@ -613,38 +606,23 @@ def classify_by_periods(p: CubicPotential) -> PeriodClassGuess:
         raise ValueError("classify_by_periods requires three simple turning points")
     r = list(tps.roots)
     scale = max(tps.scale, 1e-12)
-    zero = {}
     zero_pairs = []
     for (i, j), score in _pair_scores(p, r, 1e-10).items():
         if score < 1e-7:
-            zero[(i, j)] = True
-            zero_pairs.append((r[i], r[j]))
-        elif score > 1e-4:
-            zero[(i, j)] = False
-        else:
+            zero_pairs.append((i, j))
+        elif not score > 1e-4:
             raise AmbiguousClassError(
                 f"pair ({i},{j}) action Re-score {score:.2e} in tolerance band"
             )
-    counts = {i: 0 for i in range(3)}
-    for (i, j), z in zero.items():
-        if z:
-            counts[i] += 1
-            counts[j] += 1
-    common = [i for i, c in counts.items() if c >= 2]
+    common = [i for i in range(3) if sum(i in pair for pair in zero_pairs) >= 2]
     if common:
-        return PeriodClassGuess(
-            family="320",
-            zero_pairs=tuple(zero_pairs),
-            labels=_labels_around(r, common[0]),
-        )
+        return PeriodClassGuess(family="320", labels=_labels_around(r, common[0]))
     if len(zero_pairs) == 1:
         if p.is_real(1e-12 * max(1.0, abs(p.a), abs(p.b))):
-            za, zb = zero_pairs[0]
-            if abs(za - np.conj(zb)) < 1e-8 * scale:
-                return PeriodClassGuess(
-                    family="indeterminate", zero_pairs=tuple(zero_pairs), labels=None
-                )
-        return PeriodClassGuess(family="31x", zero_pairs=tuple(zero_pairs), labels=None)
+            i, j = zero_pairs[0]
+            if abs(r[i] - np.conj(r[j])) < 1e-8 * scale:
+                return PeriodClassGuess(family="indeterminate", labels=None)
+        return PeriodClassGuess(family="31x", labels=None)
     if len(zero_pairs) == 0:
-        return PeriodClassGuess(family="300", zero_pairs=(), labels=None)
+        return PeriodClassGuess(family="300", labels=None)
     raise AmbiguousClassError("inconsistent zero-pair pattern")

@@ -4,14 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicwkb.action import (
-    BranchedPath,
     ClearanceError,
+    _seg_min_dist,
     alpha_integral,
     alpha_ray_tail,
     cycle_period,
     label_turning_points_by_periods,
     line_action,
-    turning_point_action,
+    safe_nodes,
 )
 from cubicwkb.potential import (
     OMEGA,
@@ -39,20 +39,20 @@ def trapezoid_oracle(p, z0, z1, n=1_000_000, seed_sign=1.0):
 
 def test_pure_cubic_action_is_four_fifths():
     p = CubicPotential(0, 0)
-    v = line_action(p, BranchedPath(nodes=(0.0, 1.0), branch_seed=2.0))
+    v = line_action(p, (0.0, 1.0), 2.0)
     assert v.value == pytest.approx(0.8, abs=1e-12)
 
 
 def test_reversed_path_negates():
     p = CubicPotential(0, 0)
-    fwd = line_action(p, BranchedPath(nodes=(0.0, 1.0), branch_seed=2.0))
-    rev = line_action(p, BranchedPath(nodes=(1.0, 0.0), branch_seed=2.0))
+    fwd = line_action(p, (0.0, 1.0), 2.0)
+    rev = line_action(p, (1.0, 0.0), 2.0)
     assert rev.value == pytest.approx(-fwd.value, abs=1e-12)
 
 
 def test_line_action_matches_dense_trapezoid():
     p = CubicPotential(2, 0)
-    got = line_action(p, BranchedPath(nodes=(1.0, 2.0), branch_seed=np.sqrt(24.0)))
+    got = line_action(p, (1.0, 2.0), np.sqrt(24.0))
     oracle = trapezoid_oracle(p, 1.0, 2.0)
     assert abs(got.value - oracle) < 1e-8
 
@@ -63,7 +63,7 @@ def test_line_action_across_every_principal_cut():
     p = CubicPotential(2, 0)
     nodes = (2.0 + 0.3j, -3.0 + 0.3j, -3.0 - 0.3j, 2.0 - 0.3j)
     seed = np.sqrt(p(nodes[0]))
-    got = line_action(p, BranchedPath(nodes=nodes, branch_seed=seed)).value
+    got = line_action(p, nodes, seed).value
     oracle, w = 0.0, seed
     for z0, z1 in zip(nodes[:-1], nodes[1:]):
         sign = 1.0 if abs(np.sqrt(p(z0)) - w) < abs(np.sqrt(p(z0)) + w) else -1.0
@@ -73,27 +73,25 @@ def test_line_action_across_every_principal_cut():
 
     # additivity from a turning point to a turning point across the cuts
     path = (1.0,) + nodes[:3] + (-1.0,)
-    whole = line_action(p, BranchedPath(nodes=path, branch_seed=seed)).value
-    head = line_action(p, BranchedPath(nodes=path[:2], branch_seed=seed)).value
-    body = line_action(p, BranchedPath(nodes=path[1:4], branch_seed=seed)).value
+    whole = line_action(p, path, seed).value
+    head = line_action(p, path[:2], seed).value
+    body = line_action(p, path[1:4], seed).value
     w = _continued(p, path[2], path[3], _continued(p, path[1], path[2], seed))
-    tail = line_action(p, BranchedPath(nodes=path[3:], branch_seed=w)).value
+    tail = line_action(p, path[3:], w).value
     assert head + body + tail == pytest.approx(whole, abs=1e-10)
 
 
 def test_concatenation_additivity():
     p = CubicPotential(1.0 + 0.5j, 0.3)
     seed = np.sqrt(p(3.0 + 1.0j))
-    ab = line_action(p, BranchedPath(nodes=(3.0 + 1.0j, 3.0 - 1.5j), branch_seed=seed))
+    ab = line_action(p, (3.0 + 1.0j, 3.0 - 1.5j), seed)
     seed_b = np.sqrt(p(3.0 - 1.5j))
     if abs(seed_b - _continued(p, 3.0 + 1.0j, 3.0 - 1.5j, seed)) > abs(
         seed_b + _continued(p, 3.0 + 1.0j, 3.0 - 1.5j, seed)
     ):
         seed_b = -seed_b
-    bc = line_action(p, BranchedPath(nodes=(3.0 - 1.5j, -2.0 - 2.0j), branch_seed=seed_b))
-    ac = line_action(
-        p, BranchedPath(nodes=(3.0 + 1.0j, 3.0 - 1.5j, -2.0 - 2.0j), branch_seed=seed)
-    )
+    bc = line_action(p, (3.0 - 1.5j, -2.0 - 2.0j), seed_b)
+    ac = line_action(p, (3.0 + 1.0j, 3.0 - 1.5j, -2.0 - 2.0j), seed)
     assert ab.value + bc.value == pytest.approx(ac.value, abs=1e-9)
 
 
@@ -107,43 +105,57 @@ def _continued(p, z0, z1, w, n=500):
 def test_deformation_invariance():
     p = CubicPotential(1.0, 0.4 + 0.2j)
     seed = np.sqrt(p(4.0))
-    direct = line_action(p, BranchedPath(nodes=(4.0, 4.0j), branch_seed=seed))
-    detour = line_action(
-        p, BranchedPath(nodes=(4.0, 4.0 + 4.0j, 4.0j), branch_seed=seed)
-    )
+    direct = line_action(p, (4.0, 4.0j), seed)
+    detour = line_action(p, (4.0, 4.0 + 4.0j, 4.0j), seed)
     assert direct.value == pytest.approx(detour.value, abs=1e-8)
 
 
 def test_clearance_violation_raises():
     p = CubicPotential(2, 0)  # roots at 0, +-1
     with pytest.raises(ClearanceError):
-        line_action(
-            p, BranchedPath(nodes=(-2.0, 2.0), branch_seed=np.sqrt(complex(p(-2.0))))
-        )
+        line_action(p, (-2.0, 2.0), np.sqrt(complex(p(-2.0))))
 
 
-def test_turning_point_action_same_point_zero():
+def _sweep(p, start, apex, end, tol=1e-11):
+    """line_action from the turning point start through apex to the turning
+    point end, on the sheet of the principal factors at apex."""
+    roots = np.array(turning_points(p).all_with_repeats)
+    seed = 2.0 * complex(np.prod(np.sqrt(apex - roots)))
+    return line_action(p, (start, apex, end), seed, tol=tol)
+
+
+def _labels(tp0, tp1, tpm1):
+    return {"tp0": tp0, "tp1": tp1, "tp-1": tpm1}
+
+
+def test_cycle_period_rejects_labels_on_one_root():
+    # two labels of one cycle that snap to the same root have no period
     p = CubicPotential(2, 0)
-    assert turning_point_action(p, 1.0, 1.0).value == 0
+    with pytest.raises(ValueError):
+        cycle_period(p, "a1", labels=_labels(1.0, 1.0 + 1e-9, -1.0))
 
 
 def test_turning_point_action_antisymmetry():
+    # the sweep changes sign with its direction; the oriented period does not
     p = CubicPotential(2, 0)
-    a = turning_point_action(p, 0.0, 1.0, side_hint=0.5 + 0.5j)
-    b = turning_point_action(p, 1.0, 0.0, side_hint=0.5 + 0.5j)
+    a = _sweep(p, 0.0, 0.5 + 0.5j, 1.0)
+    b = _sweep(p, 1.0, 0.5 + 0.5j, 0.0)
     assert a.value == pytest.approx(-b.value, abs=1e-12)
+    fwd = cycle_period(p, "a1", labels=_labels(0.0, 1.0, -1.0)).value
+    rev = cycle_period(p, "a1", labels=_labels(1.0, 0.0, -1.0)).value
+    assert fwd == pytest.approx(rev, abs=1e-12)
 
 
 def test_turning_point_action_side_hint_path_keeps_clearance():
     # from 0 via 2 to 1 on (2, 0), the first leg runs through the root 1
     with pytest.raises(ClearanceError):
-        turning_point_action(CubicPotential(2, 0), 0.0, 1.0, side_hint=2.0)
+        _sweep(CubicPotential(2, 0), 0.0, 2.0, 1.0)
 
 
 def test_turning_point_action_value_against_oracle():
     # V < 0 between the roots 0 and 1, so the action is purely imaginary
     p = CubicPotential(2, 0)
-    got = turning_point_action(p, 0.0, 1.0, side_hint=0.5 + 0.5j).value
+    got = cycle_period(p, "a1", labels=_labels(0.0, 1.0, -1.0)).value
     import scipy.integrate as si
 
     mag, _ = si.quad(lambda t: np.sqrt(-(4 * t**3 - 4 * t)), 0, 1, limit=200)
@@ -154,19 +166,19 @@ def test_turning_point_action_value_against_oracle():
 def test_turning_point_action_rejects_non_turning_points():
     p = CubicPotential(2, 0)
     with pytest.raises(ValueError):
-        turning_point_action(p, 0.5, 1.0)
+        cycle_period(p, "a1", labels=_labels(0.5, 1.0, -1.0))
 
 
 def test_turning_point_action_rejects_multiple_roots():
     p = CubicPotential(6.0, 2.0 / 7.0)  # double point at -1
     with pytest.raises(ValueError):
-        turning_point_action(p, -1.0, 2.0)
+        cycle_period(p, "a1", labels=_labels(-1.0, 2.0, 2.0))
 
 
 def test_cycle_period_against_loop_oracle():
     # direct loop quadrature around the pair {-1, 0} on a dumbbell contour
     p = CubicPotential(2, 0)
-    tpa = turning_point_action(p, -1.0, 0.0, side_hint=-0.5 + 0.0001j).value
+    tpa = cycle_period(p, "a1", labels=_labels(-1.0, 0.0, 1.0)).value
 
     # loop oracle: rectangle around [-1, 0] with branch marching
     corners = [-1.3 - 0.4j, 0.3 - 0.4j, 0.3 + 0.4j, -1.3 + 0.4j, -1.3 - 0.4j]
@@ -291,7 +303,7 @@ def _hop_zone_potentials(n, seed):
 
 def test_period_rule_matches_the_adaptive_sweep():
     # the period rule against the adaptive two-leg sweep through the same apex
-    # (the chord midpoint, or the hop apex m + i h), on the same sheet
+    # (the chord midpoint, or the hop apex m + i h), up to orientation
     box = [CubicPotential(a, b) for a, b in (
         (1.1 + 0.4j, -0.3 + 0.2j), (-0.7 - 1.2j, 0.5 + 0.1j), (2.0 - 0.5j, -0.4j), (0.4, -0.3),
     )]
@@ -301,10 +313,7 @@ def test_period_rule_matches_the_adaptive_sweep():
         for cycle_id, end, third in (("a1", r1, r2), ("a-1", r2, r1)):
             m, h = 0.5 * (r0 + end), 0.5 * (end - r0)
             apex = m + 1j * h if abs(third - m) < 0.05 * abs(end - r0) else m
-            ref = turning_point_action(p, r0, end, side_hint=apex, tol=1e-13)
-            rule = turning_point_action(p, r0, end)
-            assert abs(rule.value - ref.value) <= 1e-11 * max(1.0, abs(ref.value))
-            assert abs(rule.value - ref.value) <= rule.est_error + ref.est_error
+            ref = _sweep(p, r0, apex, end, tol=1e-13)
             period = cycle_period(p, cycle_id, labels=labels)
             err = min(abs(period.value - ref.value), abs(period.value + ref.value))
             assert err <= 1e-11 * max(1.0, abs(ref.value))
@@ -320,8 +329,8 @@ def test_period_rule_bends_away_from_a_root_on_the_chord():
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     assert abs(mid - m) > 0.05 * abs(hi - lo)
     away = 1j * h if ((mid - m) / h).imag < 0 else -1j * h
-    ref = turning_point_action(p, lo, hi, side_hint=m + away, tol=1e-13)
-    rule = turning_point_action(p, lo, hi)
+    ref = _sweep(p, lo, m + away, hi, tol=1e-13)
+    rule = cycle_period(p, "a1", labels=_labels(lo, hi, mid))
     err = min(abs(rule.value - ref.value), abs(rule.value + ref.value))
     assert err <= 1e-11 * max(1.0, abs(ref.value))
     assert err <= rule.est_error + ref.est_error
@@ -360,6 +369,39 @@ def test_gradient_property(coords, cycle_id, x, m):
     det = da * other[1] - db * other[0]
     assert abs(abs(det) - 7 * np.pi) <= 1e-12 * 7 * np.pi
     assert abs(det.real) <= 1e-12 * 7 * np.pi
+
+
+def _detour_cases():
+    """(a, b, roots, clearance): three roots on the chord, and seeded chords
+    with roots near them, each at least 3 clearances from both ends and 6
+    from each other (else no detour can keep the clearance)."""
+    cases = [(-0.02, 0.02, (-0.01, 0.0, 0.01), 0.001)]
+    rng = np.random.default_rng(5)
+    while len(cases) < 60:
+        a, b = (complex(*rng.normal(size=2)) for _ in range(2))
+        roots = [a + (b - a) * rng.uniform() + 0.05 * complex(*rng.normal(size=2))
+                 for _ in range(3)]
+        c = 0.05 * rng.uniform()
+        if (min(abs(r - e) for r in roots for e in (a, b)) >= 3 * c
+                and min(abs(r - q) for r in roots for q in roots if r is not q) >= 6 * c):
+            cases.append((a, b, tuple(roots), c))
+    return cases
+
+
+def test_safe_nodes_detours_keep_the_clearance_close_to_the_chord():
+    for a, b, roots, c in _detour_cases():
+        nodes = safe_nodes(a, b, roots, c)
+        assert nodes[0] == a and nodes[-1] == b
+        for u, v in zip(nodes[:-1], nodes[1:]):
+            assert all(_seg_min_dist(u, v, r) >= c for r in roots)
+        # each waypoint sits 2.5 clearances off a root, not a chord length
+        for z in nodes[1:-1]:
+            assert min(abs(z - r) for r in roots) == pytest.approx(2.5 * c, rel=1e-12)
+        x = 3.7
+        scaled = safe_nodes(x * a, x * b, [x * r for r in roots], x * c)
+        assert np.allclose(scaled, [x * z for z in nodes], rtol=0, atol=1e-12 * x)
+    # a root at an end of the chord is the endpoint's own, and needs no detour
+    assert safe_nodes(0.0, 1.0, (0.0, 1.0, 0.5 + 0.5j), 0.01) == [0.0, 1.0]
 
 
 def test_alpha_closed_form_pure_cubic():

@@ -137,9 +137,11 @@ def test_verify_at_solution(capsys, sol_11):
     assert report["tritronquee_margin"] < 0.1
 
 
-@pytest.mark.parametrize("n, want", [(1, EXIT_OK), (9, EXIT_AMBIGUOUS)])
+@pytest.mark.parametrize(
+    "n, want", [(1, EXIT_OK), (9, EXIT_OK), (15, EXIT_AMBIGUOUS)]
+)
 def test_verify_exit_code_follows_admissibility(capsys, n, want):
-    # at the real pole n = 9 the oracle's normalized residual is about 1
+    # at the real pole n = 15 the oracle's normalized residual is about 1
     a, b = real_poles(n)[-1]
     code, out, err = run_cli(capsys, "verify", "--a", repr(a), "--b", repr(b))
     assert code == want
@@ -210,6 +212,47 @@ def test_config_zero_nmax_is_usage_error(tmp_path, monkeypatch, capsys):
     called = []
     monkeypatch.setattr(cli, "solve_lattice", lambda *a, **k: called.append(a) or ({}, {}))
     code, out, _ = run_cli(capsys, "--config", str(cfg), "poles")
+    assert code == EXIT_USAGE
+    assert called == [] and out == ""
+
+
+def test_config_json_path_that_looks_like_a_number(tmp_path, monkeypatch, capsys):
+    # "12" is a file name, not a file descriptor
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("json = 12\n")
+    code, out, _ = run_cli(capsys, "--config", "run.cfg", "classify", "--a", "0", "--b", "0")
+    assert code == EXIT_OK and out == ""
+    assert json.loads((tmp_path / "12").read_text())["class_code"] == "000"
+
+
+def test_config_out_path_that_looks_like_a_number(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = 2\n")
+    code, out, _ = run_cli(capsys, "--config", "run.cfg", "poles", "--nmax", "1", "--mmax", "1")
+    assert code == EXIT_OK and out == ""
+    rows = list(csv.reader((tmp_path / "2").open()))
+    assert rows[0][:2] == ["n", "m"] and len(rows) == 2
+
+
+@pytest.mark.parametrize("value, disk", [("false", False), ("0", False),
+                                         ("true", True), ("1", True)])
+def test_config_disk_flag_reads_its_value(value, disk, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"disk = {value}\n")
+    argv = ("classify", "--a", "0", "--b", "0", "--svg")
+    assert run_cli(capsys, "--config", "run.cfg", *argv, "cfg.svg")[0] == EXIT_OK
+    flags = ("--disk",) if disk else ()
+    assert run_cli(capsys, *argv, "flag.svg", *flags)[0] == EXIT_OK
+    assert (tmp_path / "cfg.svg").read_text() == (tmp_path / "flag.svg").read_text()
+
+
+@pytest.mark.parametrize("line", ["disk = yes", "anti = maybe", "anti = "])
+def test_config_flag_with_another_value_is_usage_error(line, tmp_path, monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(cli, "trace_stokes_lines", lambda *a, **k: called.append(a) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "trace", "--a", "0", "--b", "0")
     assert code == EXIT_USAGE
     assert called == [] and out == ""
 

@@ -1,11 +1,13 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 import cubicwkb.monodromy as monodromy
 from conftest import random_potentials
-from cubicwkb.action import BranchedPath, line_action
+from cubicwkb.action import line_action
+from cubicwkb.bsb import real_poles
 from cubicwkb.cli import EXIT_NUMERICAL, main
 from cubicwkb.monodromy import (
     MonodromyError,
@@ -218,7 +220,7 @@ def test_radial_legs_grow_like_wkb():
         growth = (l.real + np.log(abs(v))) - (l0.real + np.log(abs(v0)))
         u = np.exp(2j * np.pi * k / 5)
         x_R, x_foot = R * u, r_foot * u
-        S = line_action(p, BranchedPath(nodes=(x_R, x_foot), branch_seed=-dv0 / v0))
+        S = line_action(p, (x_R, x_foot), -dv0 / v0)
         expected = -S.value.real + 0.25 * np.log(abs(p(x_R) / p(x_foot)))
         assert growth > 10.0
         assert growth == pytest.approx(expected, abs=0.25)
@@ -247,6 +249,37 @@ def test_split_double_root_routed_by_its_own_lines(caplog):
     for k in range(-2, 3):
         ref = s0.sigma[((k + 1) % 5) - 2]
         assert abs(s.sigma[k] - ref) <= s.est_error + s0.est_error
+
+
+def test_real_pole_10_walks_along_internal_lines():
+    # a chord across the face between two turning points lets both solutions
+    # climb over it; along the internal line Re S stays level, and the
+    # multipliers at n = 10 keep the WKB bound |sigma_+-2| <= rho_max
+    a, b = real_poles(10)[-1]
+    s = stokes_multipliers(CubicPotential(a, b))
+    assert s.max_normalized_residual <= 1e-6
+    assert max(abs(s.sigma[2]), abs(s.sigma[-2])) <= 0.1815 / 9.5
+
+
+@pytest.mark.parametrize("r", [8.0, 4.0 + 4.0j, 8.0 + 8.0j])
+def test_multipliers_beyond_double_range_fail_cleanly(r):
+    # the exact double root (6 r^2, -2 r^3/7): |sigma_+-1| is about
+    # exp(2 (8/15) |3 r|^{5/2}), which no double holds; the radius 2.2 scale
+    # (the default is 4 (1 + scale)) keeps the radial legs short
+    p = CubicPotential(6 * r * r, -2 * r**3 / 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MonodromyError, match="double range"):
+            stokes_multipliers(p, R=2.2 * turning_points(p).scale)
+
+
+def test_verify_beyond_double_range_exits_3_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--a", "192j", "--b", "36.57142857142857-36.57142857142857j"])
+    assert code == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and "double range" in err and "Warning" not in err
 
 
 def test_bsb_solution_margins(sol_11):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_potentials
 from cubicwkb import stokes
-from cubicwkb.action import BranchedPath, line_action
+from cubicwkb.action import line_action
 from cubicwkb.bsb import real_orbit_potential
 from cubicwkb.export import graph_to_json, graph_to_svg
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
@@ -16,7 +16,6 @@ from cubicwkb.stokes import (
     canonical_relation,
     classify,
     classify_by_periods,
-    sector_relation,
     trace_stokes_lines,
 )
 
@@ -196,8 +195,7 @@ def test_sector_relation_rows():
 
 
 def test_sector_relation_consistency(orbit_potential):
-    g = classify(orbit_potential)
-    rel = sector_relation(g)
+    rel = classify(orbit_potential).relation
     # quantizing class: failing pairs are exactly (1,-1), (1,-2), (-1,2)
     failing = {
         frozenset((j, k))
@@ -296,7 +294,7 @@ def _level_residuals(p, anti_stokes):
                 nodes.append(z)
         seed = np.sqrt(p(nodes[1]))
         for k in np.linspace(2, len(nodes) - 1, 4).astype(int):
-            s = line_action(p, BranchedPath(tuple(nodes[: k + 1]), seed)).value
+            s = line_action(p, tuple(nodes[: k + 1]), seed).value
             level = s.imag if anti_stokes else s.real
             out.append(abs(level) / (1.0 + abs(s)))
     return np.array(out)
