@@ -89,6 +89,25 @@ def _seg_min_dist(a: complex, b: complex, r: complex) -> float:
     return abs(a + t * d - r)
 
 
+def _check_clearance(tps, nodes, clearance, skip_first=(), skip_last=()):
+    """Raise ClearanceError when a segment of the polyline through nodes
+    passes within clearance (by default 1e-3 times the root separation) of
+    an entry of tps.all_with_repeats, except the entries skip_first on the
+    first segment and skip_last on the last: the turning points the path
+    ends at."""
+    sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)
+    clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)
+    last = len(nodes) - 2
+    for k, (u, v) in enumerate(zip(nodes[:-1], nodes[1:])):
+        for j, r in enumerate(tps.all_with_repeats):
+            if (k == 0 and j in skip_first) or (k == last and j in skip_last):
+                continue
+            if _seg_min_dist(u, v, r) < clr:
+                raise ClearanceError(
+                    f"segment {k} passes within {clr:.3g} of turning point {r}"
+                )
+
+
 def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
     """Waypoints along [a, b] so each piece is shorter than half its distance
     to every root not in skip (keeps per-factor continuation unambiguous)."""
@@ -230,8 +249,6 @@ def line_action(
     """
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
-    sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)
-    clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)
     scale = max(tps.scale, 1.0)
 
     nodes = [complex(z) for z in nodes]
@@ -246,14 +263,7 @@ def line_action(
     if start_is_tp and len(nodes) == 2 and end_is_tp:
         raise ClearanceError("a two-node path cannot join two turning points")
 
-    for k, (u, v) in enumerate(zip(nodes[:-1], nodes[1:])):
-        for j, r in enumerate(roots):
-            if (k == 0 and j in van0) or (k == len(nodes) - 2 and j in vanN):
-                continue
-            if _seg_min_dist(u, v, r) < clr:
-                raise ClearanceError(
-                    f"segment {k} passes within {clr:.3g} of turning point {r}"
-                )
+    _check_clearance(tps, nodes, clearance, van0, vanN)
 
     ref = nodes[1] if start_is_tp else nodes[0]
     vals = np.sqrt(ref - roots)
@@ -499,13 +509,8 @@ def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> 
     """
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
-    sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)
-    clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)
     nodes = [complex(z) for z in nodes]
-    for u, v in zip(nodes[:-1], nodes[1:]):
-        for r in roots:
-            if _seg_min_dist(u, v, r) < clr:
-                raise ClearanceError("path violates turning-point clearance")
+    _check_clearance(tps, nodes, clearance)
     total = 0.0
     for u, v in zip(nodes[:-1], nodes[1:]):
         for s0, s1 in zip(*(lambda pp: (pp[:-1], pp[1:]))(_split_points(u, v, roots))):

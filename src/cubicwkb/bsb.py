@@ -150,7 +150,7 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
     F, _ = _system(p, labels, t1, t2, 1e-10)
     if float(np.max(np.abs(F))) > 1e-6:
         raise SolverError("the classified labels miss the period targets")
-    return labels, relative_errors(p, g).max_finite
+    return labels, relative_errors(g).max_finite
 
 
 def solve_bsb(idx: BsbIndex, seed: CubicPotential) -> BsbSolution:
@@ -268,12 +268,12 @@ def _kappa_curve(
     for the kappas >= 1.
 
     The curve starts at the real orbit point (a*, b*), the kappa = 1
-    solution, and is walked upward through the kappas above 1 in adaptive
-    fractional steps between consecutive targets.  Every accepted point, the
-    origin included, passes _certify.  Returns the solved nodes
-    {kappa: (potential, labels, rho_max)} and the failed kappas
-    {kappa: message}; after a failure the walk goes on from the last
-    accepted node.
+    solution, and is walked upward through the kappas above 1 in increasing
+    order, one Newton solve per kappa from the last accepted node.  Every
+    accepted point, the origin included, passes _certify.  Returns the solved
+    nodes {kappa: (potential, labels, rho_max)} and the failed kappas
+    {kappa: message}; a failed kappa is recorded at once, and the walk goes
+    on to the next from the last accepted node.
     """
     _, a_star, b_star = real_orbit_constants()
     p = CubicPotential(a_star, b_star)
@@ -281,26 +281,16 @@ def _kappa_curve(
     labels, rho = _certify(p, t1, -t1)
     nodes = {Fraction(1): (p, labels, rho)}
     failures: dict[Fraction, str] = {}
-    kappa = 1.0
     for target in sorted(k for k in kappas if k > 1):
-        start, tau, step = kappa, 0.0, 1.0
-        while tau < 1.0:
-            nxt = min(1.0, tau + step)
-            k = start + (float(target) - start) * nxt
-            t2 = -1j * np.pi * k
-            try:
-                p2, _, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
-                labels2, rho2 = _certify(p2, t1, t2)
-            except (SolverError, ValueError, QuadratureError) as exc:
-                step *= 0.5
-                if step < 1.0 / 256.0:
-                    failures[target] = f"kappa = {target}: {exc}"
-                    break
-                continue
-            p, labels, rho, kappa, tau = p2, labels2, rho2, k, nxt
-            step = min(1.5 * step, 1.0 - tau)
-        else:
-            nodes[target] = (p, labels, rho)
+        t2 = -1j * np.pi * float(target)
+        try:
+            p2, _, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
+            labels2, rho2 = _certify(p2, t1, t2)
+        except (SolverError, ValueError, QuadratureError) as exc:
+            failures[target] = f"kappa = {target}: {exc}"
+            continue
+        p, labels = p2, labels2
+        nodes[target] = (p, labels, rho2)
     return nodes, failures
 
 

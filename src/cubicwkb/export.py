@@ -20,7 +20,7 @@ def graph_to_json(g: StokesComplexGraph) -> str:
     """JSON dump {vertices, edges, class_code, shift} of a classified complex."""
     vertices = [
         {"z": [z.real, z.imag], "multiplicity": m}
-        for z, m in zip(g.internal_vertices, g.multiplicities)
+        for z, m in zip(g.tps.roots, g.tps.multiplicities)
     ]
     edges = []
     seen_internal = set()
@@ -60,7 +60,7 @@ def graph_to_svg(g: StokesComplexGraph, compactified: bool = False) -> str:
     if compactified:
         radius = 1.05
     else:
-        radius = 1.45 * max(max(abs(z) for z in g.internal_vertices), 1e-9)
+        radius = 1.45 * max(max(abs(z) for z in g.tps.roots), 1e-9)
         radius = max(radius, 2.0)
 
     def xy(z):
@@ -93,7 +93,7 @@ def graph_to_svg(g: StokesComplexGraph, compactified: bool = False) -> str:
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )
-    for z, m in zip(g.internal_vertices, g.multiplicities):
+    for z, m in zip(g.tps.roots, g.tps.multiplicities):
         x, y = (float(c) for c in xy(z))
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{3 + 2 * m}" fill="#2980b9"/>'

@@ -267,8 +267,10 @@ def _radial_leg(p, k, R, r_foot, rtol, v, dv, l):
     """The normalized solution of sector k, given as (v, dv, log_scale) at
     |x| = R, carried inward along its own ray to |x| = r_foot: (v, dv,
     log_scale) at the foot."""
-    # split the leg so the growth per piece stays well inside the double
-    # range (the solution climbs by e^{(4/5) R^{5/2}} overall)
+    # _RESCALE alone keeps the climb of e^{(4/5) R^{5/2}} in range; the leg
+    # is still cut geometrically, renormalized at each cut, because the walls
+    # picked at the real pole n = 14 depend on its end state at rounding
+    # level: carried as one segment, that pole exits 2
     n_rad = max(1, int(0.8 * R**2.5 / 150.0) + 1)
     u = np.exp(2j * np.pi * k / 5.0)
     nodes = [r * u for r in np.geomspace(R, r_foot, n_rad + 1)]
@@ -294,7 +296,6 @@ def stokes_multipliers(
         raise MonodromyError(f"R must be a positive finite radius, got {R}")
     if R < 2.0 * tps.scale:
         raise MonodromyError("R too small: turning points too close to the circle")
-    roots = tps.all_with_repeats
     r_foot = max(1.35 * max(tps.scale, 1e-12), 1.0)
     if R <= r_foot:
         raise MonodromyError(f"R too small: inside the foot circle |x| = {r_foot:g}")
@@ -305,11 +306,9 @@ def stokes_multipliers(
     # potentials on a class boundary are routed by their own lines.
     lines = trace_stokes_lines(p)
     corridors = {k: [] for k in range(-2, 3)}
-    for i in _order_at_infinity(lines, tps):
+    for i in _order_at_infinity(lines, p):
         ln = lines[i]
-        corridors[ln.terminal[1]].append(
-            (ln.origin, _crossing(ln.points, 0.85 * r_foot, roots))
-        )
+        corridors[ln.terminal[1]].append((ln.origin, _crossing(ln.points, 0.85 * r_foot, p)))
     for k, walls in corridors.items():
         if not walls:
             raise MonodromyError(f"no Stokes line ends on ray {k}")
@@ -402,8 +401,8 @@ def stokes_multipliers(
         log_s = np.log(abs(wn)) - np.log(abs(wd)) + (ln - ld).real
         if log_s > _LOG_MAX:
             raise MonodromyError(
-                f"|sigma_{k}| comes out near e^{log_s:.0f}, beyond the double "
-                f"range (the largest double is e^{_LOG_MAX:.1f})"
+                f"|sigma_{k}| lies beyond the double range "
+                f"(the largest double is e^{_LOG_MAX:.1f})"
             )
         s_k = (wn / wd) * np.exp(ln - ld)
         sigma[k] = 1j * s_k if k == -2 else -s_k

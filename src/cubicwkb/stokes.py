@@ -74,8 +74,14 @@ class SectorRelation:
 
 @dataclass(frozen=True)
 class StokesComplexGraph:
-    internal_vertices: tuple[complex, ...]
-    multiplicities: tuple[int, ...]
+    """The classified Stokes complex of a potential.
+
+    The potential it was traced from is the one source of V and of the
+    turning points: tps is potential.turning_points, and vertex i of the
+    lines and edges is tps.roots[i], of multiplicity tps.multiplicities[i].
+    """
+
+    potential: CubicPotential
     lines: tuple[StokesLine, ...]
     internal_edges: tuple[tuple[int, int], ...]
     external_edges: tuple[tuple[int, int], ...]   # (vertex, ray k)
@@ -87,17 +93,17 @@ class StokesComplexGraph:
 
     @property
     def tps(self) -> TurningPointSet:
-        """The turning points the graph was traced from."""
-        return TurningPointSet(self.internal_vertices, self.multiplicities)
+        """The turning points of the potential, solved once for it."""
+        return self.potential.turning_points
 
     def wall_point(self, wall, radius: float) -> complex:
         """A point on a wall of the complex: the midpoint of an internal edge,
         or where an external line crosses |x| = radius, which must lie
         between its turning point and the tracing radius."""
         if wall[0] == "int":
-            v = self.internal_vertices
+            v = self.tps.roots
             return 0.5 * (v[wall[1]] + v[wall[2]])
-        return _crossing(self.lines[wall[1]].points, radius, self.tps.all_with_repeats)
+        return _crossing(self.lines[wall[1]].points, radius, self.potential)
 
 
 # canonical non-consecutive pairs failing the relation, per class (labels -2..2)
@@ -277,59 +283,51 @@ def _assemble(lines):
     return internal, external
 
 
-def _crossing(pts, radius, roots):
-    """The point where a Stokes line (a polyline that ends outside
-    |x| = radius) last crosses that circle, on the line's level set.
+def _crossing(pts, radius, p):
+    """The point where a Stokes line of the potential p (a polyline that ends
+    outside |x| = radius) last crosses that circle, on the line's level set.
 
     Starting from the chord interpolation, Newton on the angle of
     x = radius e^{i phi} zeroes Re int sqrt(V) from the last polyline point
-    z0 inside the circle to x, summed by Simpson's rule on the chord; V is
-    4 prod (x - r) over the roots with repeats.  A chord read off a coarse
-    polyline sags off the line by more than the deviations of nearly
-    coincident lines at a ray differ.
+    z0 inside the circle to x, summed by Simpson's rule on the chord, with V
+    evaluated by p.  A chord read off a coarse polyline sags off the line by
+    more than the deviations of nearly coincident lines at a ray differ.
     """
-
-    def V(z):
-        out = 4.0
-        for r in roots:
-            out *= z - r
-        return out
-
     q = int(np.nonzero(np.abs(pts) <= radius)[0][-1])
     z0, d = complex(pts[q]), complex(pts[q + 1] - pts[q])
     a2, b1, c0 = abs(d) ** 2, (z0.conjugate() * d).real, abs(z0) ** 2 - radius**2
     x = z0 + d * (-b1 + (b1 * b1 - a2 * c0) ** 0.5) / a2
     # the sheet of z0: the tangent i conj(w0) points along the polyline
-    w0 = cmath.sqrt(V(z0))
+    w0 = cmath.sqrt(p(z0))
     if (1j * (w0 * d).conjugate()).real < 0:
         w0 = -w0
     # the chord start is off by up to ~4e-7 rad; the second step is at rounding
     for _ in range(2):
-        w_mid = _sqrt_continue(V(0.5 * (z0 + x)), w0)
-        w_x = _sqrt_continue(V(x), w_mid)
+        w_mid = _sqrt_continue(p(0.5 * (z0 + x)), w0)
+        w_x = _sqrt_continue(p(x), w_mid)
         level = ((w0 + 4.0 * w_mid + w_x) * (x - z0)).real / 6.0
         x *= cmath.exp(-1j * level / (1j * w_x * x).real)
     return x
 
 
-def _ray_deviation(line, tps):
+def _ray_deviation(line, p):
     """Signed angle from the ray a line ends on, k, to where the line crosses
     the common radius 0.92 R_max.  The lines that end on one ray are ordered
     by it, increasing from the side of sector k to that of sector k+1.
     """
-    R_eval = _R_FACTOR * (1.0 + tps.scale) * 0.92
-    x = _crossing(line.points, R_eval, tps.all_with_repeats)
+    R_eval = _R_FACTOR * (1.0 + p.turning_points.scale) * 0.92
+    x = _crossing(line.points, R_eval, p)
     return _wrap(cmath.phase(x) - PHI[line.terminal[1] + 2])
 
 
-def _order_at_infinity(lines, tps):
+def _order_at_infinity(lines, p):
     """Indices of the lines that end on a ray, in counterclockwise order at
     infinity: by ray k = -2..2, then by increasing _ray_deviation."""
     ends = [i for i, ln in enumerate(lines) if ln.terminal[0] == "ray"]
-    return sorted(ends, key=lambda i: (lines[i].terminal[1], _ray_deviation(lines[i], tps)))
+    return sorted(ends, key=lambda i: (lines[i].terminal[1], _ray_deviation(lines[i], p)))
 
 
-def _compute_relation(internal, lines, tps):
+def _compute_relation(internal, lines, p):
     """Sector relation and corridor walls from the order of the lines at
     infinity.
 
@@ -345,11 +343,11 @@ def _compute_relation(internal, lines, tps):
     sector faces, which have only one.  Walls are ("ext", line index) and
     ("int", i, j), i < j.
     """
-    order = _order_at_infinity(lines, tps)
+    order = _order_at_infinity(lines, p)
     n = len(order)
     origin = [lines[i].origin for i in order]
     ray = [lines[i].terminal[1] for i in order]
-    tree = list(range(len(tps.roots)))
+    tree = list(range(len(p.turning_points.roots)))
     for a, b in internal:
         tree = [tree[a] if t == tree[b] else t for t in tree]
 
@@ -503,7 +501,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
     if n_int >= 3:
         raise ClassificationError("internal subgraph has a cycle")
 
-    relation, corridors = _compute_relation(internal, lines, tps)
+    relation, corridors = _compute_relation(internal, lines, p)
     # consecutive sectors must always be related
     for k in range(-2, 3):
         kn = k + 1 if k < 2 else -2
@@ -514,8 +512,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
 
     labels = _tp_labels(code, shift, tps, internal, external)
     return StokesComplexGraph(
-        internal_vertices=tuple(tps.roots),
-        multiplicities=tuple(tps.multiplicities),
+        potential=p,
         lines=tuple(lines),
         internal_edges=tuple(tuple(sorted(pair)) for pair in internal),
         external_edges=tuple(external),

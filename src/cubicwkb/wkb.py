@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import alpha_integral, alpha_ray_tail, cycle_period, safe_nodes
-from .potential import CubicPotential
 from .stokes import StokesComplexGraph
 
 LOG3_HALF = np.log(3.0) / 2.0
@@ -59,11 +58,11 @@ class RelativeError:
 def _sector_anchor(g: StokesComplexGraph, k: int) -> complex:
     """Reference point on the central ray of geometric sector k, at three
     times the radius of the turning points."""
-    scale = max(max(abs(r) for r in g.internal_vertices), 1e-12)
+    scale = max(max(abs(r) for r in g.tps.roots), 1e-12)
     return 3.0 * scale * np.exp(2j * np.pi * k / 5)
 
 
-def asymptotic_values_320(p: CubicPotential, g: StokesComplexGraph) -> AsymptoticValues:
+def asymptotic_values_320(g: StokesComplexGraph) -> AsymptoticValues:
     """The five asymptotic values of the quantizing class, (0, -2) basis.
 
     w0 = 0, w-2 = inf, w-1 = i e^{-2 dSm1} (exact), hat w2 = -i,
@@ -71,9 +70,11 @@ def asymptotic_values_320(p: CubicPotential, g: StokesComplexGraph) -> Asymptoti
     dSm1 = P_a-1 taken on the classified turning-point labels (the shift is
     already absorbed into them), to tolerance 1e-11.  The quantization
     conditions are the two coincidences hat w1 = w-2 and hat w2 = w-1.
+    The periods are those of the graph's potential.
     """
     if g.class_code != "320":
         raise WrongClassError(f"class {g.class_code}, need 320")
+    p = g.potential
     e1 = np.exp(-2.0 * cycle_period(p, "a1", labels=g.tp_labels).value)
     em1 = np.exp(-2.0 * cycle_period(p, "a-1", labels=g.tp_labels).value)
     w = {
@@ -87,7 +88,7 @@ def asymptotic_values_320(p: CubicPotential, g: StokesComplexGraph) -> Asymptoti
     return AsymptoticValues(w=w, exact_flags=exact)
 
 
-def relative_errors(p: CubicPotential, g: StokesComplexGraph) -> RelativeError:
+def relative_errors(g: StokesComplexGraph) -> RelativeError:
     """WKB relative errors rho[l][k] along representative admissible paths.
 
     rho vanishes for consecutive sectors and is infinite for unrelated
@@ -95,9 +96,9 @@ def relative_errors(p: CubicPotential, g: StokesComplexGraph) -> RelativeError:
     (alpha_ray_tail and alpha_integral), where the corridor crosses exactly
     the walls joining the two sectors in the embedded graph.  Also reports
     whether the small-error relation (rho < log(3)/2) coincides with the
-    connectivity relation.
+    connectivity relation.  alpha is that of the graph's potential.
     """
-    tps = g.tps
+    p, tps = g.potential, g.tps
     roots = tps.all_with_repeats
     clearance = 0.05 * max(tps.separation, 1e-12) if len(tps.roots) > 1 else 0.0
     rho = np.full((5, 5), np.inf)
@@ -106,7 +107,7 @@ def relative_errors(p: CubicPotential, g: StokesComplexGraph) -> RelativeError:
         for k in (l - 1, l + 1):
             rho[(l + 2) % 5, (k + 2) % 5] = 0.0
     # external walls are sampled at a moderate radius beyond the vertices
-    r_ext = 1.5 * max(max(abs(v) for v in g.internal_vertices), 1e-12)
+    r_ext = 1.5 * max(max(abs(v) for v in tps.roots), 1e-12)
     for l in range(-2, 3):
         for k in range(l + 1, 3):
             if (k - l) % 5 in (1, 4) or not g.relation.related(l, k):

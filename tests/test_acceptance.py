@@ -196,7 +196,7 @@ def test_rescaled_certificate_matches_fresh_classify(lattice_5x5):
         for cycle, target in targets.items():
             got = cycle_period(p, cycle, labels=g.tp_labels, tol=1e-12).value
             worst_period = max(worst_period, abs(got - target))
-        rho = relative_errors(p, g).max_finite
+        rho = relative_errors(g).max_finite
         worst_rho = max(worst_rho, abs(rho - sol.rho_max) / rho)
     ok = worst_period <= 1e-10 and worst_rho <= 1e-8
     assert report("rescaled certificate = fresh classify", ok,
@@ -250,15 +250,15 @@ def test_criterion_6_classification_suite(orbit_potential):
         a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
         p = CubicPotential(a, b)
         g = classify(p)  # raises on any invariant violation
-        deg = {i: 0 for i in range(len(g.internal_vertices))}
+        deg = {i: 0 for i in range(len(g.tps.roots))}
         for i, j in g.internal_edges:
             deg[i] += 1
             deg[j] += 1
         for vi, k in g.external_edges:
             deg[vi] += 1
-        ok &= all(deg[i] == m + 2 for i, m in enumerate(g.multiplicities))
+        ok &= all(deg[i] == m + 2 for i, m in enumerate(g.tps.multiplicities))
         ok &= len(g.internal_edges) <= 2
-        if g.multiplicities == (1, 1, 1):
+        if g.tps.multiplicities == (1, 1, 1):
             n_simple += 1
             agree = classify_by_periods(p).consistent_with(g.class_code)
             n_agree += agree
@@ -292,9 +292,9 @@ def test_criterion_7_scaling_laws(orbit_potential, lattice_5x5):
         worst_p = max(worst_p, abs(got - x**2.5 * base) / abs(x**2.5 * base))
 
         g = classify(p)
-        rho = relative_errors(p, g).max_finite
+        rho = relative_errors(g).max_finite
         gq = classify(q)
-        rho_x = relative_errors(q, gq).max_finite
+        rho_x = relative_errors(gq).max_finite
         worst_r = max(worst_r, abs(rho_x - x**-2.5 * rho) / abs(x**-2.5 * rho))
     ok = worst_p <= 1e-8 and worst_r <= 1e-8
     assert report(

@@ -162,14 +162,18 @@ def test_lattice_cells_below_the_diagonal_are_conjugates():
 
 def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
     certify = bsb._certify
+    targets = []
 
     def braided_above_two(p, t1, t2):
+        targets.append(t2)
         if abs(t2) > 2 * np.pi:
             raise SolverError("labels braided on the kappa curve")
         return certify(p, t1, t2)
 
     monkeypatch.setattr(bsb, "_certify", braided_above_two)
     solved, failures = solve_lattice(2, 2, tol=1e-9)
+    # one certificate per kappa, 1 and 3: the failing one is tried once
+    assert [abs(t2) > 2 * np.pi for t2 in targets] == [False, True]
     # kappa = 3 serves (1, 2) and, through conjugation, (2, 1)
     assert set(failures) == {(1, 2), (2, 1)}
     assert failures[(1, 2)] and failures[(2, 1)]
@@ -187,6 +191,17 @@ def test_certificate_propagates_unexpected_errors(monkeypatch, sol_11):
     monkeypatch.setattr(bsb, "classify", broken)
     with pytest.raises(TypeError):
         bsb._certify(sol_11.potential, 1j * np.pi / 2, -1j * np.pi / 2)
+
+
+def test_kappa_walk_takes_one_newton_step_per_node(monkeypatch):
+    # 5 x 5 has nine kappas above 1, each one Newton solve from the last
+    # node, and each of the 25 cells one confirming solve
+    newton = bsb._newton_targets
+    calls = []
+    monkeypatch.setattr(bsb, "_newton_targets", lambda *a, **k: calls.append(1) or newton(*a, **k))
+    solved, failures = solve_lattice(5, 5)
+    assert not failures and len(solved) == 25
+    assert len(calls) == 9 + 25
 
 
 def test_lattice_propagates_unexpected_errors(monkeypatch):

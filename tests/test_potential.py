@@ -70,7 +70,7 @@ def test_roots_are_solved_once_per_potential(orbit_potential, monkeypatch):
     monkeypatch.setattr(potential, "_solve_turning_points", lambda q: solved.append(q) or solve(q))
     q = CubicPotential(orbit_potential.a, orbit_potential.b)
     g = classify(q)
-    relative_errors(q, g)
+    relative_errors(g)
     stokes_multipliers(q)
     assert solved == [q]
 

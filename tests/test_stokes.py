@@ -47,7 +47,15 @@ def test_anti_stokes_rays_of_pure_cubic():
 def test_pure_cubic_class_000():
     g = classify(CubicPotential(0, 0))
     assert g.class_code == "000"
-    assert g.multiplicities == (3,)
+    assert g.tps.multiplicities == (3,)
+
+
+def test_graph_carries_its_potential(orbit_potential):
+    # the graph reads its roots and V off the potential it was traced from
+    p = CubicPotential(orbit_potential.a, orbit_potential.b)
+    g = classify(p)
+    assert g.potential is p
+    assert g.tps is turning_points(p)
 
 
 def test_110_family_four_lines_from_double_point():
@@ -59,7 +67,7 @@ def test_110_family_four_lines_from_double_point():
     ]  # representative index check below
     g = classify(p)
     assert g.class_code == "110"
-    mult_of = dict(zip(range(len(g.multiplicities)), g.multiplicities))
+    mult_of = dict(zip(range(len(g.tps.multiplicities)), g.tps.multiplicities))
     from_double = [ln for ln in lines if mult_of[ln.origin] == 2]
     assert len(from_double) == 4
 
@@ -115,13 +123,13 @@ def test_decoration_covariance(orbit_potential):
 def test_valency_law_and_acyclicity_random_real():
     for a, b in random_potentials(23, 25, box=3.0, real=True):
         g = classify(CubicPotential(a, b))
-        deg = {i: 0 for i in range(len(g.internal_vertices))}
+        deg = {i: 0 for i in range(len(g.tps.roots))}
         for i, j in g.internal_edges:
             deg[i] += 1
             deg[j] += 1
         for vi, k in g.external_edges:
             deg[vi] += 1
-        for i, m in enumerate(g.multiplicities):
+        for i, m in enumerate(g.tps.multiplicities):
             assert deg[i] == m + 2
         assert len(g.internal_edges) <= 2
         # every ray is reached
@@ -138,7 +146,7 @@ def test_consecutive_corridors_are_the_lines_at_each_ray():
     # ray k, in counterclockwise order: the monodromy oracle's corridor k
     for a, b in random_potentials(23, 25, box=3.0, real=True):
         g = classify(CubicPotential(a, b))
-        order = _order_at_infinity(g.lines, g.tps)
+        order = _order_at_infinity(g.lines, g.potential)
         for k in range(-2, 3):
             at_ray = tuple(("ext", i) for i in order if g.lines[i].terminal == ("ray", k))
             assert g.corridors[(k, (k + 3) % 5 - 2)] == at_ray, (a, b, k)
@@ -150,14 +158,14 @@ def test_interleaved_ends_of_an_internal_line_are_ambiguous(monkeypatch):
     p = CubicPotential(2.0, 0.0)
     g = classify(p)
     ((u, v),) = g.internal_edges
-    order = _order_at_infinity(g.lines, g.tps)
+    order = _order_at_infinity(g.lines, g.potential)
     tree = [n for n, i in enumerate(order) if g.lines[i].origin in (u, v)]
     x, y = next(
         (x, y) for x, y in zip(tree, tree[1:] + tree[:1])
         if g.lines[order[x]].origin != g.lines[order[y]].origin
     )
     order[x], order[y] = order[y], order[x]
-    monkeypatch.setattr(stokes, "_order_at_infinity", lambda lines, tps: order)
+    monkeypatch.setattr(stokes, "_order_at_infinity", lambda lines, p: order)
     with pytest.raises(AmbiguousClassError, match="planar"):
         classify(p)
 
@@ -169,7 +177,7 @@ def test_conjugation_symmetry_real_potentials():
         g = classify(CubicPotential(a, b))
         ext = set()
         for vi, k in g.external_edges:
-            z = g.internal_vertices[vi]
+            z = g.tps.roots[vi]
             ext.add((round(z.real, 6), round(z.imag, 6), k))
         mirrored = set()
         for re, im, k in ext:
@@ -226,7 +234,7 @@ def test_class_table_reads_both_ways(orbit_potential):
         assert np.array_equal(
             g.relation.matrix, canonical_relation(code, g.decoration_shift).matrix
         )
-        n_simple = g.multiplicities.count(1)
+        n_simple = g.tps.multiplicities.count(1)
         n_int = len(g.internal_edges)
         # external valence of each canonical ray k, read at ray k + shift
         rays = [k for _, k in g.external_edges]

@@ -26,13 +26,13 @@ def test_wrong_class_rejected():
     p = CubicPotential(0, 0)
     g = classify(p)
     with pytest.raises(WrongClassError):
-        asymptotic_values_320(p, g)
+        asymptotic_values_320(g)
 
 
 def test_asymptotic_values_structure_at_solution(sol_11):
     p = sol_11.potential
     g = classify(p)
-    av = asymptotic_values_320(p, g)
+    av = asymptotic_values_320(g)
     # basis values
     assert proj_equal(av.w[0], (0.0, 1.0))
     assert av.is_infinite(-2)
@@ -52,7 +52,7 @@ def test_asymptotic_values_pairwise_distinct_off_solution(orbit_potential):
     # most one pair
     p = orbit_potential
     g = classify(p)
-    av = asymptotic_values_320(p, g)
+    av = asymptotic_values_320(g)
     coincident = 0
     ks = list(range(-2, 3))
     for i, ka in enumerate(ks):
@@ -65,7 +65,7 @@ def test_asymptotic_values_pairwise_distinct_off_solution(orbit_potential):
 def test_consecutive_values_never_equal(sol_11, orbit_potential):
     for p in (sol_11.potential, orbit_potential):
         g = classify(p)
-        av = asymptotic_values_320(p, g)
+        av = asymptotic_values_320(g)
         for k in range(-2, 3):
             kn = (k + 1 + 2) % 5 - 2
             assert not proj_equal(av.w[k], av.w[kn], tol=1e-12)
@@ -76,7 +76,7 @@ def test_residual_value_consistency(sol_11, orbit_potential):
     # solver's period residual vanishes and fail off the solutions
     assert sol_11.residual_norm < 1e-8
     for p, at_solution in ((sol_11.potential, True), (orbit_potential, False)):
-        av = asymptotic_values_320(p, classify(p))
+        av = asymptotic_values_320(classify(p))
         w1_is_wm2 = proj_equal(av.w[1], av.w[-2], tol=1e-8)
         w2_is_wm1 = proj_equal(av.w[2], av.w[-1], tol=1e-8)
         assert w1_is_wm2 == w2_is_wm1 == at_solution
@@ -84,7 +84,7 @@ def test_residual_value_consistency(sol_11, orbit_potential):
 
 def test_relative_errors_structure(orbit_potential):
     g = classify(orbit_potential)
-    re = relative_errors(orbit_potential, g)
+    re = relative_errors(g)
     # consecutive entries vanish, matrix is symmetric
     for l in range(-2, 3):
         ln = (l + 1 + 2) % 5 - 2
@@ -103,7 +103,7 @@ def test_relative_errors_structure(orbit_potential):
 def test_relative_errors_finite_below_threshold_at_n2(sol_22):
     p = sol_22.potential
     g = classify(p)
-    re = relative_errors(p, g)
+    re = relative_errors(g)
     assert 0 < re.max_finite < LOG3_HALF
     assert re.sim_equals_relation
 
@@ -123,9 +123,9 @@ def test_relative_errors_scaling(orbit_potential):
         )
     ]
     for p, x, rel in cases:
-        base = relative_errors(p, classify(p)).max_finite
+        base = relative_errors(classify(p)).max_finite
         q = apply_group(GroupElement(x, 0), p)
-        got = relative_errors(q, classify(q)).max_finite
+        got = relative_errors(classify(q)).max_finite
         assert got == pytest.approx(x**-2.5 * base, rel=rel), p
 
 
@@ -173,8 +173,8 @@ def test_quintuplet_predicts_stokes_multipliers(sol_11, sol_12, orbit_potential)
     ):
         g = classify(p)
         shifts.append(g.decoration_shift)
-        av = asymptotic_values_320(p, g)
-        rho = relative_errors(p, g).max_finite
+        av = asymptotic_values_320(g)
+        rho = relative_errors(g).max_finite
         sigma = stokes_multipliers(p).sigma
         for k in range(-2, 3):
             exact = sigma[_s5(k + g.decoration_shift)]
