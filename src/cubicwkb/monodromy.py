@@ -41,7 +41,10 @@ from .stokes import _crossing, _order_at_infinity, trace_stokes_lines
 
 # order of the Taylor series each transport step sums
 TAYLOR_ORDER = 30
-_TAYLOR_INV = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(TAYLOR_ORDER - 1))
+# per recurrence index n: 1 / ((n+2)(n+1)) and n+2 as a float, which
+# multiplies a complex exactly as the int does
+_TAYLOR_COEFFS = tuple((1.0 / ((n + 2) * (n + 1)), float(n + 2))
+                       for n in range(TAYLOR_ORDER - 1))
 # a step halved this often without meeting the tail tolerance is a failure
 _MAX_HALVINGS = 40
 # coefficients of the formal solution at infinity, d_{-3} .. d_{97}: six
@@ -199,11 +202,15 @@ def _taylor_step(V0, V1, x0, v, dv, h):
     em3, em2, em1, en, en1 = 0.0, 0.0, 0.0, v, h * dv
     psi = en + en1
     hdpsi = en1
-    for n, inv in enumerate(_TAYLOR_INV):
+    for inv, n2 in _TAYLOR_COEFFS:
         en2 = (c0 * en + c1 * em1 + c2 * em2 + c3 * em3) * inv
         psi += en2
-        hdpsi += (n + 2) * en2
-        em3, em2, em1, en, en1 = em2, em1, en, en1, en2
+        hdpsi += n2 * en2
+        em3 = em2
+        em2 = em1
+        em1 = en
+        en = en1
+        en1 = en2
     return psi, hdpsi, abs(en) + abs(en1)
 
 

@@ -23,6 +23,7 @@ class CubicPotential:
     b: complex
 
     def __call__(self, lam: complex) -> complex:
+        # stokes._trace_one evaluates V inline with these operations
         return 4 * lam**3 - 2 * self.a * lam - 28 * self.b
 
     def d1(self, lam: complex) -> complex:

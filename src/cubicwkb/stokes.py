@@ -155,6 +155,7 @@ def _launch_directions(
 
 
 def _sqrt_continue(V: complex, prev: complex) -> complex:
+    """The square root of V nearer to prev (_trace_one inlines this test)."""
     w = cmath.sqrt(V)
     return -w if abs(w + prev) < abs(w - prev) else w
 
@@ -172,25 +173,37 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     square-root continuations: at the chord's midpoint, at the predicted
     point and at the corrected point.
 
-    The loop runs on Python complex scalars (V included), not numpy: a line
-    takes thousands of steps over at most three roots, and numpy's per-call
+    The loop runs on Python complex scalars, not numpy: a line takes
+    thousands of steps over at most three roots, and numpy's per-call
     overhead on such small operands cost about four times the arithmetic.
+    For the same reason the loop evaluates V and continues the square root
+    inline, with the operations of CubicPotential.__call__ and
+    _sqrt_continue in their order, and reads the root distances and the step
+    cap by comparisons: a step calls no function but cmath.sqrt, abs,
+    complex.conjugate and pts.append, whose calls would otherwise cost more
+    than the arithmetic they wrap.
     """
     roots = [complex(r) for r in tps.roots]
     tp = roots[origin]
+    # the other roots, padded with the origin to two: a repeated distance
+    # leaves the nearest one unchanged
+    r1, r2 = ([r for i, r in enumerate(roots) if i != origin] + [tp, tp])[:2]
     scale = max(tps.scale, 1.0)
     r_launch = _launch_radius(tps)
     r_trap = _TRAP_FACTOR * max(tps.separation, 1e-3 * scale) if len(roots) > 1 else 0.0
     R_max = _R_FACTOR * (1.0 + tps.scale)
-    V = CubicPotential(complex(p.a), complex(p.b))
+    # V(z) = 4 z**3 - a2 z - b28, as CubicPotential.__call__ evaluates it
+    a2, b28 = 2 * complex(p.a), 28 * complex(p.b)
+    sqrt = cmath.sqrt
 
     z = tp + r_launch * cmath.exp(1j * theta)
-    w = cmath.sqrt(V(z))
+    w = sqrt(4 * z**3 - a2 * z - b28)
     turn = 1j if not anti_stokes else 1.0
     if (turn * w.conjugate() * cmath.exp(-1j * theta)).real < 0:
         w = -w
 
     pts = [tp, z]
+    append = pts.append
 
     def line(terminal):
         return StokesLine(origin, direction_index, np.array(pts), terminal)
@@ -202,48 +215,77 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     s_launch = line_action(p, (tp, z), w, tol=1e-14, clearance=0.0).value
     # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
     u = 1.0 + 0.0j if not anti_stokes else -1.0j
+    uc = u.conjugate()
     drift = float((u * s_launch).real)
+    # r_trap < 3 r_launch, so a root trapped past 3 r_launch is another one
+    d_away, d_home = 3 * r_launch, 0.5 * r_launch
+    h_floor, h_launch = 1e-6 * scale, 0.05 * r_launch
     for n in range(1, _MAX_STEPS + 1):
-        dists = [abs(z - r) for r in roots]
-        d_min = min(dists)
-        if d_min < r_trap and dists[origin] > 3 * r_launch:
-            # r_trap < 3 r_launch, so the nearest root is another one
+        d_o = abs(z - tp)
+        d_min = d_o
+        d = abs(z - r1)
+        if d < d_min:
+            d_min = d
+        d = abs(z - r2)
+        if d < d_min:
+            d_min = d
+        if d_min < r_trap and d_o > d_away:
+            dists = [abs(z - r) for r in roots]
             j = dists.index(d_min)
-            pts.append(roots[j])
+            append(roots[j])
             return line(("tp", j))
-        if abs(z) >= R_max:
+        az = abs(z)
+        if az >= R_max:
             ang = cmath.phase(z)
             devs = [abs(_wrap(ang - f)) for f in rays]
             k = int(np.argmin(devs))
             if devs[k] > _WEDGE_TOL:
                 return line(("unresolved", -99))
             return line(("ray", k - 2))
-        if dists[origin] < 0.5 * r_launch and n > 10:
+        if d_o < d_home and n > 10:
             # returned to its own turning point: numerically degenerate
             return line(("unresolved", -98))
 
+        # hcap = min(max(0.2 d_min, h_floor, h_launch), 0.1 (1 + |z|))
         hcap = 0.2 * d_min
-        hcap = max(hcap, 1e-6 * scale)
-        hcap = min(max(hcap, 0.05 * r_launch), 0.1 * (1.0 + abs(z)))
+        if h_floor > hcap:
+            hcap = h_floor
+        if h_launch > hcap:
+            hcap = h_launch
+        h_far = 0.1 * (1.0 + az)
+        if h_far < hcap:
+            hcap = h_far
         h = 0.2 * hcap
 
         # predictor: tangent step, continuing the root to the chord's midpoint
         # and end; Simpson's rule on the chord gives d(level) = Re(u w dz)
         dz = h * turn * w.conjugate() / abs(w)
-        w_mid = _sqrt_continue(V(z + 0.5 * dz), w)
-        w_new = _sqrt_continue(V(z + dz), w_mid)
+        zm = z + 0.5 * dz
+        s = sqrt(4 * zm**3 - a2 * zm - b28)
+        w_mid = -s if abs(s + w) < abs(s - w) else s
+        zn = z + dz
+        s = sqrt(4 * zn**3 - a2 * zn - b28)
+        w_new = -s if abs(s + w_mid) < abs(s - w_mid) else s
         drift += (u * (w + 4.0 * w_mid + w_new) * dz).real / 6.0
-        z, w = z + dz, w_new
+        z, w = zn, w_new
         # corrector: transverse Newton projection back onto the level set;
         # the guard is relative to the distance from the nearest turning
         # point so the correction stays active during saddle approaches
         if drift != 0.0:
-            dz = -drift * u.conjugate() * w.conjugate() / abs(w) ** 2
-            if abs(dz) < 0.3 * min([abs(z - r) for r in roots]):
+            dz = -drift * uc * w.conjugate() / abs(w) ** 2
+            d_min = abs(z - tp)
+            d = abs(z - r1)
+            if d < d_min:
+                d_min = d
+            d = abs(z - r2)
+            if d < d_min:
+                d_min = d
+            if abs(dz) < 0.3 * d_min:
                 z = z + dz
-                w = _sqrt_continue(V(z), w)
+                s = sqrt(4 * z**3 - a2 * z - b28)
+                w = -s if abs(s + w) < abs(s - w) else s
                 drift = 0.0
-        pts.append(z)
+        append(z)
     return line(("unresolved", -97))
 
 

@@ -9,6 +9,7 @@ import cubicwkb
 import cubicwkb.cli as cli
 from cubicwkb.bsb import real_poles
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
+from cubicwkb.monodromy import StokesMultipliers, _s5
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group
 
 
@@ -148,6 +149,28 @@ def test_verify_exit_code_follows_admissibility(capsys, n, want):
     worst = max(json.loads(out)["normalized_residuals"])
     assert (worst > 1e-6) == (want == EXIT_AMBIGUOUS)
     assert ("normalized admissibility residual" in err) == (want == EXIT_AMBIGUOUS)
+
+
+def test_verify_exits_2_on_inadmissible_multipliers(tmp_path, monkeypatch, capsys):
+    # the multipliers of (0, 0), all i (sqrt 5 - 1)/2, with sigma_0 moved off
+    # by 5e-3: the normalized residual is about 1e-3 by construction, with no
+    # monodromy run behind it
+    s0 = 0.5j * (np.sqrt(5.0) - 1.0)
+    sigma = {k: s0 for k in range(-2, 3)}
+    sigma[0] = s0 * (1.0 + 5e-3)
+    residuals = tuple(
+        1.0 + sigma[k] * sigma[_s5(k + 1)] + 1j * sigma[_s5(k + 3)] for k in range(-2, 3)
+    )
+    s = StokesMultipliers(sigma, residuals, 0.0, 1e-14)
+    assert 1e-4 < s.max_normalized_residual < 1e-2
+    monkeypatch.setattr(cli, "stokes_multipliers", lambda p, R=None: s)
+    out_path = tmp_path / "v.json"
+    code, out, err = run_cli(capsys, "verify", "--a", "0", "--b", "0", "--out", str(out_path))
+    assert code == EXIT_AMBIGUOUS
+    report = json.loads(out_path.read_text())
+    assert max(report["normalized_residuals"]) == s.max_normalized_residual
+    assert report["sigma"]["0"] == [sigma[0].real, sigma[0].imag]
+    assert "normalized admissibility residual" in err
 
 
 def test_constants(capsys):

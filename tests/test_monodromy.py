@@ -264,8 +264,12 @@ def test_real_pole_10_walks_along_internal_lines():
 @pytest.mark.parametrize("r", [8.0, 4.0 + 4.0j, 8.0 + 8.0j])
 def test_multipliers_beyond_double_range_fail_cleanly(r):
     # the exact double root (6 r^2, -2 r^3/7): |sigma_+-1| is about
-    # exp(2 (8/15) |3 r|^{5/2}), which no double holds; the radius 2.2 scale
-    # (the default is 4 (1 + scale)) keeps the radial legs short
+    # exp(2 |Re((8/15) (3 r)^{5/2})|), which is exp(2 (8/15) |3 r|^{5/2}) only
+    # for real r: e^3010 at r = 8 and e^2740 at 8 + 8i, which no double holds,
+    # but e^484 at 4 + 4i, inside the range; that point is refused only
+    # because its Wronskians are contaminated (the oracle's known defect at
+    # large double roots).  The radius 2.2 scale (the default is
+    # 4 (1 + scale)) keeps the radial legs short
     p = CubicPotential(6 * r * r, -2 * r**3 / 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
