@@ -185,6 +185,10 @@ def cmd_verify(args) -> int:
         "tritronquee_margin": margin,
         "tritronquee": bool(passed),
         "completed": list(s.completed),
+        "transport_steps": {
+            "taylor_steps": s.taylor_steps,
+            "rejected_steps": s.rejected_steps,
+        },
     }
     text = json.dumps(report, indent=2)
     if args.out:

@@ -23,7 +23,8 @@ The ODE psi'' = V psi is stepped along each straight segment of those paths
 by Taylor series.  Because V is a cubic polynomial, the Taylor coefficients
 about any point obey an exact four-term recurrence (``_taylor_step``); a
 step is accepted when the last two terms of the series are within ``rtol``
-of max(|psi|, |h psi'|) at both of its ends, and halved otherwise.  The
+of max(|psi|, |h psi'|) at both of its ends, and halved otherwise; a full
+step starts at the size the tail test accepts (``_transport``).  The
 reported ``est_error`` adds, over the five sectors, the first omitted term
 window of the series and the rounding floor, and then, for the worst
 multiplier, the transport tolerance ``rtol`` amplified by the climb of each
@@ -45,7 +46,9 @@ TAYLOR_ORDER = 30
 # multiplies a complex exactly as the int does
 _TAYLOR_COEFFS = tuple((1.0 / ((n + 2) * (n + 1)), float(n + 2))
                        for n in range(TAYLOR_ORDER - 1))
-# a step halved this often without meeting the tail tolerance is a failure
+# tries per transport step, the first at the remainder (up to 7/m) or at
+# 3.5/m (see ``_transport``) and each next one at half the last: a step that
+# meets the tail tolerance at none of them raises MonodromyError
 _MAX_HALVINGS = 40
 # coefficients of the formal solution at infinity, d_{-3} .. d_{97}: six
 # leading ones, then 19 windows of five
@@ -71,6 +74,10 @@ class StokesMultipliers:
     two_point_spread: float
     est_error: float
     completed: tuple[int, ...] = ()
+    # accepted Taylor steps over all radial legs and walks, and the tries
+    # that failed the tail test
+    taylor_steps: int = 0
+    rejected_steps: int = 0
 
     @property
     def max_admissibility_residual(self) -> float:
@@ -214,19 +221,28 @@ def _taylor_step(V0, V1, x0, v, dv, h):
     return psi, hdpsi, abs(en) + abs(en1)
 
 
-def _transport(p, nodes, v, dv, l, rtol):
+def _transport(p, nodes, v, dv, l, rtol, tally=None):
     """Carry (psi, psi', log_scale) along a polyline, rescaling per node.
 
     Each straight segment is stepped by Taylor series of order TAYLOR_ORDER
     (``_taylor_step``).  A step of length h is accepted when the last two
     series terms are within rtol of max(|psi|, |h psi'|) at both of its
-    ends; otherwise h is halved.
+    ends; otherwise h is halved, at most _MAX_HALVINGS tries in all.  With
+    the rate m = max(|V|^{1/2}, |V'|^{1/3}, |12 x|^{1/4}, 4^{1/5}) at the
+    step's start, the remainder of a segment is tried whole when it is at
+    most 7/m, and any other step starts at 3.5/m: there h |V|^{1/2} <= 3.5,
+    where the order-30 tail of e^{h sqrt V} is about 1e-3 of the bound,
+    while at 7/m it is about 1e5 times the bound and the try would almost
+    always be rejected.
 
     Returns the state (v, dv, l, quality) at every node: quality is the net
     climb of -log|psi| from its running minimum since the first node, which
     bounds the log of the contamination amplification picked up along the
-    way (a clean, downhill leg has quality ~ 0).
+    way (a clean, downhill leg has quality ~ 0).  A ``tally`` list
+    [accepted, rejected] is incremented by the accepted steps and by the
+    tries that failed the tail test.
     """
+    steps = rejected = 0
     h_min = -(l.real + np.log(max(abs(v), 1e-300)))
     h_end = h_min
     states = [(v, dv, l, 0.0)]
@@ -239,12 +255,13 @@ def _transport(p, nodes, v, dv, l, rtol):
         x = a
         while x != b:
             V0, V1 = p(x), p.d1(x)
-            guess = 7.0 / max(
+            rate = max(
                 abs(V0) ** 0.5, abs(V1) ** (1 / 3), abs(12.0 * x) ** 0.25, 4.0**0.2
             )
-            # the whole remainder when it fits, landing exactly on b
-            h = b - x if guess >= abs(b - x) else guess * unit
-            for _ in range(_MAX_HALVINGS):
+            # the whole remainder when it is at most 7/m, landing exactly on
+            # b; a full step otherwise, at 3.5/m
+            h = b - x if 7.0 / rate >= abs(b - x) else (3.5 / rate) * unit
+            for tries in range(_MAX_HALVINGS):
                 psi, hdpsi, tail = _taylor_step(V0, V1, x, v, dv, h)
                 scale = min(max(abs(v), abs(h * dv)), max(abs(psi), abs(hdpsi)))
                 if tail <= rtol * scale:
@@ -252,6 +269,8 @@ def _transport(p, nodes, v, dv, l, rtol):
                 h = 0.5 * h
             else:
                 raise MonodromyError(f"transport failed on segment {a} -> {b}")
+            steps += 1
+            rejected += tries
             x = b if h == b - x else x + h
             v, dv = psi, hdpsi / h
             mag = abs(v)
@@ -267,13 +286,16 @@ def _transport(p, nodes, v, dv, l, rtol):
             raise MonodromyError("solution vanished or overflowed in transport")
         v, dv, l = v / m, dv / m, l + np.log(m)
         states.append((v, dv, l, float(max(0.0, h_end - h_min))))
+    if tally is not None:
+        tally[0] += steps
+        tally[1] += rejected
     return states
 
 
-def _radial_leg(p, k, R, r_foot, rtol, v, dv, l):
+def _radial_leg(p, k, R, r_foot, rtol, v, dv, l, tally=None):
     """The normalized solution of sector k, given as (v, dv, log_scale) at
     |x| = R, carried inward along its own ray to |x| = r_foot: (v, dv,
-    log_scale) at the foot."""
+    log_scale) at the foot.  ``tally`` is passed to ``_transport``."""
     # _RESCALE alone keeps the climb of e^{(4/5) R^{5/2}} in range; the leg
     # is still cut geometrically, renormalized at each cut, because the walls
     # picked at the real pole n = 14 depend on its end state at rounding
@@ -281,7 +303,7 @@ def _radial_leg(p, k, R, r_foot, rtol, v, dv, l):
     n_rad = max(1, int(0.8 * R**2.5 / 150.0) + 1)
     u = np.exp(2j * np.pi * k / 5.0)
     nodes = [r * u for r in np.geomspace(R, r_foot, n_rad + 1)]
-    v, dv, l, _ = _transport(p, nodes, v, dv, l, rtol)[-1]
+    v, dv, l, _ = _transport(p, nodes, v, dv, l, rtol, tally)[-1]
     return v, dv, l
 
 
@@ -356,19 +378,20 @@ def stokes_multipliers(
     starts = _sector_starts(p, R)
     init_est = 0.0
     data = {}  # (j, eval_key) -> (v, dv, l, quality)
+    tally = [0, 0]  # accepted transport steps, rejected tries
     for j in range(-2, 3):
         v, dv, l, est = starts[j]
         init_est += est
-        v, dv, l = _radial_leg(p, j, R, r_foot, rtol, v, dv, l)
+        v, dv, l = _radial_leg(p, j, R, r_foot, rtol, v, dv, l, tally)
         foot = r_foot * np.exp(1j * (2.0 * np.pi * j / 5.0))
         c0, c1, c2 = corridors[j], corridors[_s5(j + 1)], corridors[_s5(j + 2)]
         nodes, at = walk(foot, c0 + c1 + c2[:1])
-        states = _transport(p, nodes, v, dv, l, rtol)
+        states = _transport(p, nodes, v, dv, l, rtol, tally)
         for off, i in zip((0, 1, 2), (0, len(c0), len(c0) + len(c1))):
             data[(j, _s5(j + off))] = states[at[i]]
         d1, d2 = corridors[_s5(j - 1)][::-1], corridors[_s5(j - 2)][::-1]
         nodes, at = walk(foot, d1 + d2)
-        states = _transport(p, nodes, v, dv, l, rtol)
+        states = _transport(p, nodes, v, dv, l, rtol, tally)
         for off, i in zip((-1, -2), (len(d1) - 1, len(d1) + len(d2) - 1)):
             data[(j, _s5(j + off))] = states[at[i]]
 
@@ -448,6 +471,8 @@ def stokes_multipliers(
         two_point_spread=spread,
         est_error=float(init_est + max(sig_err.values())),
         completed=completed,
+        taylor_steps=tally[0],
+        rejected_steps=tally[1],
     )
 
 

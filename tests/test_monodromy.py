@@ -14,6 +14,7 @@ from cubicwkb.monodromy import (
     _formal_series,
     _radial_leg,
     _sector_starts,
+    _taylor_step,
     _transport,
     default_radius,
     stokes_multipliers,
@@ -204,6 +205,49 @@ def test_transport_matches_bessel_k():
             scale = mp.exp(mp.mpc(l))
             assert abs(mp.mpc(v) * scale - psi) <= 1e-11 * abs(psi)
             assert abs(mp.mpc(dv) * scale - dpsi) <= 1e-11 * abs(dpsi)
+
+
+def test_full_steps_start_where_the_tail_test_passes(sigma_04):
+    # a full step starts at 3.5/m, which the tail test accepts, so few tries
+    # are rejected (a start at 7/m would be rejected on almost every step)
+    assert sigma_04.taylor_steps > 0
+    assert sigma_04.rejected_steps <= 0.25 * sigma_04.taylor_steps
+
+
+def test_step_counts_match_taylor_evaluations(monkeypatch):
+    # every _taylor_step call is either an accepted step or a rejected try
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _taylor_step(*args)
+
+    monkeypatch.setattr(monodromy, "_taylor_step", counted)
+    s = stokes_multipliers(CubicPotential(0.4, -0.3))
+    assert s.rejected_steps > 0
+    assert len(calls) == s.taylor_steps + s.rejected_steps
+
+
+def test_half_step_passes_the_tail_test_where_the_full_one_fails():
+    # at the start R e^{2 pi i k/5} of each radial leg of (0.4, -0.3), a step
+    # of 7/m inward leaves an order-30 tail about 1.9e5 times rtol * scale,
+    # and one of 3.5/m about 6.5e-4 times it: hence full steps start at 3.5/m
+    p = CubicPotential(0.4, -0.3)
+    R = default_radius(p)
+    rtol = 1e-13
+    for k, (v, dv, _, _) in _sector_starts(p, R).items():
+        u = np.exp(2j * np.pi * k / 5)
+        x = R * u
+        V0, V1 = p(x), p.d1(x)
+        m = max(abs(V0) ** 0.5, abs(V1) ** (1 / 3), abs(12.0 * x) ** 0.25, 4.0**0.2)
+        ratios = []
+        for size in (7.0, 3.5):
+            h = -(size / m) * u
+            psi, hdpsi, tail = _taylor_step(V0, V1, x, v, dv, h)
+            scale = min(max(abs(v), abs(h * dv)), max(abs(psi), abs(hdpsi)))
+            ratios.append(tail / (rtol * scale))
+        assert 1e5 < ratios[0] < 4e5
+        assert 3e-4 < ratios[1] < 1.3e-3
 
 
 def test_radial_legs_grow_like_wkb():
