@@ -48,7 +48,9 @@ _TAYLOR_COEFFS = tuple((1.0 / ((n + 2) * (n + 1)), float(n + 2))
                        for n in range(TAYLOR_ORDER - 1))
 # tries per transport step, the first at the remainder (up to 7/m) or at
 # 3.5/m (see ``_transport``) and each next one at half the last: a step that
-# meets the tail tolerance at none of them raises MonodromyError
+# meets the tail tolerance at none of them raises MonodromyError.  The
+# smallest full step tried is thus (3.5/m) 2^-39 = (7/m) 2^-40, half of what
+# a start at 7/m with the same number of tries reached
 _MAX_HALVINGS = 40
 # coefficients of the formal solution at infinity, d_{-3} .. d_{97}: six
 # leading ones, then 19 windows of five
