@@ -182,6 +182,7 @@ def cmd_verify(args) -> int:
         "normalized_residuals": list(s.normalized_residuals),
         "two_point_spread": s.two_point_spread,
         "est_error": s.est_error,
+        "initial_data_error": list(s.init_errors),
         "tritronquee_margin": margin,
         "tritronquee": bool(passed),
         "completed": list(s.completed),

@@ -23,17 +23,19 @@ The ODE psi'' = V psi is stepped along each straight segment of those paths
 by Taylor series.  Because V is a cubic polynomial, the Taylor coefficients
 about any point obey an exact four-term recurrence (``_taylor_step``); a
 step is accepted when the last two terms of the series are within ``rtol``
-of max(|psi|, |h psi'|) at both of its ends, and halved otherwise; a full
-step starts at the size the tail test accepts (``_transport``).  The
-reported ``est_error`` adds, over the five sectors, the first omitted term
-window of the series and the rounding floor, and then, for the worst
-multiplier, the transport tolerance ``rtol`` amplified by the climb of each
-solution along its path and by the cancellation in its Wronskians.
+of max(|psi|, |h psi'|) at both of its ends, and halved otherwise; each
+segment is split into equal steps no longer than the size the tail test
+accepts (``_transport``).  The reported ``est_error`` adds, over the five
+sectors, the first omitted term window of the series and the rounding floor
+(``init_errors``, per sector), and then, for the worst multiplier, the
+transport tolerance ``rtol`` amplified by the climb of each solution along
+its path and by the cancellation in its Wronskians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 
@@ -46,11 +48,10 @@ TAYLOR_ORDER = 30
 # multiplies a complex exactly as the int does
 _TAYLOR_COEFFS = tuple((1.0 / ((n + 2) * (n + 1)), float(n + 2))
                        for n in range(TAYLOR_ORDER - 1))
-# tries per transport step, the first at the remainder (up to 7/m) or at
-# 3.5/m (see ``_transport``) and each next one at half the last: a step that
-# meets the tail tolerance at none of them raises MonodromyError.  The
-# smallest full step tried is thus (3.5/m) 2^-39 = (7/m) 2^-40, half of what
-# a start at 7/m with the same number of tries reached
+# tries per transport step, the first at an equal share of the segment's
+# remainder of at most 3.5/m (see ``_transport``) and each next one at half
+# the last: a step that meets the tail tolerance at none of them raises
+# MonodromyError.  The smallest step tried is thus at most (3.5/m) 2^-39
 _MAX_HALVINGS = 40
 # coefficients of the formal solution at infinity, d_{-3} .. d_{97}: six
 # leading ones, then 19 windows of five
@@ -76,6 +77,10 @@ class StokesMultipliers:
     two_point_spread: float
     est_error: float
     completed: tuple[int, ...] = ()
+    # the initial-data error of each sector k = -2..2 (the first omitted
+    # window of the formal series plus the rounding floor), which est_error
+    # includes
+    init_errors: tuple[float, ...] = ()
     # accepted Taylor steps over all radial legs and walks, and the tries
     # that failed the tail test
     taylor_steps: int = 0
@@ -109,8 +114,9 @@ class StokesMultipliers:
 
 
 def default_radius(p: CubicPotential) -> float:
-    """The normalization radius."""
-    return float(max(8.0, 4.0 * (1.0 + turning_points(p).scale)))
+    """The normalization radius, above the guard at twice the turning-point
+    scale and above the foot circle."""
+    return float(max(4.0, 2.0 * (1.0 + turning_points(p).scale)))
 
 
 def solve_ivp(*args, **kwargs):
@@ -231,11 +237,11 @@ def _transport(p, nodes, v, dv, l, rtol, tally=None):
     series terms are within rtol of max(|psi|, |h psi'|) at both of its
     ends; otherwise h is halved, at most _MAX_HALVINGS tries in all.  With
     the rate m = max(|V|^{1/2}, |V'|^{1/3}, |12 x|^{1/4}, 4^{1/5}) at the
-    step's start, the remainder of a segment is tried whole when it is at
-    most 7/m, and any other step starts at 3.5/m: there h |V|^{1/2} <= 3.5,
-    where the order-30 tail of e^{h sqrt V} is about 1e-3 of the bound,
-    while at 7/m it is about 1e5 times the bound and the try would almost
-    always be rejected.
+    step's start, the remainder b - x of the segment is split into
+    k = ceil(|b - x| m / 3.5) equal steps and the first one is tried: so
+    h |V|^{1/2} <= 3.5, where the order-30 tail of e^{h sqrt V} is about
+    1e-3 of the bound, while at 7/m it is about 1e5 times the bound.  When
+    k <= 1 the step is the whole remainder and lands exactly on b.
 
     Returns the state (v, dv, l, quality) at every node: quality is the net
     climb of -log|psi| from its running minimum since the first node, which
@@ -253,16 +259,17 @@ def _transport(p, nodes, v, dv, l, rtol, tally=None):
         if seg == 0:
             states.append(states[-1])
             continue
-        unit = seg / abs(seg)
         x = a
         while x != b:
             V0, V1 = p(x), p.d1(x)
             rate = max(
                 abs(V0) ** 0.5, abs(V1) ** (1 / 3), abs(12.0 * x) ** 0.25, 4.0**0.2
             )
-            # the whole remainder when it is at most 7/m, landing exactly on
-            # b; a full step otherwise, at 3.5/m
-            h = b - x if 7.0 / rate >= abs(b - x) else (3.5 / rate) * unit
+            # one of k equal steps of at most 3.5/m over the remainder
+            h = b - x
+            k = ceil(abs(h) * rate / 3.5)
+            if k > 1:
+                h = h / k
             for tries in range(_MAX_HALVINGS):
                 psi, hdpsi, tail = _taylor_step(V0, V1, x, v, dv, h)
                 scale = min(max(abs(v), abs(h * dv)), max(abs(psi), abs(hdpsi)))
@@ -297,15 +304,10 @@ def _transport(p, nodes, v, dv, l, rtol, tally=None):
 def _radial_leg(p, k, R, r_foot, rtol, v, dv, l, tally=None):
     """The normalized solution of sector k, given as (v, dv, log_scale) at
     |x| = R, carried inward along its own ray to |x| = r_foot: (v, dv,
-    log_scale) at the foot.  ``tally`` is passed to ``_transport``."""
-    # _RESCALE alone keeps the climb of e^{(4/5) R^{5/2}} in range; the leg
-    # is still cut geometrically, renormalized at each cut, because the walls
-    # picked at the real pole n = 14 depend on its end state at rounding
-    # level: carried as one segment, that pole exits 2
-    n_rad = max(1, int(0.8 * R**2.5 / 150.0) + 1)
+    log_scale) at the foot, as one segment (_RESCALE keeps the climb of
+    e^{(4/5) R^{5/2}} in range).  ``tally`` is passed to ``_transport``."""
     u = np.exp(2j * np.pi * k / 5.0)
-    nodes = [r * u for r in np.geomspace(R, r_foot, n_rad + 1)]
-    v, dv, l, _ = _transport(p, nodes, v, dv, l, rtol, tally)[-1]
+    v, dv, l, _ = _transport(p, [R * u, r_foot * u], v, dv, l, rtol, tally)[-1]
     return v, dv, l
 
 
@@ -352,19 +354,29 @@ def stokes_multipliers(
         """Waypoints from start through a wall sequence, so the path hugs the
         complex (the ODE is regular at turning points, and Re S is constant
         along each wall): two consecutive walls from one turning point are
-        bridged across it, and walls from two turning points joined by an
-        internal line along every 16th point of that line (a chord would
-        cross the face between them, over which both solutions climb).  Also
-        the node index of each wall's point."""
+        bridged across it, walls from two turning points joined by an
+        internal line along every 16th point of that line, and walls from
+        two turning points that a third one joins to both along both of its
+        lines (a chord would cross the face between them, over which both
+        solutions climb).  Also the node index of each wall's point."""
         pts, at = [start], []
         prev = None
+
+        def along(path):
+            pts.extend(complex(z) for z in path[:-1:16])
+            pts.append(complex(path[-1]))
+
         for origin, point in walls:
             if origin == prev:
                 pts.append(complex(tps.roots[origin]))
             elif (prev, origin) in internal:
-                path = internal[(prev, origin)]
-                pts.extend(complex(z) for z in path[:-1:16])
-                pts.append(complex(path[-1]))
+                along(internal[(prev, origin)])
+            else:
+                for t in range(3):
+                    if (prev, t) in internal and (t, origin) in internal:
+                        along(internal[(prev, t)])
+                        along(internal[(t, origin)])
+                        break
             pts.append(point)
             at.append(len(pts) - 1)
             prev = origin
@@ -378,12 +390,12 @@ def stokes_multipliers(
     # j passes the evaluation points of j, j+1 and j+2, the down walk those
     # of j-1 and j-2.
     starts = _sector_starts(p, R)
-    init_est = 0.0
+    init_errors = []
     data = {}  # (j, eval_key) -> (v, dv, l, quality)
     tally = [0, 0]  # accepted transport steps, rejected tries
     for j in range(-2, 3):
         v, dv, l, est = starts[j]
-        init_est += est
+        init_errors.append(est)
         v, dv, l = _radial_leg(p, j, R, r_foot, rtol, v, dv, l, tally)
         foot = r_foot * np.exp(1j * (2.0 * np.pi * j / 5.0))
         c0, c1, c2 = corridors[j], corridors[_s5(j + 1)], corridors[_s5(j + 2)]
@@ -471,8 +483,9 @@ def stokes_multipliers(
         sigma=sigma,
         admissibility_residuals=resid,
         two_point_spread=spread,
-        est_error=float(init_est + max(sig_err.values())),
+        est_error=float(sum(init_errors) + max(sig_err.values())),
         completed=completed,
+        init_errors=tuple(init_errors),
         taylor_steps=tally[0],
         rejected_steps=tally[1],
     )

@@ -1,3 +1,4 @@
+import json
 import logging
 import warnings
 
@@ -132,7 +133,8 @@ def test_formal_series_matches_mpmath():
             for got, want in zip(d, ref):
                 assert abs(mp.mpc(got) - want) <= 1e-13 * (abs(want) + 1)
 
-            R = default_radius(p)
+            # 40 terms reach the rounding floor at the radius max(8, 4 (1 + scale))
+            R = max(8.0, 4.0 * (1.0 + turning_points(p).scale))
             for k in range(-2, 3):
                 s = (-1) ** k * mp.sqrt(R) * mp.expjpi(mp.mpf(k) / 5)
                 terms = [ref[i] * s ** (3 - i) for i in range(40)]
@@ -207,9 +209,21 @@ def test_transport_matches_bessel_k():
             assert abs(mp.mpc(dv) * scale - dpsi) <= 1e-11 * abs(dpsi)
 
 
+def test_initial_data_error_per_sector(sigma_04, tmp_path):
+    # est_error includes the initial-data error of each of the five sectors,
+    # and verify reports them
+    errs = sigma_04.init_errors
+    assert len(errs) == 5 and all(e > 0 for e in errs)
+    assert sum(errs) <= sigma_04.est_error
+    out = tmp_path / "v.json"
+    assert main(["verify", "--a", "0.4", "--b", "-0.3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["initial_data_error"] == list(errs)
+
+
 def test_full_steps_start_where_the_tail_test_passes(sigma_04):
-    # a full step starts at 3.5/m, which the tail test accepts, so few tries
-    # are rejected (a start at 7/m would be rejected on almost every step)
+    # every step is an equal share of its segment of at most 3.5/m, which the
+    # tail test accepts, so few tries are rejected (a start at 7/m would be
+    # rejected on almost every step)
     assert sigma_04.taylor_steps > 0
     assert sigma_04.rejected_steps <= 0.25 * sigma_04.taylor_steps
 
@@ -231,9 +245,11 @@ def test_step_counts_match_taylor_evaluations(monkeypatch):
 def test_half_step_passes_the_tail_test_where_the_full_one_fails():
     # at the start R e^{2 pi i k/5} of each radial leg of (0.4, -0.3), a step
     # of 7/m inward leaves an order-30 tail about 1.9e5 times rtol * scale,
-    # and one of 3.5/m about 6.5e-4 times it: hence full steps start at 3.5/m
+    # and one of 3.5/m about 6.5e-4 times it: hence no step is longer than
+    # 3.5/m.  The legs start at the radius max(8, 4 (1 + scale)), where |V| is
+    # large enough for the 7/m tail to show
     p = CubicPotential(0.4, -0.3)
-    R = default_radius(p)
+    R = max(8.0, 4.0 * (1.0 + turning_points(p).scale))
     rtol = 1e-13
     for k, (v, dv, _, _) in _sector_starts(p, R).items():
         u = np.exp(2j * np.pi * k / 5)
@@ -295,6 +311,25 @@ def test_split_double_root_routed_by_its_own_lines(caplog):
         assert abs(s.sigma[k] - ref) <= s.est_error + s0.est_error
 
 
+@pytest.mark.parametrize("n", [15, 20, 30])
+def test_real_poles_walk_through_the_third_root(n):
+    # roots 1 and 2 are each joined to root 0 only: a step between their
+    # walls goes along both internal lines through root 0, not across the face
+    a, b = real_poles(n)[-1]
+    s = stokes_multipliers(CubicPotential(a, b))
+    assert s.max_normalized_residual <= 1e-6
+    assert max(abs(s.sigma[2]), abs(s.sigma[-2])) <= 0.1815 / (n - 0.5)
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9, 0.99, 1.01, 1.5])
+def test_real_pole_14_at_perturbed_radii(factor):
+    # the walls picked at n = 14 must not hinge on the radial legs' end state
+    # at rounding level
+    p = CubicPotential(*real_poles(14)[-1])
+    s = stokes_multipliers(p, R=factor * default_radius(p))
+    assert s.max_normalized_residual <= 1e-6
+
+
 def test_real_pole_10_walks_along_internal_lines():
     # a chord across the face between two turning points lets both solutions
     # climb over it; along the internal line Re S stays level, and the
@@ -305,15 +340,19 @@ def test_real_pole_10_walks_along_internal_lines():
     assert max(abs(s.sigma[2]), abs(s.sigma[-2])) <= 0.1815 / 9.5
 
 
-@pytest.mark.parametrize("r", [8.0, 4.0 + 4.0j, 8.0 + 8.0j])
-def test_multipliers_beyond_double_range_fail_cleanly(r):
-    # the exact double root (6 r^2, -2 r^3/7): |sigma_+-1| is about
+def _double_root_exponent(r):
+    # the exact double root (6 r^2, -2 r^3/7): its largest |sigma_k| is about
     # exp(2 |Re((8/15) (3 r)^{5/2})|), which is exp(2 (8/15) |3 r|^{5/2}) only
-    # for real r: e^3010 at r = 8 and e^2740 at 8 + 8i, which no double holds,
-    # but e^484 at 4 + 4i, inside the range; that point is refused only
-    # because its Wronskians are contaminated (the oracle's known defect at
-    # large double roots).  The radius 2.2 scale (the default is
-    # 4 (1 + scale)) keeps the radial legs short
+    # for real r
+    return 2.0 * abs((8.0 / 15.0 * (3.0 * r) ** 2.5).real)
+
+
+@pytest.mark.parametrize("r", [8.0, 6.0 + 6.0j, 8.0 + 8.0j])
+def test_multipliers_beyond_double_range_fail_cleanly(r):
+    # e^3010 at r = 8, e^1335 at 6 + 6i and e^2740 at 8 + 8i, which no double
+    # holds.  The radius 2.2 scale, just above the guard at twice the scale,
+    # is about the default 2 (1 + scale) at these scales
+    assert _double_root_exponent(r) > 1.5 * np.log(np.finfo(float).max)
     p = CubicPotential(6 * r * r, -2 * r**3 / 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -324,10 +363,28 @@ def test_multipliers_beyond_double_range_fail_cleanly(r):
 def test_verify_beyond_double_range_exits_3_without_warnings(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["verify", "--a", "192j", "--b", "36.57142857142857-36.57142857142857j"])
+        # the exact double root r = 6 + 6i
+        code = main(["verify", "--a", "432j", "--b", "(123.42857142857143-123.42857142857143j)"])
     assert code == EXIT_NUMERICAL
     out, err = capsys.readouterr()
     assert out == "" and "double range" in err and "Warning" not in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MonodromyError,
+    reason="the chord from a wall back to its own line's origin contaminates "
+    "the Wronskians at large double roots",
+)
+def test_double_root_4_plus_4i_lies_inside_the_double_range():
+    # |sigma| up to e^484 at r = 4 + 4i is inside the double range, but the
+    # oracle refuses the point as beyond it
+    r = 4.0 + 4.0j
+    expected = _double_root_exponent(r)
+    assert expected == pytest.approx(484.3, abs=0.05)
+    s = stokes_multipliers(CubicPotential(6 * r * r, -2 * r**3 / 7))
+    assert s.max_normalized_residual <= 1e-6
+    assert max(np.log(abs(s.sigma[k])) for k in range(-2, 3)) == pytest.approx(expected, abs=1.0)
 
 
 def test_bsb_solution_margins(sol_11):
