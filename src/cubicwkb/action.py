@@ -388,15 +388,18 @@ def _orient_sign(value: complex, cycle_id: str) -> float:
     return 1.0 if value.real >= 0 else -1.0
 
 
+def _pair_actions(p: CubicPotential, roots, tol: float) -> dict[tuple[int, int], complex]:
+    """The turning-point action A of each pair (i, j), i < j, of the three
+    simple roots of p (by the period rule)."""
+    return {(i, j): _chord_period(p, roots, i, j, tol)[0]
+            for i in range(3) for j in range(i + 1, 3)}
+
+
 def _pair_scores(p: CubicPotential, roots, tol: float) -> dict[tuple[int, int], float]:
     """|Re A| / |A| of the turning-point action A of each pair (i, j), i < j,
     of the three simple roots of p (by the period rule)."""
-    scores = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v = _chord_period(p, roots, i, j, tol)[0]
-            scores[(i, j)] = abs(v.real) / max(abs(v), 1e-300)
-    return scores
+    return {pair: abs(v.real) / max(abs(v), 1e-300)
+            for pair, v in _pair_actions(p, roots, tol).items()}
 
 
 def _labels_around(roots, i0: int) -> dict[str, complex]:

@@ -190,6 +190,7 @@ def cmd_verify(args) -> int:
             "taylor_steps": s.taylor_steps,
             "rejected_steps": s.rejected_steps,
         },
+        "trace_points": s.trace_points,
     }
     text = json.dumps(report, indent=2)
     if args.out:

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .stokes import PHI, StokesComplexGraph
+from .stokes import _R_FACTOR, PHI, StokesComplexGraph
 
 
 def _disk_map(z):
@@ -62,6 +62,9 @@ def graph_to_svg(g: StokesComplexGraph, compactified: bool = False) -> str:
     else:
         radius = 1.45 * max(max(abs(z) for z in g.tps.roots), 1e-9)
         radius = max(radius, 2.0)
+        # the crop keeps traced points only: the chord that ends an external
+        # line reaches out to the end radius
+        assert 1.02 * radius < _R_FACTOR * (1.0 + g.tps.scale)
 
     def xy(z):
         """Picture coordinates of a point or an array of points."""

@@ -39,8 +39,9 @@ from math import ceil
 
 import numpy as np
 
+from .action import _pair_actions
 from .potential import CubicPotential, turning_points
-from .stokes import _crossing, _order_at_infinity, trace_stokes_lines
+from .stokes import _FAR_FACTOR, _crossing, _order_at_infinity, trace_stokes_lines
 
 # order of the Taylor series each transport step sums
 TAYLOR_ORDER = 30
@@ -85,6 +86,8 @@ class StokesMultipliers:
     # that failed the tail test
     taylor_steps: int = 0
     rejected_steps: int = 0
+    # polyline points of the Stokes lines that route the walks
+    trace_points: int = 0
 
     @property
     def max_admissibility_residual(self) -> float:
@@ -117,6 +120,23 @@ def default_radius(p: CubicPotential) -> float:
     """The normalization radius, above the guard at twice the turning-point
     scale and above the foot circle."""
     return float(max(4.0, 2.0 * (1.0 + turning_points(p).scale)))
+
+
+def _action_exponent(p: CubicPotential) -> float:
+    """2 max |Re A| over the actions A between distinct turning points, near
+    which WKB puts the log of the largest |sigma_k|.  Between simple roots A
+    comes from the period rule (at a loose tolerance: only its size is read),
+    and between a double root t and the simple root s it is
+    (8/15) (t - s)^{5/2}, up to sign."""
+    tps = turning_points(p)
+    if tps.multiplicities == (1, 1, 1):
+        actions = _pair_actions(p, tps.roots, 1e-6).values()
+    elif tps.multiplicities == (2, 1):
+        t, s = tps.roots
+        actions = [8.0 / 15.0 * (t - s) ** 2.5]
+    else:
+        actions = []
+    return 2.0 * max((abs(A.real) for A in actions), default=0.0)
 
 
 def solve_ivp(*args, **kwargs):
@@ -332,6 +352,15 @@ def stokes_multipliers(
     r_foot = max(1.35 * max(tps.scale, 1e-12), 1.0)
     if R <= r_foot:
         raise MonodromyError(f"R too small: inside the foot circle |x| = {r_foot:g}")
+    # the exponent is asymptotic, so only a point past 1.5 times the double
+    # range is refused here, before any tracing or transport; the check on
+    # each log|sigma_k| below catches the rest
+    exponent = _action_exponent(p)
+    if exponent > 1.5 * _LOG_MAX:
+        raise MonodromyError(
+            f"|sigma| lies beyond the double range: WKB puts it near "
+            f"e^{exponent:.1f}, and the largest double is e^{_LOG_MAX:.1f}"
+        )
 
     # The corridor between sectors k and k+1 is the lines that end on ray k,
     # in counterclockwise order, from sector k's side; each is a wall, met
@@ -339,9 +368,9 @@ def stokes_multipliers(
     # potentials on a class boundary are routed by their own lines.
     lines = trace_stokes_lines(p)
     corridors = {k: [] for k in range(-2, 3)}
-    for i in _order_at_infinity(lines, p):
+    for i in _order_at_infinity(lines):
         ln = lines[i]
-        corridors[ln.terminal[1]].append((ln.origin, _crossing(ln.points, 0.85 * r_foot, p)))
+        corridors[ln.terminal[1]].append((ln.origin, _crossing(ln, 0.85 * r_foot, p)))
     for k, walls in corridors.items():
         if not walls:
             raise MonodromyError(f"no Stokes line ends on ray {k}")
@@ -349,6 +378,7 @@ def stokes_multipliers(
     # the polyline of each internal line, keyed (origin, turning point it ends at)
     internal = {(ln.origin, ln.terminal[1]): ln.points
                 for ln in lines if ln.terminal[0] == "tp"}
+    far = _FAR_FACTOR * (1.0 + tps.scale)
 
     def walk(start, walls):
         """Waypoints from start through a wall sequence, so the path hugs the
@@ -363,6 +393,9 @@ def stokes_multipliers(
         prev = None
 
         def along(path):
+            # an internal line is stepped throughout: a line past the far
+            # radius ends as an external one
+            assert np.max(np.abs(path)) < far
             pts.extend(complex(z) for z in path[:-1:16])
             pts.append(complex(path[-1]))
 
@@ -488,6 +521,7 @@ def stokes_multipliers(
         init_errors=tuple(init_errors),
         taylor_steps=tally[0],
         rejected_steps=tally[1],
+        trace_points=sum(len(ln.points) for ln in lines),
     )
 
 

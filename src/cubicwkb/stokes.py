@@ -17,11 +17,20 @@ of _compute_relation, with no planar embedding of the graph.
 
 Lines are traced by predictor-corrector continuation of their level set
 (see _trace_one): the level change along each predictor chord is summed by
-Simpson's rule, so the step can be a fifth of the local cap.  Lines that end
-at one ray are ordered by their angular deviation from it at one common
-radius: the deviation decays like r^{-5/2}, so values read at different
-radii cannot be compared.  Each line is read where it crosses that circle on
-its level set (_crossing), not on a chord between its polyline points.
+Simpson's rule, so the step can be a fifth of the local cap.  Only the
+middle of a line is stepped.  Near a turning point and near the rays the
+complex is fixed by the local form of S, so each line starts on its level
+set at a tenth of the distance to the nearest other root, with the action
+from the convergent series of sqrt(V) about its turning point
+(_local_series), and an external line is stepped only until it passes
+|x| = 2 (1 + scale): it ends at its exact crossing of the end radius, with
+the action from the convergent series of S at infinity (_far_crossing).
+Lines that end at one ray are ordered by their angular deviation from it at
+that common end radius: the deviation decays like r^{-5/2}, so values read
+at different radii cannot be compared, and level lines do not cross, so one
+radius orders them as well as any other.  A wall where a line crosses a
+smaller circle is read on its level set (_crossing), not on a chord between
+its polyline points.
 """
 
 from __future__ import annotations
@@ -50,8 +59,20 @@ class AmbiguousClassError(ClassificationError):
 _WEDGE_TOL = np.pi / 20
 _TRAP_FACTOR = 1e-4
 _LAUNCH_FACTOR = 1e-2
+_START_FACTOR = 0.1                 # start radius, in units of the nearest other root
 _MAX_STEPS = 60000
-_R_FACTOR = 10.0                    # tracing radius, in units of 1 + scale
+_FAR_FACTOR = 2.0                   # lines are stepped out to here, in units of 1 + scale
+_R_FACTOR = 10.0                    # external lines end here, likewise
+# terms of the series of S: at a turning point (summed within a tenth of the
+# nearest other root), at infinity past the far radius (ratio below 1/2) and
+# on the end radius (ratio below 1/10)
+_LOCAL_TERMS = 18
+_FAR_TERMS = 60
+_END_TERMS = 18
+# Newton steps on the angle of a start, end or wall point: they reach
+# rounding in three or four, and where two roots nearly meet, so that V is
+# evaluated with cancellation, they stop at its noise
+_NEWTON_TRIES = 6
 
 
 @dataclass(frozen=True)
@@ -99,11 +120,11 @@ class StokesComplexGraph:
     def wall_point(self, wall, radius: float) -> complex:
         """A point on a wall of the complex: the midpoint of an internal edge,
         or where an external line crosses |x| = radius, which must lie
-        between its turning point and the tracing radius."""
+        between its turning point and the far radius (_crossing)."""
         if wall[0] == "int":
             v = self.tps.roots
             return 0.5 * (v[wall[1]] + v[wall[2]])
-        return _crossing(self.lines[wall[1]].points, radius, self.potential)
+        return _crossing(self.lines[wall[1]], radius, self.potential)
 
 
 # canonical non-consecutive pairs failing the relation, per class (labels -2..2)
@@ -125,8 +146,11 @@ _CANONICAL_VALENCE = {
 
 
 def _launch_radius(tps: TurningPointSet) -> float:
-    """Distance from its turning point at which each line is launched: a
-    multiple _LAUNCH_FACTOR of the root separation, floored at 1e-3 scale."""
+    """The launch radius: a multiple _LAUNCH_FACTOR of the root separation,
+    floored at 1e-3 scale.  A line starts there only when it exceeds a tenth
+    of the distance to the nearest other root (_trace_one); it also sets the
+    tracer's step floor and its trap and return distances, and roots closer
+    than it are refused by classify."""
     scale = max(tps.scale, 1.0)
     if len(tps.roots) == 1:
         return _LAUNCH_FACTOR * scale
@@ -160,8 +184,125 @@ def _sqrt_continue(V: complex, prev: complex) -> complex:
     return -w if abs(w + prev) < abs(w - prev) else w
 
 
-def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
+# the factors (1 - 2k, 4 - 2k, 7 - 2k) / (2 (k+1)) of _sqrt_series
+_SERIES_FACTORS = tuple(((1 - 2 * k) / (2 * k + 2), (4 - 2 * k) / (2 * k + 2),
+                         (7 - 2 * k) / (2 * k + 2)) for k in range(_FAR_TERMS))
+
+
+def _sqrt_series(c1: complex, c2: complex, c3: complex, n: int) -> list[complex]:
+    """The first n Taylor coefficients f_k of sqrt(g), g = 1 + c1 y + c2 y^2
+    + c3 y^3.  From 2 g f' = g' f,
+        2 (k+1) f_{k+1} = (1 - 2k) c1 f_k + (4 - 2k) c2 f_{k-1}
+                          + (7 - 2k) c3 f_{k-2}.
+    """
+    fm2, fm1, f = 0j, 0j, 1.0 + 0j      # f_{k-2}, f_{k-1}, f_k from k = 0
+    out = [f]
+    for A, B, C in _SERIES_FACTORS[: n - 1]:
+        fm2, fm1, f = fm1, f, A * c1 * f + B * c2 * fm1 + C * c3 * fm2
+        out.append(f)
+    return out
+
+
+def _horner2(series, y):
+    """(sum f_k y^k, sum g_k y^k) for series = [(f_k, g_k)], highest k first."""
+    F = G = 0j
+    for f, g in series:
+        F = F * y + f
+        G = G * y + g
+    return F, G
+
+
+def _local_series(tps: TurningPointSet, i: int):
+    """The series of the action about turning point i, for _local_action.
+
+    With t = tps.roots[i] of multiplicity m and zeta = z - t, the factored
+    V = 4 prod (z - r) is c zeta^m g(zeta), g the product of 1 + zeta/(t - r)
+    over the other roots r (with repeats), so sqrt(V) = sqrt(c) zeta^{m/2}
+    F(zeta) with F = sqrt(g) (_sqrt_series: one recurrence for m = 1, 2, 3).
+    Its integral from t is sqrt(c) zeta^{m/2 + 1} G(zeta), G_k = F_k /
+    (k + m/2 + 1).  The series converges within the nearest other root.
+    """
+    t = complex(tps.roots[i])
+    g = [1.0 + 0j, 0j, 0j, 0j]
+    for j, (r, m) in enumerate(zip(tps.roots, tps.multiplicities)):
+        if j != i:
+            for _ in range(m):
+                e = 1.0 / (t - complex(r))
+                g = [g[0], g[1] + e * g[0], g[2] + e * g[1], g[3] + e * g[2]]
+    q = 0.5 * tps.multiplicities[i] + 1.0
+    F = _sqrt_series(g[1], g[2], g[3], _LOCAL_TERMS)
+    return [(f, f / (k + q)) for k, f in enumerate(F)][::-1]
+
+
+def _local_action(series, zeta: complex, w: complex) -> complex:
+    """int sqrt(V) from a turning point t to z = t + zeta by its local
+    series (_local_series), on the sheet of w = sqrt(V(z)): the ratio of the
+    two sums is free of the branch of zeta^{m/2}, so S = w zeta G / F."""
+    F, G = _horner2(series, zeta)
+    return w * zeta * G / F
+
+
+def _far_series(p: CubicPotential):
+    """The series of the action at infinity, for _far_crossing.
+
+    sqrt(V) = 2 x^{3/2} E(1/x) with E = sqrt(1 - (a/2) y^2 - 7 b y^3)
+    (_sqrt_series), which converges for |x| > scale.  Integrated term by term
+    (5/2 - k never vanishes, so there is no logarithm), S = 2 x^{5/2} H(1/x)
+    up to a constant, H_k = E_k / (5/2 - k).
+    """
+    E = _sqrt_series(0j, -0.5 * complex(p.a), -7.0 * complex(p.b), _FAR_TERMS)
+    return [(e, e / (2.5 - k)) for k, e in enumerate(E)][::-1]
+
+
+def _far_crossing(far, z, w, level, u, radius, rays):
+    """Where the level line Re(u S) = 0 of a turning point, which passes z,
+    crosses the end radius |x| = radius, for |z| >= 2 (1 + scale); level is
+    Re(u S) at z (the tracer's drift), and w = sqrt(V(z)) on the line's
+    sheet.
+
+    Newton on the angle of x = radius e^{i psi} zeroes the level at x, with S
+    from the series at infinity (_far_series): sqrt(V) continues from z to x
+    as w (x/z)^{3/2} E(1/x) / E(1/z), so S(x) = A (x/z)^{3/2} x H(1/x) with
+    A = w / E(1/z).  The start is the angle of z moved toward the nearest ray
+    by the r^{-5/2} decay of a line's deviation from its ray.
+    """
+    E_z, H_z = _horner2(far, 1.0 / z)
+    end = far[-_END_TERMS:]
+    A = w / E_z
+    target = (u * A * z * H_z).real - level
+    ang = cmath.phase(z)
+    ray = min(rays, key=lambda f: abs(_wrap(ang - f)))
+    psi = ray + _wrap(ang - ray) * (abs(z) / radius) ** 2.5
+    for _ in range(_NEWTON_TRIES):
+        x = radius * cmath.exp(1j * psi)
+        E_x, H_x = _horner2(end, 1.0 / x)
+        c = A * (x / z) ** 1.5 * x
+        step = ((u * c * H_x).real - target) / (1j * u * c * E_x).real
+        psi -= step
+        if abs(step) < 1e-14:
+            break
+    return radius * cmath.exp(1j * psi)
+
+
+def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local, far):
     """Continue one level curve Re(u S) = const from a turning point outward.
+
+    Only the middle of the line is stepped; both ends come from the local
+    form of S (Strebel (1984), ch. III):
+    - The line starts on its level set at r = 0.1 d from its turning point,
+      d the distance to the nearest other root: Newton on the angle zeroes
+      the action from the local series (_local_series), which converges
+      there like 10^-k.  Only roots closer than about 1e-4 scale, where the
+      launch radius exceeds 0.1 d, start at the launch radius instead, with
+      the action from line_action.  A lone triple root starts at the far
+      radius: its series is exact.
+    - An external line is stepped until it first passes the far radius
+      2 (1 + scale), and ends at its exact crossing of R_max = 10 (1 + scale),
+      with the level from the series of S at infinity (_far_crossing).
+      Level lines do not cross, so the ends keep the order of the lines at
+      every radius.
+    An internal line is stepped until it is trapped within _TRAP_FACTOR
+    separations of another root.
 
     The predictor steps h = 0.2 hcap along the unit tangent turn conj(w)/|w|,
     w = sqrt(V) already continued to z; hcap is a fifth of the distance to
@@ -174,7 +315,7 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     point and at the corrected point.
 
     The loop runs on Python complex scalars, not numpy: a line takes
-    thousands of steps over at most three roots, and numpy's per-call
+    hundreds of steps over at most three roots, and numpy's per-call
     overhead on such small operands cost about four times the arithmetic.
     For the same reason the loop evaluates V and continues the square root
     inline, with the operations of CubicPotential.__call__ and
@@ -185,22 +326,53 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     """
     roots = [complex(r) for r in tps.roots]
     tp = roots[origin]
+    others = [r for i, r in enumerate(roots) if i != origin]
     # the other roots, padded with the origin to two: a repeated distance
     # leaves the nearest one unchanged
-    r1, r2 = ([r for i, r in enumerate(roots) if i != origin] + [tp, tp])[:2]
+    r1, r2 = (others + [tp, tp])[:2]
     scale = max(tps.scale, 1.0)
     r_launch = _launch_radius(tps)
     r_trap = _TRAP_FACTOR * max(tps.separation, 1e-3 * scale) if len(roots) > 1 else 0.0
+    R_far = _FAR_FACTOR * (1.0 + tps.scale)
     R_max = _R_FACTOR * (1.0 + tps.scale)
     # V(z) = 4 z**3 - a2 z - b28, as CubicPotential.__call__ evaluates it
     a2, b28 = 2 * complex(p.a), 28 * complex(p.b)
     sqrt = cmath.sqrt
-
-    z = tp + r_launch * cmath.exp(1j * theta)
-    w = sqrt(4 * z**3 - a2 * z - b28)
     turn = 1j if not anti_stokes else 1.0
-    if (turn * w.conjugate() * cmath.exp(-1j * theta)).real < 0:
-        w = -w
+    # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
+    u = 1.0 + 0.0j if not anti_stokes else -1.0j
+    uc = u.conjugate()
+
+    # a tenth of the way to the nearest other root; a lone triple root, whose
+    # series is exact, starts on the far radius
+    r_start = min(_START_FACTOR * min((abs(tp - r) for r in others), default=np.inf), R_far)
+    if r_start >= r_launch:
+        # from the local Stokes direction, corrected for the first term of
+        # the series: S ~ zeta^q (1/q + F_1 zeta/(q + 1)), q = (m + 2)/2
+        q = 0.5 * tps.multiplicities[origin] + 1.0
+        phi = theta - (local[origin][-2][0] * r_start * cmath.exp(1j * theta)).imag / (q + 1.0)
+        for _ in range(_NEWTON_TRIES):
+            zeta = r_start * cmath.exp(1j * phi)
+            z = tp + zeta
+            w = sqrt(4 * z**3 - a2 * z - b28)
+            if (turn * (w * zeta).conjugate()).real < 0:
+                w = -w
+            drift = (u * _local_action(local[origin], zeta, w)).real
+            step = drift / (1j * u * w * zeta).real
+            if abs(step) < 1e-14:
+                break
+            phi -= step
+    else:
+        # roots closer than about 1e-4 scale: start at the launch radius
+        z = tp + r_launch * cmath.exp(1j * theta)
+        w = sqrt(4 * z**3 - a2 * z - b28)
+        if (turn * w.conjugate() * cmath.exp(-1j * theta)).real < 0:
+            w = -w
+        # seed the drift with the exact action from the turning point to the
+        # launch point; no clearance, since the other root can sit inside
+        # the launch radius
+        s_launch = line_action(p, (tp, z), w, tol=1e-14, clearance=0.0).value
+        drift = float((u * s_launch).real)
 
     pts = [tp, z]
     append = pts.append
@@ -208,15 +380,6 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
     def line(terminal):
         return StokesLine(origin, direction_index, np.array(pts), terminal)
 
-    # seed the level-set drift with the exact action from the turning point
-    # to the launch point, so the projection locks onto the separatrix
-    # through the turning point itself; no clearance, since a split double
-    # root can sit inside the launch radius
-    s_launch = line_action(p, (tp, z), w, tol=1e-14, clearance=0.0).value
-    # level function is Re(u * S): u = 1 for Stokes lines, -i for anti-Stokes
-    u = 1.0 + 0.0j if not anti_stokes else -1.0j
-    uc = u.conjugate()
-    drift = float((u * s_launch).real)
     # r_trap < 3 r_launch, so a root trapped past 3 r_launch is another one
     d_away, d_home = 3 * r_launch, 0.5 * r_launch
     h_floor, h_launch = 1e-6 * scale, 0.05 * r_launch
@@ -235,8 +398,10 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
             append(roots[j])
             return line(("tp", j))
         az = abs(z)
-        if az >= R_max:
-            ang = cmath.phase(z)
+        if az >= R_far:
+            x = _far_crossing(far, z, w, drift, u, R_max, rays)
+            append(x)
+            ang = cmath.phase(x)
             devs = [abs(_wrap(ang - f)) for f in rays]
             k = int(np.argmin(devs))
             if devs[k] > _WEDGE_TOL:
@@ -290,12 +455,14 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays):
 
 
 def trace_stokes_lines(p: CubicPotential, anti_stokes: bool = False) -> list[StokesLine]:
-    """Trace all Stokes lines (anti-Stokes lines with anti_stokes=True) out
-    to radius _R_FACTOR (1 + scale)."""
+    """Trace all Stokes lines (anti-Stokes lines with anti_stokes=True); the
+    external ones end on |x| = _R_FACTOR (1 + scale)."""
     tps = turning_points(p)
     rays = [f + np.pi / 5 for f in PHI] if anti_stokes else PHI
+    local = [_local_series(tps, vi) for vi in range(len(tps.roots))]
+    far = _far_series(p)
     return [
-        _trace_one(p, tps, vi, di, theta, anti_stokes, rays)
+        _trace_one(p, tps, vi, di, theta, anti_stokes, rays, local, far)
         for vi, (tp, m) in enumerate(zip(tps.roots, tps.multiplicities))
         for di, theta in enumerate(_launch_directions(p, tp, m, anti_stokes))
     ]
@@ -325,20 +492,36 @@ def _assemble(lines):
     return internal, external
 
 
-def _crossing(pts, radius, p):
-    """The point where a Stokes line of the potential p (a polyline that ends
-    outside |x| = radius) last crosses that circle, on the line's level set.
+def _crossing(line, radius, p):
+    """The point where a Stokes line of the potential p last crosses
+    |x| = radius, on the line's level set.  The radius must lie below the far
+    radius 2 (1 + scale), past which the polyline is one chord to its end.
 
     Starting from the chord interpolation, Newton on the angle of
     x = radius e^{i phi} zeroes Re int sqrt(V) from the last polyline point
     z0 inside the circle to x, summed by Simpson's rule on the chord, with V
     evaluated by p.  A chord read off a coarse polyline sags off the line by
     more than the deviations of nearly coincident lines at a ray differ.
+    When the circle cuts the start disc, z0 is the turning point itself, and
+    Re S at x comes from its local series (_local_action) instead.
     """
+    tps = p.turning_points
+    assert radius < _FAR_FACTOR * (1.0 + tps.scale), "crossing past the far radius"
+    pts = line.points
     q = int(np.nonzero(np.abs(pts) <= radius)[0][-1])
     z0, d = complex(pts[q]), complex(pts[q + 1] - pts[q])
     a2, b1, c0 = abs(d) ** 2, (z0.conjugate() * d).real, abs(z0) ** 2 - radius**2
     x = z0 + d * (-b1 + (b1 * b1 - a2 * c0) ** 0.5) / a2
+    if q == 0:
+        # Re S vanishes on both sheets, so any square root of V will do
+        series = _local_series(tps, line.origin)
+        for _ in range(_NEWTON_TRIES):
+            w = cmath.sqrt(p(x))
+            step = _local_action(series, x - z0, w).real / (1j * w * x).real
+            x *= cmath.exp(-1j * step)
+            if abs(step) < 1e-14:
+                break
+        return x
     # the sheet of z0: the tangent i conj(w0) points along the polyline
     w0 = cmath.sqrt(p(z0))
     if (1j * (w0 * d).conjugate()).real < 0:
@@ -352,21 +535,20 @@ def _crossing(pts, radius, p):
     return x
 
 
-def _ray_deviation(line, p):
-    """Signed angle from the ray a line ends on, k, to where the line crosses
-    the common radius 0.92 R_max.  The lines that end on one ray are ordered
-    by it, increasing from the side of sector k to that of sector k+1.
+def _ray_deviation(line):
+    """Signed angle from the ray a line ends on, k, to the line's end on
+    |x| = R_max.  The lines that end on one ray are ordered by it, increasing
+    from the side of sector k to that of sector k+1: level lines do not
+    cross, so they keep their order at every radius, and all end on one.
     """
-    R_eval = _R_FACTOR * (1.0 + p.turning_points.scale) * 0.92
-    x = _crossing(line.points, R_eval, p)
-    return _wrap(cmath.phase(x) - PHI[line.terminal[1] + 2])
+    return _wrap(cmath.phase(complex(line.points[-1])) - PHI[line.terminal[1] + 2])
 
 
-def _order_at_infinity(lines, p):
+def _order_at_infinity(lines):
     """Indices of the lines that end on a ray, in counterclockwise order at
     infinity: by ray k = -2..2, then by increasing _ray_deviation."""
     ends = [i for i, ln in enumerate(lines) if ln.terminal[0] == "ray"]
-    return sorted(ends, key=lambda i: (lines[i].terminal[1], _ray_deviation(lines[i], p)))
+    return sorted(ends, key=lambda i: (lines[i].terminal[1], _ray_deviation(lines[i])))
 
 
 def _compute_relation(internal, lines, p):
@@ -385,7 +567,7 @@ def _compute_relation(internal, lines, p):
     sector faces, which have only one.  Walls are ("ext", line index) and
     ("int", i, j), i < j.
     """
-    order = _order_at_infinity(lines, p)
+    order = _order_at_infinity(lines)
     n = len(order)
     origin = [lines[i].origin for i in order]
     ray = [lines[i].terminal[1] for i in order]

@@ -11,6 +11,7 @@ from cubicwkb.bsb import real_poles
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
 from cubicwkb.monodromy import StokesMultipliers, _s5
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group
+from cubicwkb.stokes import trace_stokes_lines
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,22 @@ def test_verify_exit_code_follows_admissibility(capsys, n, want):
     worst = max(json.loads(out)["normalized_residuals"])
     assert (worst > 1e-6) == (want == EXIT_AMBIGUOUS)
     assert ("normalized admissibility residual" in err) == (want == EXIT_AMBIGUOUS)
+
+
+def test_verify_where_the_wall_circle_cuts_a_start_disc(tmp_path, capsys):
+    # at (0, 1) the walls at |x| = 0.85 r_foot fall inside the start disc of
+    # two lines, between a turning point and the line's first traced point
+    p = CubicPotential(0.0, 1.0)
+    r_wall = 0.85 * max(1.35 * p.turning_points.scale, 1.0)
+    cut = [ln for ln in trace_stokes_lines(p)
+           if abs(ln.points[0]) < r_wall < abs(ln.points[1])]
+    assert len(cut) == 2
+    out = tmp_path / "v.json"
+    code, _, _ = run_cli(capsys, "verify", "--a", "0", "--b", "1", "--out", str(out))
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert max(report["normalized_residuals"]) <= 1e-6
+    assert report["trace_points"] == sum(len(ln.points) for ln in trace_stokes_lines(p))
 
 
 def test_verify_exits_2_on_inadmissible_multipliers(tmp_path, monkeypatch, capsys):

@@ -360,6 +360,22 @@ def test_multipliers_beyond_double_range_fail_cleanly(r):
             stokes_multipliers(p, R=2.2 * turning_points(p).scale)
 
 
+@pytest.mark.parametrize("r", [8.0, 6.0 + 6.0j, 8.0 + 8.0j])
+def test_double_range_is_refused_before_tracing(r, monkeypatch):
+    # the pair actions give the exponent before any line is traced or any
+    # solution transported
+    def untouched(*args, **kwargs):
+        raise AssertionError("traced or transported past the double range")
+
+    monkeypatch.setattr(monodromy, "trace_stokes_lines", untouched)
+    monkeypatch.setattr(monodromy, "_transport", untouched)
+    p = CubicPotential(6 * r * r, -2 * r**3 / 7)
+    # (the merged double root carries the 1e-9 split of the rounded roots)
+    assert monodromy._action_exponent(p) == pytest.approx(_double_root_exponent(r), rel=1e-8)
+    with pytest.raises(MonodromyError, match="double range"):
+        stokes_multipliers(p)
+
+
 def test_verify_beyond_double_range_exits_3_without_warnings(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -385,6 +401,20 @@ def test_double_root_4_plus_4i_lies_inside_the_double_range():
     s = stokes_multipliers(CubicPotential(6 * r * r, -2 * r**3 / 7))
     assert s.max_normalized_residual <= 1e-6
     assert max(np.log(abs(s.sigma[k])) for k in range(-2, 3)) == pytest.approx(expected, abs=1.0)
+
+
+def test_exact_double_root_3_stays_admissible():
+    # r = 3, (54, -54/7): its walls sit beyond the other root, where the
+    # chord back to a line's origin is at its largest short of failing
+    r = 3.0
+    s = stokes_multipliers(CubicPotential(6 * r * r, -2 * r**3 / 7))
+    assert s.max_normalized_residual <= 1e-6
+
+
+def test_trace_points_count_the_routing_trace():
+    p = CubicPotential(0.4, -0.3)
+    s = stokes_multipliers(p)
+    assert s.trace_points == sum(len(ln.points) for ln in monodromy.trace_stokes_lines(p))
 
 
 def test_bsb_solution_margins(sol_11):

@@ -146,7 +146,7 @@ def test_consecutive_corridors_are_the_lines_at_each_ray():
     # ray k, in counterclockwise order: the monodromy oracle's corridor k
     for a, b in random_potentials(23, 25, box=3.0, real=True):
         g = classify(CubicPotential(a, b))
-        order = _order_at_infinity(g.lines, g.potential)
+        order = _order_at_infinity(g.lines)
         for k in range(-2, 3):
             at_ray = tuple(("ext", i) for i in order if g.lines[i].terminal == ("ray", k))
             assert g.corridors[(k, (k + 3) % 5 - 2)] == at_ray, (a, b, k)
@@ -158,14 +158,14 @@ def test_interleaved_ends_of_an_internal_line_are_ambiguous(monkeypatch):
     p = CubicPotential(2.0, 0.0)
     g = classify(p)
     ((u, v),) = g.internal_edges
-    order = _order_at_infinity(g.lines, g.potential)
+    order = _order_at_infinity(g.lines)
     tree = [n for n, i in enumerate(order) if g.lines[i].origin in (u, v)]
     x, y = next(
         (x, y) for x, y in zip(tree, tree[1:] + tree[:1])
         if g.lines[order[x]].origin != g.lines[order[y]].origin
     )
     order[x], order[y] = order[y], order[x]
-    monkeypatch.setattr(stokes, "_order_at_infinity", lambda lines, p: order)
+    monkeypatch.setattr(stokes, "_order_at_infinity", lambda lines: order)
     with pytest.raises(AmbiguousClassError, match="planar"):
         classify(p)
 
@@ -284,27 +284,44 @@ def test_exports(orbit_potential):
 def _level_residuals(p, anti_stokes):
     """|Re S| (|Im S| for anti-Stokes lines) over 1 + |S| at sampled points
     of every traced line, S = int_tp^z sqrt(V) by line_action along nodes
-    picked from the polyline.  The launch point and points within a tenth
-    of the root separation of another turning point are skipped."""
-    roots = np.array(turning_points(p).roots)
-    sep = turning_points(p).separation
-    out = []
+    picked from the polyline, and at the end of every external line, which
+    must lie on |z| = R_max within _WEDGE_TOL of its ray.  The start point
+    and, on internal lines, points within a tenth of the root separation of
+    another turning point are skipped."""
+    tps = turning_points(p)
+    roots = np.array(tps.roots)
+    R_max = stokes._R_FACTOR * (1.0 + tps.scale)
+    rays = [f + np.pi / 5 for f in PHI] if anti_stokes else PHI
+    out, ends = [], 0
     for ln in trace_stokes_lines(p, anti_stokes=anti_stokes):
         others = np.delete(roots, ln.origin)
+        external = ln.terminal[0] == "ray"
         nodes = [ln.points[0], ln.points[1]]
-        for z in ln.points[2:]:
+        last = len(ln.points) - 1
+        for k, z in enumerate(ln.points[2:], start=2):
             d = np.min(np.abs(z - roots))
-            if np.min(np.abs(z - others)) < 0.1 * sep:
+            if not external and np.min(np.abs(z - others)) < 0.1 * tps.separation:
                 break
             # short chords: every node segment stays on the line's side of
-            # each turning point
-            if abs(z - nodes[-1]) > 0.25 * d:
+            # each turning point (the end chord, past twice the scale, is
+            # clear of them all)
+            if abs(z - nodes[-1]) > 0.25 * d or k == last:
                 nodes.append(z)
         seed = np.sqrt(p(nodes[1]))
-        for k in np.linspace(2, len(nodes) - 1, 4).astype(int):
+        picks = list(np.linspace(2, len(nodes) - 1, 4).astype(int))
+        if external:
+            end = ln.points[-1]
+            assert nodes[-1] == end
+            assert abs(abs(end) - R_max) <= 1e-12 * R_max
+            dev = (np.angle(end) - rays[ln.terminal[1] + 2] + np.pi) % (2 * np.pi) - np.pi
+            assert abs(dev) <= stokes._WEDGE_TOL
+            picks.append(len(nodes) - 1)
+            ends += 1
+        for k in picks:
             s = line_action(p, tuple(nodes[: k + 1]), seed).value
             level = s.imag if anti_stokes else s.real
             out.append(abs(level) / (1.0 + abs(s)))
+    assert ends > 0
     return np.array(out)
 
 
@@ -316,6 +333,53 @@ def test_traced_lines_stay_on_their_level_set(anti_stokes):
         res = _level_residuals(p, anti_stokes)
         assert len(res) > 0
         assert np.max(res) <= 1e-6, (p, np.max(res))
+
+
+@pytest.mark.parametrize(
+    "a, b, origin, mult",
+    [(0.4, -0.3, 0, 1), (24.0, -16.0 / 7.0, 0, 2), (24.0, -16.0 / 7.0, 1, 1), (0.0, 0.0, 0, 3)],
+    ids=["simple", "double-r2", "simple-beside-double", "triple"],
+)
+def test_start_point_action_from_the_local_series(a, b, origin, mult):
+    # the action from a turning point to each start point of its lines, by
+    # the local series, is line_action's to rounding: at a simple root, at
+    # the exact double root r = 2 and at the triple root of V = 4 x^3
+    p = CubicPotential(a, b)
+    tps = turning_points(p)
+    assert tps.multiplicities[origin] == mult
+    series = stokes._local_series(tps, origin)
+    lines = [ln for ln in trace_stokes_lines(p) if ln.origin == origin]
+    assert len(lines) == tps.multiplicities[origin] + 2
+    for ln in lines:
+        tp, z = complex(ln.points[0]), complex(ln.points[1])
+        # sqrt of the factored V = 4 prod (z - r), which line_action
+        # integrates: at a merged double root it differs from p(z) by 1e-9
+        w = 2.0 * np.prod(np.sqrt(z - np.array(tps.all_with_repeats)))
+        got = stokes._local_action(series, z - tp, w)
+        want = line_action(p, (tp, z), w, tol=1e-14, clearance=0.0).value
+        assert abs(got - want) <= 1e-13 * abs(want)
+        # the start point lies on the level set that the series gives with
+        # V itself, as the tracer puts it there
+        level = stokes._local_action(series, z - tp, np.sqrt(complex(p(z))))
+        assert abs(level.real) <= 1e-13 * abs(level)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, -1.0), (0.0, 0.3j)])
+def test_wall_inside_a_start_disc_lies_on_its_line(a, b):
+    # the oracle's wall circle |x| = 0.85 r_foot cuts the start disc of a
+    # line, where its polyline is the chord from the turning point: the wall
+    # is read off the local series (Simpson's rule from the turning point
+    # misses the level by about 1e-3)
+    p = CubicPotential(a, b)
+    radius = 0.85 * max(1.35 * turning_points(p).scale, 1.0)
+    cut = [ln for ln in trace_stokes_lines(p)
+           if abs(ln.points[0]) < radius < abs(ln.points[1])]
+    assert cut
+    for ln in cut:
+        x = stokes._crossing(ln, radius, p)
+        s = line_action(p, (ln.points[0], x), np.sqrt(p(x)), tol=1e-14, clearance=0.0).value
+        assert abs(abs(x) - radius) <= 1e-14 * radius
+        assert abs(s.real) <= 1e-12 * abs(s)
 
 
 def _near_boundary_and_box_potentials():
