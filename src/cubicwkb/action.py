@@ -52,6 +52,7 @@ from .potential import CubicPotential, turning_points
 _GAUSS_N = 20
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 _GX2, _GW2 = np.polynomial.legendre.leggauss(2 * _GAUSS_N)
+_GXC = np.concatenate((_GX2, _GX))   # the nodes of both rules, for one call of f
 _HOP = 0.05            # the period arc hops a third root within _HOP |chord| of the midpoint
 _MAX_COARSE = 2**15    # node cap of the period rule (reached only by nearly double roots)
 _ROUNDING = 64 * np.finfo(float).eps   # rounding floor of the period rule's est_error
@@ -84,7 +85,7 @@ def _seg_min_dist(a: complex, b: complex, r: complex) -> float:
     L2 = abs(d) ** 2
     if L2 == 0:
         return abs(r - a)
-    t = ((r - a) * np.conj(d)).real / L2
+    t = ((r - a) * d.conjugate()).real / L2
     t = min(1.0, max(0.0, t))
     return abs(a + t * d - r)
 
@@ -130,11 +131,13 @@ def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
 
 
 def _gauss_panel(f, a, b):
-    """Panel integral of f and its error estimate."""
+    """Panel integral of f and its error estimate, from one call of f on the
+    nodes of both Gauss rules (_GXC)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    i2 = half * (_GW2 @ f(mid + half * _GX2))
-    i1 = half * (_GW @ f(mid + half * _GX))
+    y = f(mid + half * _GXC)
+    i2 = half * (_GW2 @ y[: 2 * _GAUSS_N])
+    i1 = half * (_GW @ y[2 * _GAUSS_N :])
     return i2, float(abs(i2 - i1))
 
 
@@ -481,7 +484,7 @@ def safe_nodes(a: complex, b: complex, roots, clearance: float, depth: int = 0):
     if bad is None or depth > 6:
         return [a, b]
     d = b - a
-    t = ((bad - a) * np.conj(d)).real / abs(d) ** 2
+    t = ((bad - a) * d.conjugate()).real / abs(d) ** 2
     foot = a + t * d
     # 2.5 clearance from the root, across the chord from it (to the chord's
     # left when the root lies on it)

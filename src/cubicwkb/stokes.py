@@ -25,12 +25,19 @@ from the convergent series of sqrt(V) about its turning point
 (_local_series), and an external line is stepped only until it passes
 |x| = 2 (1 + scale): it ends at its exact crossing of the end radius, with
 the action from the convergent series of S at infinity (_far_crossing).
-Lines that end at one ray are ordered by their angular deviation from it at
-that common end radius: the deviation decays like r^{-5/2}, so values read
-at different radii cannot be compared, and level lines do not cross, so one
-radius orders them as well as any other.  A wall where a line crosses a
-smaller circle is read on its level set (_crossing), not on a chord between
-its polyline points.
+Inside the disc of a tenth of the nearest-root distance about another
+turning point t, the level set is t's own local arcs, so a line is decided
+where it first enters that disc: it ends at t when its level offset from
+those arcs, from t's series, is below what the series reaches at the trap
+radius (_reaches), and steps on otherwise.  A line that ends at t is traced
+from one end only: the level curve read from t is the same set of points,
+so t's line in the direction of arrival is the reversed polyline
+(trace_stokes_lines).  Lines that end at one ray are ordered by their
+angular deviation from it at that common end radius: the deviation decays
+like r^{-5/2}, so values read at different radii cannot be compared, and
+level lines do not cross, so one radius orders them as well as any other.
+A wall where a line crosses a smaller circle is read on its level set
+(_crossing), not on a chord between its polyline points.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ class AmbiguousClassError(ClassificationError):
 
 
 # tracing constants; launch and trap radii are in units of the root separation
+# (a line that would pass within the trap radius of a root ends there)
 _WEDGE_TOL = np.pi / 20
 _TRAP_FACTOR = 1e-4
 _LAUNCH_FACTOR = 1e-2
@@ -149,7 +157,7 @@ def _launch_radius(tps: TurningPointSet) -> float:
     """The launch radius: a multiple _LAUNCH_FACTOR of the root separation,
     floored at 1e-3 scale.  A line starts there only when it exceeds a tenth
     of the distance to the nearest other root (_trace_one); it also sets the
-    tracer's step floor and its trap and return distances, and roots closer
+    tracer's step floor and its return distance, and roots closer
     than it are refused by classify."""
     scale = max(tps.scale, 1.0)
     if len(tps.roots) == 1:
@@ -242,6 +250,23 @@ def _local_action(series, zeta: complex, w: complex) -> complex:
     return w * zeta * G / F
 
 
+def _reaches(series, zeta, w, level, u, r_trap, q):
+    """Whether a level line that enters the disc of a turning point t at
+    z = t + zeta ends at t, for _trace_one.
+
+    level is Re(u S) at z from the line's own turning point (the tracer's
+    drift), and w = sqrt(V(z)) on the line's sheet.  Within the disc the
+    level set is t's own local arcs: the line runs at the level offset
+    delta = level - Re(u S_t(z)) from them, S_t the action from t by its
+    local series (_local_action), and |u S_t| grows like |zeta|^q,
+    q = m/2 + 1.  The line ends at t when that offset is at most the level
+    that the series reaches at |zeta| = r_trap, |S_t(z)| (r_trap/|zeta|)^q
+    to leading order: a line stepped on would pass within r_trap of t.
+    """
+    s = u * _local_action(series, zeta, w)
+    return abs(level - s.real) <= abs(s) * (r_trap / abs(zeta)) ** q
+
+
 def _far_series(p: CubicPotential):
     """The series of the action at infinity, for _far_crossing.
 
@@ -301,15 +326,22 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
       with the level from the series of S at infinity (_far_crossing).
       Level lines do not cross, so the ends keep the order of the lines at
       every radius.
-    An internal line is stepped until it is trapped within _TRAP_FACTOR
-    separations of another root.
+    - A connection is decided once per other root t, where the line first
+      enters t's disc |z - t| < 0.1 d_t, d_t the distance from t to its
+      nearest other root: there the level set is t's m + 2 local arcs, and
+      the line's level offset from them is exact from t's series.  When the
+      offset is at most the level that the series reaches at r_trap =
+      _TRAP_FACTOR separations (_reaches), the line ends at t; otherwise it
+      steps on, and no later test can end it at t.  The other end of a
+      connection is not traced: the same level curve read from t is the
+      reversed polyline (trace_stokes_lines).
 
     The predictor steps h = 0.2 hcap along the unit tangent turn conj(w)/|w|,
     w = sqrt(V) already continued to z; hcap is a fifth of the distance to
     the nearest turning point, at most 0.1 (1 + |z|).  The level drift of
     the step, Re(u int w dz) along the chord, is summed by Simpson's rule,
-    whose error is O(h^5) per step (a trapezoid's O(h^3) would let a saddle
-    connection at this step length miss its trap).  The corrector is one
+    whose error is O(h^5) per step (a trapezoid's is O(h^3)): that level is
+    what the line carries into another root's disc.  The corrector is one
     transverse Newton step onto the level set.  A step makes at most three
     square-root continuations: at the chord's midpoint, at the predicted
     point and at the corrected point.
@@ -327,9 +359,16 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
     roots = [complex(r) for r in tps.roots]
     tp = roots[origin]
     others = [r for i, r in enumerate(roots) if i != origin]
-    # the other roots, padded with the origin to two: a repeated distance
-    # leaves the nearest one unchanged
-    r1, r2 = (others + [tp, tp])[:2]
+    # the other roots j, each with the radius 0.1 d_j of its disc (d_j the
+    # distance to its nearest other root) and the exponent m_j/2 + 1 of its
+    # series, padded with the origin to two: a repeated distance leaves the
+    # nearest one unchanged, and a disc of negative radius is never entered
+    discs = []
+    for j, r in enumerate(roots):
+        if j != origin:
+            d_j = min(abs(r - s) for s in roots if s != r)
+            discs.append((j, r, _START_FACTOR * d_j, 0.5 * tps.multiplicities[j] + 1.0))
+    (j1, r1, rho1, q1), (j2, r2, rho2, q2) = (discs + [(origin, tp, -1.0, 0.0)] * 2)[:2]
     scale = max(tps.scale, 1.0)
     r_launch = _launch_radius(tps)
     r_trap = _TRAP_FACTOR * max(tps.separation, 1e-3 * scale) if len(roots) > 1 else 0.0
@@ -380,8 +419,7 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
     def line(terminal):
         return StokesLine(origin, direction_index, np.array(pts), terminal)
 
-    # r_trap < 3 r_launch, so a root trapped past 3 r_launch is another one
-    d_away, d_home = 3 * r_launch, 0.5 * r_launch
+    d_home = 0.5 * r_launch
     h_floor, h_launch = 1e-6 * scale, 0.05 * r_launch
     for n in range(1, _MAX_STEPS + 1):
         d_o = abs(z - tp)
@@ -389,14 +427,20 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
         d = abs(z - r1)
         if d < d_min:
             d_min = d
+        if d < rho1:
+            # the first entry into a disc decides the connection, once
+            rho1 = -1.0
+            if _reaches(local[j1], z - r1, w, drift, u, r_trap, q1):
+                append(r1)
+                return line(("tp", j1))
         d = abs(z - r2)
         if d < d_min:
             d_min = d
-        if d_min < r_trap and d_o > d_away:
-            dists = [abs(z - r) for r in roots]
-            j = dists.index(d_min)
-            append(roots[j])
-            return line(("tp", j))
+        if d < rho2:
+            rho2 = -1.0
+            if _reaches(local[j2], z - r2, w, drift, u, r_trap, q2):
+                append(r2)
+                return line(("tp", j2))
         az = abs(z)
         if az >= R_far:
             x = _far_crossing(far, z, w, drift, u, R_max, rays)
@@ -455,22 +499,40 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
 
 
 def trace_stokes_lines(p: CubicPotential, anti_stokes: bool = False) -> list[StokesLine]:
-    """Trace all Stokes lines (anti-Stokes lines with anti_stokes=True); the
-    external ones end on |x| = _R_FACTOR (1 + scale)."""
+    """Trace all Stokes lines (anti-Stokes lines with anti_stokes=True), by
+    vertex, then direction; the external ones end on |x| = _R_FACTOR
+    (1 + scale).
+
+    A line that ends at another turning point t is traced once: the same
+    level curve read from t is its reversed polyline, so it is taken as the
+    line of t's launch direction nearest its arrival, which is not traced.
+    When that direction was already traced elsewhere, no twin is made, and
+    _assemble finds the internal line traced once.
+    """
     tps = turning_points(p)
     rays = [f + np.pi / 5 for f in PHI] if anti_stokes else PHI
     local = [_local_series(tps, vi) for vi in range(len(tps.roots))]
     far = _far_series(p)
-    return [
-        _trace_one(p, tps, vi, di, theta, anti_stokes, rays, local, far)
-        for vi, (tp, m) in enumerate(zip(tps.roots, tps.multiplicities))
-        for di, theta in enumerate(_launch_directions(p, tp, m, anti_stokes))
-    ]
+    thetas = [_launch_directions(p, tp, m, anti_stokes)
+              for tp, m in zip(tps.roots, tps.multiplicities)]
+    lines = {}
+    for vi, directions in enumerate(thetas):
+        for di, theta in enumerate(directions):
+            if (vi, di) in lines:
+                continue
+            ln = lines[vi, di] = _trace_one(p, tps, vi, di, theta, anti_stokes, rays, local, far)
+            kind, j = ln.terminal
+            if kind == "tp":
+                arrival = cmath.phase(complex(ln.points[-2] - ln.points[-1]))
+                dj = min(range(len(thetas[j])), key=lambda k: abs(_wrap(arrival - thetas[j][k])))
+                lines.setdefault((j, dj), StokesLine(j, dj, ln.points[::-1].copy(), ("tp", vi)))
+    return [lines[key] for key in sorted(lines)]
 
 
 def _assemble(lines):
-    """Deduplicate traced lines into internal edges (each traced from both
-    ends) and external edges (vertex, ray k), the latter in line order."""
+    """Deduplicate traced lines into internal edges (each a traced line and
+    its reversed twin) and external edges (vertex, ray k), the latter in
+    line order."""
     internal: dict[frozenset, list] = {}
     external: list[tuple[int, int]] = []
     for ln in lines:

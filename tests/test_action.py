@@ -3,9 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubicwkb import action
 from cubicwkb.action import (
     ClearanceError,
+    _continue,
+    _gauss_panel,
     _seg_min_dist,
+    _split_points,
+    alpha_at,
     alpha_integral,
     alpha_ray_tail,
     cycle_period,
@@ -426,3 +431,41 @@ def test_alpha_integral_scaling():
     q = apply_group(GroupElement(x, 0), p)
     scaled = alpha_integral(q, (2.0 * x, (2.0 + 2.0j) * x))
     assert scaled == pytest.approx(x**-2.5 * base, rel=1e-9)
+
+
+def test_gauss_panel_equals_the_two_call_form_bit_for_bit():
+    # one call of f on the nodes of both rules gives what one call per rule
+    # gives: on |alpha| and on the sheet-continued integrand of
+    # _integrate_regular, over whole and partial panels
+    def two_calls(f, a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        i2 = half * (action._GW2 @ f(mid + half * action._GX2))
+        i1 = half * (action._GW @ f(mid + half * action._GX))
+        return i2, float(abs(i2 - i1))
+
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(20):
+        a, b = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
+        p = CubicPotential(a, b)
+        roots = np.array(turning_points(p).all_with_repeats, dtype=complex)
+        u, v = rng.uniform(-4, 4, 2) + 1j * rng.uniform(-4, 4, 2)
+
+        def f_alpha(ts, u=u, v=v, p=p):
+            return alpha_at(p, u + ts * (v - u)) * abs(v - u)
+
+        fs = [f_alpha]
+        pieces = _split_points(u, v, roots)
+        vals = np.sqrt(pieces[0] - roots)
+        for x0, x1 in zip(pieces[:-1], pieces[1:]):
+
+            def f_sheet(s, x0=x0, x1=x1, vals=vals, roots=roots):
+                return 2.0 * np.prod(_continue(vals, x0, x0 + s * (x1 - x0), roots), axis=-1) * (x1 - x0)
+
+            fs.append(f_sheet)
+            vals = _continue(vals, x0, x1, roots)
+        for f in fs:
+            for lo, hi in ((0.0, 1.0), (0.0, 0.5), (0.25, 0.375)):
+                assert _gauss_panel(f, lo, hi) == two_calls(f, lo, hi)
+                checked += 1
+    assert checked > 60

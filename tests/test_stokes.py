@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_potentials
 from cubicwkb import stokes
-from cubicwkb.action import line_action
-from cubicwkb.bsb import real_orbit_potential
+from cubicwkb.action import _pair_scores, line_action
+from cubicwkb.bsb import real_orbit_constants, real_orbit_potential
 from cubicwkb.export import graph_to_json, graph_to_svg
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
 from cubicwkb.stokes import (
@@ -464,3 +464,97 @@ def test_tracing_commutes_with_conjugation():
                 if k != l and gq.relation.related(l, k):
                     walls = tuple(wall_to_p(w) for w in gq.corridors[(l, k)])
                     assert walls == gp.corridors[(-l, -k)], (a, b, l, k)
+
+
+def _orbit_point():
+    _, a_star, b_star = real_orbit_constants()
+    return CubicPotential(a_star, b_star)
+
+
+def test_each_saddle_connection_is_traced_from_one_end(monkeypatch):
+    # the two internal lines of the class-320 orbit point are each traced
+    # once; the other end's line is the reversed polyline: 7 traces for 9
+    # lines, still in the order of vertex, then direction
+    p = _orbit_point()
+    calls = []
+    trace_one = stokes._trace_one
+
+    def counting(*args):
+        calls.append(args[2:4])
+        return trace_one(*args)
+
+    monkeypatch.setattr(stokes, "_trace_one", counting)
+    lines = trace_stokes_lines(p)
+    assert (len(calls), len(lines)) == (7, 9)
+    assert [(ln.origin, ln.direction_index) for ln in lines] == [
+        (i, d) for i, m in enumerate(turning_points(p).multiplicities) for d in range(m + 2)
+    ]
+    internal = [ln for ln in lines if ln.terminal[0] == "tp"]
+    assert len(internal) == 4
+    for ln in internal:
+        (twin,) = [t for t in internal if (t.origin, t.terminal[1]) == (ln.terminal[1], ln.origin)]
+        assert np.array_equal(twin.points, ln.points[::-1])
+        # one of the two is traced, the other is not
+        assert ((ln.origin, ln.direction_index) in calls) != ((twin.origin, twin.direction_index) in calls)
+    g = classify(p)
+    assert (g.class_code, g.decoration_shift) == ("320", 0)
+
+
+def test_twin_direction_traced_elsewhere_leaves_the_connection_traced_once(monkeypatch):
+    # the first trace that reaches another turning point is read as a ray:
+    # the other end's trace then reaches the first vertex, in a direction
+    # that is already traced, so no twin is made
+    p = _orbit_point()
+    trace_one = stokes._trace_one
+    diverted = []
+
+    def first_connection_to_a_ray(*args):
+        ln = trace_one(*args)
+        if ln.terminal[0] == "tp" and not diverted:
+            diverted.append(ln)
+            return stokes.StokesLine(ln.origin, ln.direction_index, ln.points, ("ray", 0))
+        return ln
+
+    monkeypatch.setattr(stokes, "_trace_one", first_connection_to_a_ray)
+    lines = trace_stokes_lines(p)
+    (ln,) = diverted
+    back = [t for t in lines if (t.origin, t.terminal) == (ln.terminal[1], ("tp", ln.origin))]
+    assert len(back) == 1
+    assert not any(t.origin == ln.origin and t.terminal == ("tp", ln.terminal[1]) for t in lines)
+    diverted.clear()
+    with pytest.raises(AmbiguousClassError, match="traced 1 times"):
+        classify(p)
+
+
+# imaginary shifts (da, db) of the unit-scale orbit point (-1, b): at a
+# period Re-score of at most 1e-8 the two saddle connections hold; at 1e-5
+# and above the class is the one the two-ended trap gave (pinned from it)
+_ORBIT_SHIFTS = [
+    (1e-11j, 0, ("320", 0)),
+    (-1e-10j, 0, ("320", 0)),
+    (1e-9j, 0, ("320", 0)),
+    (-3e-9j, 0, ("320", 0)),
+    (0, 1e-11j, ("320", 0)),
+    (0, -1e-10j, ("320", 0)),
+    (1e-4j, 0, ("300", 2)),
+    (-3e-4j, 0, ("300", 3)),
+    (1e-3j, 0, ("300", 2)),
+    (-1e-2j, 0, ("300", 3)),
+    (3e-2j, 0, ("300", 2)),
+    (0, 3e-6j, ("300", 2)),
+    (0, -1e-5j, ("300", 3)),
+    (0, 1e-4j, ("300", 2)),
+    (0, -3e-4j, ("300", 3)),
+    (0, 1e-3j, ("300", 2)),
+    (0, -1e-2j, ("300", 3)),
+]
+
+
+@pytest.mark.parametrize("da, db, want", _ORBIT_SHIFTS)
+def test_a_saddle_connection_is_decided_by_the_level_offset(da, db, want):
+    o = real_orbit_potential()
+    p = CubicPotential(o.a + da, o.b + db)
+    score = min(_pair_scores(p, list(turning_points(p).roots), 1e-10).values())
+    assert score <= 1e-8 if want[0] == "320" else score >= 1e-5
+    g = classify(p)
+    assert (g.class_code, g.decoration_shift) == want
