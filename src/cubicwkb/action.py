@@ -111,16 +111,33 @@ def _check_clearance(tps, nodes, clearance, skip_first=(), skip_last=()):
 
 def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
     """Waypoints along [a, b] so each piece is shorter than half its distance
-    to every root not in skip (keeps per-factor continuation unambiguous)."""
+    to every root not in skip (keeps per-factor continuation unambiguous).
+
+    The distance to each root is _seg_min_dist's arithmetic, written out in
+    the same order."""
+    kept = [r for i, r in enumerate(roots) if i not in skip]
     out: list[tuple[complex, complex]] = []
     stack = [(a, b, 0)]
     while stack:
         u, v, depth = stack.pop()
-        dmin = min(
-            (_seg_min_dist(u, v, r) for i, r in enumerate(roots) if i not in skip),
-            default=np.inf,
-        )
-        if abs(v - u) <= 0.5 * dmin or depth > 48 or v == u:
+        d = v - u
+        length = abs(d)
+        L2 = length**2
+        dc = d.conjugate()
+        dmin = np.inf
+        for r in kept:
+            if L2 == 0:
+                dist = abs(r - u)
+            else:
+                t = ((r - u) * dc).real / L2
+                if not t > 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                dist = abs(u + t * d - r)
+            if dist < dmin:
+                dmin = dist
+        if length <= 0.5 * dmin or depth > 48 or v == u:
             out.append((u, v))
         else:
             mid = 0.5 * (u + v)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -229,6 +230,21 @@ def _orbit_point() -> tuple[float, float]:
     return float(b_hat), float(y0)
 
 
+@lru_cache(maxsize=1)
+def _origin_node() -> tuple[CubicPotential, MappingProxyType, float]:
+    """(p, labels, rho_max) of the certified kappa = 1 node: the real orbit
+    point (a*, b*), P_a1 = i pi, P_a-1 = -i pi.
+
+    It depends on no input, so it is certified once per process; the labels
+    are read-only, and callers that walk on from them take a copy.
+    """
+    _, a_star, b_star = real_orbit_constants()
+    p = CubicPotential(a_star, b_star)
+    t1 = 1j * np.pi
+    labels, rho = _certify(p, t1, -t1)
+    return p, MappingProxyType(labels), rho
+
+
 def real_orbit_constants() -> tuple[float, float, float]:
     """(mu_star, a_star, b_star) of the real pole family.
 
@@ -270,16 +286,16 @@ def _kappa_curve(
     The curve starts at the real orbit point (a*, b*), the kappa = 1
     solution, and is walked upward through the kappas above 1 in increasing
     order, one Newton solve per kappa from the last accepted node.  Every
-    accepted point, the origin included, passes _certify.  Returns the solved
-    nodes {kappa: (potential, labels, rho_max)} and the failed kappas
+    accepted point, the origin included, passes _certify; the origin's
+    certificate is computed once per process (_origin_node).  Returns the
+    solved nodes {kappa: (potential, labels, rho_max)} and the failed kappas
     {kappa: message}; a failed kappa is recorded at once, and the walk goes
     on to the next from the last accepted node.
     """
-    _, a_star, b_star = real_orbit_constants()
-    p = CubicPotential(a_star, b_star)
-    t1 = 1j * np.pi
-    labels, rho = _certify(p, t1, -t1)
+    p, origin_labels, rho = _origin_node()
+    labels = dict(origin_labels)
     nodes = {Fraction(1): (p, labels, rho)}
+    t1 = 1j * np.pi
     failures: dict[Fraction, str] = {}
     for target in sorted(k for k in kappas if k > 1):
         t2 = -1j * np.pi * float(target)
@@ -308,7 +324,8 @@ def solve_lattice(
     tol / (max(n_max, m_max) - 1/2), so each cell already meets tol, and
     _newton_targets only confirms it.  Both maps keep the class, the shift,
     the labels and |arg a|, so each cell carries its node's certificate, with
-    rho_max = (node rho_max) / s.
+    rho_max = (node rho_max) / s.  The kappa = 1 node does not depend on
+    the lattice, so its certificate is computed once per process.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError("n_max and m_max must be >= 1")

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,7 +131,8 @@ def cmd_trace(args) -> int:
         }
         for ln in lines
     ]
-    text = json.dumps(out)
+    # built fresh, without cycles: the encoder's cycle check is skipped
+    text = json.dumps(out, check_circular=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -306,9 +308,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _default_parser() -> argparse.ArgumentParser:
+    """The config-free parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _default_parser().parse_args(argv)
         cfg = _load_config(args.config)
         if cfg:
             # a flag given explicitly on the command line wins over the config

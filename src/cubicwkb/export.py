@@ -38,6 +38,7 @@ def graph_to_json(g: StokesComplexGraph) -> str:
     labels = {
         name: [z.real, z.imag] for name, z in (g.tp_labels or {}).items()
     }
+    # built fresh, without cycles: the encoder's cycle check is skipped
     return json.dumps(
         {
             "vertices": vertices,
@@ -45,7 +46,8 @@ def graph_to_json(g: StokesComplexGraph) -> str:
             "class_code": g.class_code,
             "shift": g.decoration_shift,
             "tp_labels": labels,
-        }
+        },
+        check_circular=False,
     )
 
 

@@ -108,6 +108,14 @@ def relative_errors(g: StokesComplexGraph) -> RelativeError:
             rho[(l + 2) % 5, (k + 2) % 5] = 0.0
     # external walls are sampled at a moderate radius beyond the vertices
     r_ext = 1.5 * max(max(abs(v) for v in tps.roots), 1e-12)
+    # a sector's ray tail is the same in every pair it belongs to
+    tails: dict[int, float] = {}
+
+    def tail(k: int) -> float:
+        if k not in tails:
+            tails[k] = alpha_ray_tail(p, _sector_anchor(g, k))
+        return tails[k]
+
     for l in range(-2, 3):
         for k in range(l + 1, 3):
             if (k - l) % 5 in (1, 4) or not g.relation.related(l, k):
@@ -121,8 +129,7 @@ def relative_errors(g: StokesComplexGraph) -> RelativeError:
                 seg = safe_nodes(u, v, roots, clearance)
                 full.extend(seg if not full else seg[1:])
             mid = alpha_integral(p, full, clearance=0.5 * clearance if clearance else None)
-            tails = alpha_ray_tail(p, nodes[0]) + alpha_ray_tail(p, nodes[-1])
-            val = mid + tails
+            val = mid + (tail(l) + tail(k))
             rho[(l + 2) % 5, (k + 2) % 5] = val
             rho[(k + 2) % 5, (l + 2) % 5] = val
     sim = rho < LOG3_HALF

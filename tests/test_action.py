@@ -469,3 +469,55 @@ def test_gauss_panel_equals_the_two_call_form_bit_for_bit():
                 assert _gauss_panel(f, lo, hi) == two_calls(f, lo, hi)
                 checked += 1
     assert checked > 60
+
+
+def _split_points_by_seg_min_dist(a, b, roots, skip=()):
+    """_split_points with the distance taken from _seg_min_dist."""
+    out = []
+    stack = [(a, b, 0)]
+    while stack:
+        u, v, depth = stack.pop()
+        dmin = min(
+            (_seg_min_dist(u, v, r) for i, r in enumerate(roots) if i not in skip),
+            default=np.inf,
+        )
+        if abs(v - u) <= 0.5 * dmin or depth > 48 or v == u:
+            out.append((u, v))
+        else:
+            mid = 0.5 * (u + v)
+            stack.append((mid, v, depth + 1))
+            stack.append((u, mid, depth + 1))
+    out.sort(key=lambda seg: abs(seg[0] - a))
+    return [s[0] for s in out] + [b]
+
+
+def test_split_points_equals_the_seg_min_dist_form_bit_for_bit(monkeypatch):
+    # the arguments of every call made by the relative errors and line
+    # actions of a few potentials, then random segments with skips, a segment
+    # of length zero and segments through a root
+    split = action._split_points
+    cases = []
+    monkeypatch.setattr(action, "_split_points",
+                        lambda *args, **kw: cases.append((args, kw)) or split(*args, **kw))
+    from cubicwkb.bsb import real_orbit_potential
+    from cubicwkb.stokes import classify
+    from cubicwkb.wkb import relative_errors
+
+    rng = np.random.default_rng(23)
+    potentials = [real_orbit_potential()] + [
+        CubicPotential(*(rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2))) for _ in range(4)]
+    for p in potentials:
+        relative_errors(classify(p))
+        z = 0.3 + 0.2j
+        for end in (2.5 - 1j, turning_points(p).roots[0]):
+            line_action(p, (z, end), np.sqrt(p(z)))
+    assert len(cases) > 40
+    for _ in range(40):
+        roots = list(rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3))
+        a, b = (complex(z) for z in rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2))
+        skip = set(int(i) for i in rng.choice(3, size=int(rng.integers(0, 3)), replace=False))
+        cases.append(((a, b, roots), {"skip": skip}))
+    cases += [((1 + 1j, 1 + 1j, [0j, 2j]), {}), ((-1 + 0j, 1 + 0j, [0j]), {}),
+              ((0j, 2 + 2j, [1 + 1j, 3j]), {"skip": {1}}), ((0j, 1j, [2 + 0j]), {"skip": {0}})]
+    for args, kw in cases:
+        assert split(*args, **kw) == _split_points_by_seg_min_dist(*args, **kw)

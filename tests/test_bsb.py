@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,8 @@ def test_lattice_cells_below_the_diagonal_are_conjugates():
 
 
 def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
+    # the kappa = 1 certificate is kept per process: clear it so it is made here
+    bsb._origin_node.cache_clear()
     certify = bsb._certify
     targets = []
 
@@ -182,6 +186,44 @@ def test_failing_kappa_fails_only_its_cells(monkeypatch, tmp_path, capsys):
                  "--out", str(tmp_path / "lattice.csv")])
     assert code == EXIT_AMBIGUOUS
     assert "cell (1, 2) failed" in capsys.readouterr().err
+
+
+def test_origin_is_certified_once_per_process(monkeypatch):
+    certify = bsb._certify
+    origins = []
+
+    def counted(p, t1, t2):
+        origins.append(t2 == -t1)
+        return certify(p, t1, t2)
+
+    monkeypatch.setattr(bsb, "_certify", counted)
+    bsb._origin_node.cache_clear()
+    warm = [solve_lattice(2, 3), solve_lattice(2, 3)]
+    assert origins.count(True) == 1
+    bsb._origin_node.cache_clear()
+    cold = solve_lattice(2, 3)
+    assert origins.count(True) == 2
+    assert not cold[1] and len(cold[0]) == 6
+    assert warm == [cold, cold]
+
+
+def test_origin_labels_cannot_be_changed_by_callers():
+    _, want, _ = bsb._origin_node()
+    want = dict(want)
+    with pytest.raises(TypeError):
+        bsb._origin_node()[1]["tp0"] = 0j
+    nodes, _ = bsb._kappa_curve({Fraction(1)}, 1e-10)
+    nodes[Fraction(1)][1]["tp0"] = 0j
+    assert dict(bsb._origin_node()[1]) == want
+    nodes, _ = bsb._kappa_curve({Fraction(1)}, 1e-10)
+    assert nodes[Fraction(1)][1] == want
+
+
+def test_orbit_constants_leave_the_origin_uncertified():
+    bsb._origin_node.cache_clear()
+    bsb._orbit_point.cache_clear()
+    real_orbit_constants()
+    assert bsb._origin_node.cache_info().currsize == 0
 
 
 def test_certificate_propagates_unexpected_errors(monkeypatch, sol_11):

@@ -7,7 +7,7 @@ import pytest
 
 import cubicwkb
 import cubicwkb.cli as cli
-from cubicwkb.bsb import real_poles
+from cubicwkb.bsb import real_orbit_constants, real_poles
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
 from cubicwkb.monodromy import StokesMultipliers, _s5
 from cubicwkb.potential import CubicPotential, GroupElement, apply_group
@@ -74,6 +74,27 @@ def test_trace_json(capsys):
     assert code == EXIT_OK
     lines = json.loads(out)
     assert len(lines) == 9  # three simple turning points
+
+
+def test_json_without_the_cycle_check_is_byte_identical(monkeypatch, capsys):
+    # classify (graph_to_json) and trace skip the encoder's cycle check on
+    # the structures they build; with the check the text is the same
+    dumps = json.dumps
+    seen = []
+
+    def spy(obj, **kw):
+        seen.append((obj, kw, dumps(obj, **kw)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(json, "dumps", spy)
+    a, b = (repr(x) for x in real_orbit_constants()[1:])
+    for cmd in ("classify", "trace"):
+        assert run_cli(capsys, cmd, "--a", a, "--b", b)[0] == EXIT_OK
+    assert len(seen) == 2
+    for obj, kw, text in seen:
+        assert kw == {"check_circular": False}
+        assert dumps(obj) == text
+        assert len(text) > 10_000
 
 
 def test_trace_anti_stokes_rays_of_pure_cubic(capsys):
@@ -218,6 +239,35 @@ def test_table2_reference_is_exact_poles(tritronquee_poles):
     assert REFERENCE_NUMERIC.keys() == exact.keys()
     for key, value in exact.items():
         assert REFERENCE_NUMERIC[key] == pytest.approx(value, rel=1e-8, abs=1e-8)
+
+
+def test_kept_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # main keeps its config-free parser; each run, before and after a
+    # --config run, gives what a parser built for that call gives
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("nmax = 1\nmmax = 2\n")
+    runs = [
+        ("constants",),
+        ("trace", "--a", "0", "--b", "0", "--anti"),
+        ("poles", "--nmax", "1", "--mmax", "1"),
+        ("classify", "--a", "2", "--b", "0"),
+        ("poles", "--nmax", "0"),
+        ("--config", "run.cfg", "poles"),
+        ("poles", "--mmax", "1"),
+        ("table2",),
+        ("verify", "--a", "nan", "--b", "0"),
+        ("classify", "--a", "0", "--b", "0", "--disk", "--svg", "kept.svg"),
+    ]
+    kept = [run_cli(capsys, *argv) for argv in runs]
+    assert cli._default_parser() is cli._default_parser()
+    kept_svg = (tmp_path / "kept.svg").read_text()
+    monkeypatch.setattr(cli, "_default_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in runs]
+    assert kept == fresh
+    assert (tmp_path / "kept.svg").read_text() == kept_svg
+    assert [r[0] for r in kept] == [EXIT_OK] * 4 + [EXIT_USAGE] + [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK]
+    # the config run solved 1 x 2, the run after it the default 5 x 1
+    assert len(kept[5][1].splitlines()) == 3 and len(kept[6][1].splitlines()) == 6
 
 
 def test_config_file_override(tmp_path, capsys):

@@ -100,6 +100,27 @@ def test_relative_errors_structure(orbit_potential):
                 assert np.isfinite(re.value(j, k))
 
 
+def test_relative_errors_takes_each_sector_tail_once(orbit_potential, monkeypatch):
+    # sector 0 is in two related pairs of class 320; its tail is integrated
+    # once, and each rho is still the corridor plus the two tails
+    import cubicwkb.wkb as wkb
+
+    tail = wkb.alpha_ray_tail
+    starts = []
+    monkeypatch.setattr(wkb, "alpha_ray_tail", lambda p, z: starts.append(z) or tail(p, z))
+    g = classify(orbit_potential)
+    re = relative_errors(g)
+    pairs = [(l, k) for l in range(-2, 3) for k in range(l + 1, 3)
+             if (k - l) % 5 not in (1, 4) and g.relation.related(l, k)]
+    sectors = {s for pair in pairs for s in pair}
+    assert len(starts) == len(sectors) < 2 * len(pairs)
+    assert sorted(starts, key=np.angle) == sorted(
+        (wkb._sector_anchor(g, k) for k in sectors), key=np.angle)
+    for l, k in pairs:
+        assert re.value(l, k) >= tail(orbit_potential, wkb._sector_anchor(g, l)) + tail(
+            orbit_potential, wkb._sector_anchor(g, k))
+
+
 def test_relative_errors_finite_below_threshold_at_n2(sol_22):
     p = sol_22.potential
     g = classify(p)
