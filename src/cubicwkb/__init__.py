@@ -9,12 +9,9 @@ oracle.
 
 from .potential import (
     CubicPotential,
-    DegenerateModuliError,
     GroupElement,
-    ModuliCoords,
     TurningPointSet,
     apply_group,
-    moduli,
     orbit_modulus,
     turning_points,
 )
@@ -61,8 +58,8 @@ from .painleve import LaurentSeries, laurent_coeffs, pi_residual
 from .export import graph_to_json, graph_to_svg
 
 __all__ = [
-    "CubicPotential", "DegenerateModuliError", "GroupElement", "ModuliCoords",
-    "TurningPointSet", "apply_group", "moduli", "orbit_modulus", "turning_points",
+    "CubicPotential", "GroupElement", "TurningPointSet", "apply_group",
+    "orbit_modulus", "turning_points",
     "ActionValue", "ClearanceError", "CyclePeriod",
     "alpha_integral", "cycle_period", "label_turning_points_by_periods",
     "line_action",

@@ -124,18 +124,20 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
             raise SolverError(f"line search stalled at residual {norm:.3e}")
     if norm > tol:
         raise SolverError(f"no convergence after {max_iter} iterations ({norm:.3e})")
-    return p, labels, norm
+    return p, norm
 
 
 def _certify(p: CubicPotential, t1: complex, t2: complex):
-    """Certify p as a quantizing solution; return its labels and rho_max.
+    """Certify p as a quantizing solution; return (labels, residual, rho_max),
+    the residual being max |F| of the periods taken with the classified labels.
 
     a must lie outside the pole-free sector, |arg a| > 4 pi/5; the Stokes
     complex must be of class 320 with decoration shift 0, and the periods
     taken with the classified labels must meet the targets t1, t2; otherwise
     SolverError (on the kappa curve: the branch was lost to a root braid).
     The R+ action (a, b) -> (x^2 a, x^3 b) and complex conjugation both carry
-    the certificate along; R+ scales rho_max by exactly x^{-5/2}.
+    the certificate along; R+ scales rho_max by exactly x^{-5/2} and the
+    residual, with the targets, by x^{5/2}.
     """
     arg_a = abs(np.angle(complex(p.a)))
     if arg_a <= 4 * np.pi / 5:
@@ -149,9 +151,10 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
                           f"(shift {g.decoration_shift}), not the quantizing class")
     labels = dict(g.tp_labels)
     F, _ = _system(p, labels, t1, t2, 1e-10)
-    if float(np.max(np.abs(F))) > 1e-6:
+    residual = float(np.max(np.abs(F)))
+    if residual > 1e-6:
         raise SolverError("the classified labels miss the period targets")
-    return labels, relative_errors(g).max_finite
+    return labels, residual, relative_errors(g).max_finite
 
 
 def solve_bsb(idx: BsbIndex, seed: CubicPotential) -> BsbSolution:
@@ -164,8 +167,8 @@ def solve_bsb(idx: BsbIndex, seed: CubicPotential) -> BsbSolution:
     """
     t1, t2 = _targets(idx)
     labels = label_turning_points_by_periods(seed)
-    p, _, norm = _newton_targets(seed, labels, t1, t2, 1e-10, max_iter=50)
-    _, rho_max = _certify(p, t1, t2)
+    p, norm = _newton_targets(seed, labels, t1, t2, 1e-10, max_iter=50)
+    _, _, rho_max = _certify(p, t1, t2)
     return BsbSolution(idx, complex(p.a), complex(p.b), norm, rho_max)
 
 
@@ -231,18 +234,18 @@ def _orbit_point() -> tuple[float, float]:
 
 
 @lru_cache(maxsize=1)
-def _origin_node() -> tuple[CubicPotential, MappingProxyType, float]:
-    """(p, labels, rho_max) of the certified kappa = 1 node: the real orbit
-    point (a*, b*), P_a1 = i pi, P_a-1 = -i pi.
+def _origin_node() -> tuple[CubicPotential, MappingProxyType, float, float]:
+    """(p, labels, residual, rho_max) of the certified kappa = 1 node: the
+    real orbit point (a*, b*), P_a1 = i pi, P_a-1 = -i pi.
 
     It depends on no input, so it is certified once per process; the labels
-    are read-only, and callers that walk on from them take a copy.
+    are read-only.
     """
     _, a_star, b_star = real_orbit_constants()
     p = CubicPotential(a_star, b_star)
     t1 = 1j * np.pi
-    labels, rho = _certify(p, t1, -t1)
-    return p, MappingProxyType(labels), rho
+    labels, residual, rho = _certify(p, t1, -t1)
+    return p, MappingProxyType(labels), residual, rho
 
 
 def real_orbit_constants() -> tuple[float, float, float]:
@@ -279,34 +282,34 @@ def real_poles(n_max: int) -> list[tuple[float, float]]:
 
 def _kappa_curve(
     kappas: set[Fraction], tol: float
-) -> tuple[dict[Fraction, tuple[CubicPotential, dict[str, complex], float]], dict[Fraction, str]]:
+) -> tuple[dict[Fraction, tuple[CubicPotential, float, float]], dict[Fraction, str]]:
     """Certified unit-scale solutions of P_a1 = i pi, P_a-1 = -i pi kappa
     for the kappas >= 1.
 
     The curve starts at the real orbit point (a*, b*), the kappa = 1
     solution, and is walked upward through the kappas above 1 in increasing
-    order, one Newton solve per kappa from the last accepted node.  Every
-    accepted point, the origin included, passes _certify; the origin's
-    certificate is computed once per process (_origin_node).  Returns the
-    solved nodes {kappa: (potential, labels, rho_max)} and the failed kappas
-    {kappa: message}; a failed kappa is recorded at once, and the walk goes
-    on to the next from the last accepted node.
+    order, one Newton solve per kappa to residual tol from the last accepted
+    node, whose labels the walk keeps.  Every accepted point, the origin
+    included, passes _certify; the origin's certificate is computed once per
+    process (_origin_node).  Returns the solved nodes {kappa: (potential,
+    residual, rho_max)}, with the residual as _certify measures it, and the
+    failed kappas {kappa: message}; a failed kappa is recorded at once, and
+    the walk goes on to the next from the last accepted node.
     """
-    p, origin_labels, rho = _origin_node()
-    labels = dict(origin_labels)
-    nodes = {Fraction(1): (p, labels, rho)}
+    p, labels, residual, rho = _origin_node()
+    nodes = {Fraction(1): (p, residual, rho)}
     t1 = 1j * np.pi
     failures: dict[Fraction, str] = {}
     for target in sorted(k for k in kappas if k > 1):
         t2 = -1j * np.pi * float(target)
         try:
-            p2, _, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
-            labels2, rho2 = _certify(p2, t1, t2)
+            p2, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
+            labels2, residual2, rho2 = _certify(p2, t1, t2)
         except (SolverError, ValueError, QuadratureError) as exc:
             failures[target] = f"kappa = {target}: {exc}"
             continue
         p, labels = p2, labels2
-        nodes[target] = (p, labels, rho2)
+        nodes[target] = (p, residual2, rho2)
     return nodes, failures
 
 
@@ -316,16 +319,16 @@ def solve_lattice(
     """Fill the (n, m) lattice from one curve of certified unit-scale solutions.
 
     The periods are homogeneous, P(x^2 a, x^3 b) = x^{5/2} P(a, b), and
-    complex conjugation swaps the two cycles: with the labels tp0 -> conj tp0,
-    tp1 -> conj tp-1, tp-1 -> conj tp1, it maps the (m, n) solution onto the
-    (n, m) one.  So, with s = min(n, m) - 1/2, the (n, m) solution is the
-    kappa = (max(n, m) - 1/2)/s node of the unit curve rescaled by
-    x = s^{2/5}, and conjugated when m < n.  The curve is walked at
-    tol / (max(n_max, m_max) - 1/2), so each cell already meets tol, and
-    _newton_targets only confirms it.  Both maps keep the class, the shift,
-    the labels and |arg a|, so each cell carries its node's certificate, with
-    rho_max = (node rho_max) / s.  The kappa = 1 node does not depend on
-    the lattice, so its certificate is computed once per process.
+    complex conjugation swaps the two cycles, mapping the (m, n) solution
+    onto the (n, m) one.  So, with s = min(n, m) - 1/2, the (n, m) solution
+    is the kappa = (max(n, m) - 1/2)/s node of the unit curve rescaled by
+    x = s^{2/5}, and conjugated when m < n; no cell is solved on its own.
+    Both maps keep the class, the shift, the labels and |arg a|, so each cell
+    carries its node's certificate: residual_norm = s * (node residual) and
+    rho_max = (node rho_max) / s.  The curve is walked at
+    tol / (max(n_max, m_max) - 1/2), so each walked cell meets tol; the
+    kappa = 1 node is the real orbit point, at residual near rounding.  A
+    cell fails only when its kappa node failed.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError("n_max and m_max must be >= 1")
@@ -341,20 +344,11 @@ def solve_lattice(
         if k in errors:
             failures[(n, m)] = errors[k]
             continue
-        p, labels, rho = nodes[k]
+        p, residual, rho = nodes[k]
         s = min(n, m) - 0.5
-        x = s**0.4
-        p = apply_group(GroupElement(x, 0), p)
-        labels = {name: x * z for name, z in labels.items()}
+        p = apply_group(GroupElement(s**0.4, 0), p)
         if m < n:
             p = CubicPotential(complex(p.a).conjugate(), complex(p.b).conjugate())
-            labels = {"tp0": labels["tp0"].conjugate(), "tp1": labels["tp-1"].conjugate(),
-                      "tp-1": labels["tp1"].conjugate()}
-        idx = BsbIndex(n, m)
-        try:
-            p, _, norm = _newton_targets(p, labels, *_targets(idx), tol, max_iter=50)
-        except (SolverError, ValueError, QuadratureError) as exc:
-            failures[(n, m)] = str(exc)
-            continue
-        solved[(n, m)] = BsbSolution(idx, complex(p.a), complex(p.b), norm, rho / s)
+        solved[(n, m)] = BsbSolution(BsbIndex(n, m), complex(p.a), complex(p.b),
+                                     s * residual, rho / s)
     return solved, failures

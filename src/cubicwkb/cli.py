@@ -260,21 +260,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--json", help="write graph JSON here (default stdout)")
     c.add_argument("--svg", help="write an SVG drawing here")
     c.add_argument("--disk", action="store_true", help="compactified disk view")
-    c.set_defaults(func=cmd_classify)
 
     t = sub.add_parser("trace", help="dump raw Stokes polylines as JSON")
     t.add_argument("--a", type=_parse_complex, required=True)
     t.add_argument("--b", type=_parse_complex, required=True)
     t.add_argument("--anti", action="store_true", help="trace anti-Stokes lines")
     t.add_argument("--out")
-    t.set_defaults(func=cmd_trace)
 
     o = sub.add_parser("poles", help="solve the quantization lattice, emit CSV")
     o.add_argument("--nmax", type=_positive_int, default=5)
     o.add_argument("--mmax", type=_positive_int, default=5)
     o.add_argument("--tol", type=_positive_float, default=1e-10)
     o.add_argument("--out", help="CSV path (default stdout)")
-    o.set_defaults(func=cmd_poles)
 
     v = sub.add_parser("verify", help="direct monodromy report for one potential")
     v.add_argument("--a", type=_parse_complex, required=True)
@@ -282,13 +279,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     v.add_argument("--radius", type=float, default=None)
     v.add_argument("--threshold", type=_positive_float, default=1e-3)
     v.add_argument("--out")
-    v.set_defaults(func=cmd_verify)
 
-    k = sub.add_parser("constants", help="print the real-orbit constants")
-    k.set_defaults(func=cmd_constants)
+    sub.add_parser("constants", help="print the real-orbit constants")
 
-    tb = sub.add_parser("table2", help="comparison table against reference poles")
-    tb.set_defaults(func=cmd_table2)
+    sub.add_parser("table2", help="comparison table against reference poles")
 
     # argparse applies an option's type to a string default, so the config's
     # text passes the same checks as the flag; on/off flags read their value
@@ -327,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # looked up by name at call time, so a rebound cmd_* is the one run
+        return globals()["cmd_" + args.command](args)
     except OSError as exc:
         print(f"cannot write output file: {exc}", file=sys.stderr)
         return EXIT_USAGE

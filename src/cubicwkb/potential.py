@@ -1,4 +1,4 @@
-"""Canonical cubic potentials V(x; a, b) = 4x^3 - 2ax - 28b and their moduli."""
+"""Canonical cubic potentials V(x; a, b) = 4x^3 - 2ax - 28b and their rescaling group."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ import numpy as np
 
 OMEGA = np.exp(2j * np.pi / 5)
 _ROOT_TOL = 1e-8
-
-
-class DegenerateModuliError(ValueError):
-    """Raised when moduli coordinates are requested for a potential with a = 0."""
 
 
 @dataclass(frozen=True)
@@ -73,14 +69,6 @@ class TurningPointSet:
 
 
 @dataclass(frozen=True)
-class ModuliCoords:
-    """Scale-action coordinates nu = b/a, mu = b^2/a^3."""
-
-    nu: complex
-    mu: complex
-
-
-@dataclass(frozen=True)
 class GroupElement:
     """Element (x, m) of R+ x Z5 acting by (a, b) -> (w^2m x^2 a, w^3m x^3 b)."""
 
@@ -91,9 +79,6 @@ class GroupElement:
         if self.x <= 0:
             raise ValueError("scaling factor x must be positive")
         object.__setattr__(self, "m", self.m % 5)
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.x * other.x, (self.m + other.m) % 5)
 
 
 def turning_points(p: CubicPotential) -> TurningPointSet:
@@ -141,19 +126,12 @@ def apply_group(g: GroupElement, p: CubicPotential) -> CubicPotential:
     return CubicPotential(a=wa * g.x**2 * p.a, b=wb * g.x**3 * p.b)
 
 
-def moduli(p: CubicPotential) -> ModuliCoords:
-    """Coordinates (nu, mu) = (b/a, b^2/a^3); mu is invariant under apply_group."""
-    if p.a == 0:
-        raise DegenerateModuliError("moduli coordinates degenerate at a = 0")
-    return ModuliCoords(nu=p.b / p.a, mu=p.b**2 / p.a**3)
-
-
 def orbit_modulus(p: CubicPotential) -> complex:
-    """The orbit invariant in the a^3/b^2 normalization (reciprocal of moduli().mu).
+    """The orbit invariant a^3/b^2, unchanged by apply_group.
 
     This is the form in which the real tritronquee orbit value ~ -3158.92 is
-    quoted; it is infinite for b = 0.
+    quoted; it is infinite for b = 0, where ValueError is raised.
     """
     if p.b == 0:
-        raise DegenerateModuliError("orbit modulus degenerate at b = 0")
+        raise ValueError("orbit modulus degenerate at b = 0")
     return p.a**3 / p.b**2

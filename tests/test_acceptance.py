@@ -181,26 +181,32 @@ def test_lattice_is_rescaled_kappa_curve(lattice_5x5):
 
 
 def test_rescaled_certificate_matches_fresh_classify(lattice_5x5):
-    # each cell inherits class, labels and rho_max from its kappa node; a
-    # fresh classify of the cell must give the same certificate
+    # each cell is its kappa node rescaled (and conjugated below the
+    # diagonal), with no solve of its own: a fresh classify and fresh periods
+    # of every cell must give its certificate, residual_norm included
     solved, _, _ = lattice_5x5
     assert len(solved) == 25
-    worst_period, worst_rho = 0.0, 0.0
-    # (5, 1) is the conjugate of (1, 5), whose kappa = 9 ends the walk
-    for nm in ((1, 1), (2, 3), (3, 2), (5, 5), (5, 1)):
-        sol = solved[nm]
+    worst_period, worst_gap, worst_rho = 0.0, 0.0, 0.0
+    for (n, m), sol in solved.items():
         p = sol.potential
         g = classify(p)
         assert (g.class_code, g.decoration_shift) == ("320", 0)
-        targets = {"a1": 1j * np.pi * (nm[0] - 0.5), "a-1": -1j * np.pi * (nm[1] - 0.5)}
-        for cycle, target in targets.items():
-            got = cycle_period(p, cycle, labels=g.tp_labels, tol=1e-12).value
-            worst_period = max(worst_period, abs(got - target))
+        targets = {"a1": 1j * np.pi * (n - 0.5), "a-1": -1j * np.pi * (m - 0.5)}
+        period = max(
+            abs(cycle_period(p, cycle, labels=g.tp_labels, tol=1e-12).value - target)
+            for cycle, target in targets.items()
+        )
+        worst_period = max(worst_period, period)
+        worst_gap = max(worst_gap, abs(period - sol.residual_norm))
         rho = relative_errors(g).max_finite
         worst_rho = max(worst_rho, abs(rho - sol.rho_max) / rho)
-    ok = worst_period <= 1e-10 and worst_rho <= 1e-8
+        # (m, n) is the conjugate of (n, m); a diagonal cell is real
+        twin = solved[(m, n)]
+        assert (sol.a, sol.b) == (twin.a.conjugate(), twin.b.conjugate())
+    ok = worst_period <= 1e-10 and worst_gap <= 1e-13 and worst_rho <= 1e-8
     assert report("rescaled certificate = fresh classify", ok,
-                  f"period residual {worst_period:.2e}, rho_max rel {worst_rho:.2e}")
+                  f"period residual {worst_period:.2e} (reported within "
+                  f"{worst_gap:.2e}), rho_max rel {worst_rho:.2e}")
 
 
 def test_criterion_4_admissibility():

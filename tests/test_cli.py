@@ -270,6 +270,16 @@ def test_kept_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     assert len(kept[5][1].splitlines()) == 3 and len(kept[6][1].splitlines()) == 6
 
 
+def test_kept_parser_runs_the_command_bound_at_call_time(monkeypatch, capsys):
+    # the kept parser holds no command functions: main looks cmd_* up when it
+    # runs, so a wrapped or patched command is the one that runs
+    cli._default_parser()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_constants", lambda args: ran.append(args.command) or EXIT_OK)
+    assert run_cli(capsys, "constants") == (EXIT_OK, "", "")
+    assert ran == ["constants"]
+
+
 def test_config_file_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nmax = 1\nmmax = 1\n")

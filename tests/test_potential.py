@@ -5,11 +5,8 @@ from cubicwkb import potential
 from cubicwkb.monodromy import stokes_multipliers
 from cubicwkb.potential import (
     CubicPotential,
-    DegenerateModuliError,
     GroupElement,
-    OMEGA,
     apply_group,
-    moduli,
     orbit_modulus,
     turning_points,
 )
@@ -102,28 +99,25 @@ def test_group_composition_law():
         g1 = GroupElement(float(rng.uniform(0.2, 3.0)), int(rng.integers(0, 5)))
         g2 = GroupElement(float(rng.uniform(0.2, 3.0)), int(rng.integers(0, 5)))
         lhs = apply_group(g1, apply_group(g2, p))
-        rhs = apply_group(g1.compose(g2), p)
+        rhs = apply_group(GroupElement(g1.x * g2.x, g1.m + g2.m), p)
         assert lhs.a == pytest.approx(rhs.a, rel=1e-12)
         assert lhs.b == pytest.approx(rhs.b, rel=1e-12)
 
 
-def test_moduli_values_and_invariance():
-    m = moduli(CubicPotential(1, 1))
-    assert m.nu == pytest.approx(1.0)
-    assert m.mu == pytest.approx(1.0)
+def test_orbit_modulus_values_and_invariance():
+    assert orbit_modulus(CubicPotential(1, 1)) == pytest.approx(1.0)
+    assert orbit_modulus(CubicPotential(2, 1)) == pytest.approx(8.0)
     p = CubicPotential(-1.3 + 0.2j, 0.7 - 0.4j)
-    base = moduli(p)
+    base = orbit_modulus(p)
     rng = np.random.default_rng(7)
     for _ in range(10):
         g = GroupElement(float(rng.uniform(0.3, 2.5)), int(rng.integers(0, 5)))
-        m2 = moduli(apply_group(g, p))
-        assert m2.mu == pytest.approx(base.mu, rel=1e-12)
-        assert m2.nu == pytest.approx(OMEGA**g.m * g.x * base.nu, rel=1e-12)
+        assert orbit_modulus(apply_group(g, p)) == pytest.approx(base, rel=1e-12)
 
 
-def test_moduli_degenerate():
-    with pytest.raises(DegenerateModuliError):
-        moduli(CubicPotential(0, 1))
+def test_orbit_modulus_degenerate():
+    with pytest.raises(ValueError):
+        orbit_modulus(CubicPotential(1, 0))
 
 
 def test_orbit_modulus_matches_quoted_scale():
