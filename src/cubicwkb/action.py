@@ -90,28 +90,20 @@ def _seg_min_dist(a: complex, b: complex, r: complex) -> float:
     return abs(a + t * d - r)
 
 
-def _check_clearance(tps, nodes, clearance, skip_first=(), skip_last=()):
-    """Raise ClearanceError when a segment of the polyline through nodes
-    passes within clearance (by default 1e-3 times the root separation) of
-    an entry of tps.all_with_repeats, except the entries skip_first on the
-    first segment and skip_last on the last: the turning points the path
-    ends at."""
+def _clearance(tps, clearance):
+    """The clearance of a path from the turning points: clearance, or by
+    default 1e-3 times the root separation (the scale for a single root)."""
+    if clearance is not None:
+        return clearance
     sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)
-    clr = clearance if clearance is not None else 1e-3 * max(sep, 1e-12)
-    last = len(nodes) - 2
-    for k, (u, v) in enumerate(zip(nodes[:-1], nodes[1:])):
-        for j, r in enumerate(tps.all_with_repeats):
-            if (k == 0 and j in skip_first) or (k == last and j in skip_last):
-                continue
-            if _seg_min_dist(u, v, r) < clr:
-                raise ClearanceError(
-                    f"segment {k} passes within {clr:.3g} of turning point {r}"
-                )
+    return 1e-3 * max(sep, 1e-12)
 
 
-def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
+def _split_points(a: complex, b: complex, roots, skip=(), clearance=0.0) -> list[complex]:
     """Waypoints along [a, b] so each piece is shorter than half its distance
     to every root not in skip (keeps per-factor continuation unambiguous).
+    Raises ClearanceError when [a, b] itself passes within clearance of a
+    root not in skip.
 
     The distance to each root is _seg_min_dist's arithmetic, written out in
     the same order."""
@@ -137,6 +129,10 @@ def _split_points(a: complex, b: complex, roots, skip=()) -> list[complex]:
                 dist = abs(u + t * d - r)
             if dist < dmin:
                 dmin = dist
+        if depth == 0 and dmin < clearance:
+            raise ClearanceError(
+                f"segment [{a}, {b}] passes within {clearance:.3g} of a turning point"
+            )
         if length <= 0.5 * dmin or depth > 48 or v == u:
             out.append((u, v))
         else:
@@ -183,13 +179,14 @@ def _continue(vals, x0, x, roots):
     return vals * np.sqrt((x - roots) / (x0 - roots))
 
 
-def _integrate_regular(roots, vals, a, b, tol):
+def _integrate_regular(roots, vals, a, b, tol, clearance):
     """(int sqrt(V) dx along the regular segment [a, b], its error, vals at b).
 
     vals holds the factors sqrt(a - r) of the sheet; each piece of
-    _split_points is summed on whole node arrays continued from its start.
+    _split_points (which refuses a segment within clearance of a root) is
+    summed on whole node arrays continued from its start.
     """
-    pieces = _split_points(a, b, roots)
+    pieces = _split_points(a, b, roots, clearance=clearance)
     total = 0.0 + 0.0j
     err = 0.0
     for u, v in zip(pieces[:-1], pieces[1:]):
@@ -211,7 +208,7 @@ def _vanishing_set(roots, tp, scale):
     return [i for i, r in enumerate(roots) if abs(r - tp) <= 1e-9 * max(scale, 1e-12)]
 
 
-def _integrate_tp_leg(roots, vanish, tp, b, vals_b, tol):
+def _integrate_tp_leg(roots, vanish, tp, b, vals_b, tol, clearance):
     """(int sqrt(V) dx from the turning point tp to the regular point b, its
     error) on the sheet of the factors vals_b = sqrt(b - r) at b.
 
@@ -226,7 +223,7 @@ def _integrate_tp_leg(roots, vanish, tp, b, vals_b, tol):
     rest = roots[others]
     van = complex(np.prod(vals_b[vanish]))
     nv = len(vanish)
-    lam_pts = _split_points(tp, b, roots, skip=set(vanish))
+    lam_pts = _split_points(tp, b, roots, skip=set(vanish), clearance=clearance)
     t_bounds = [float(np.sqrt(abs(l - tp) / abs(d))) if d != 0 else 0.0 for l in lam_pts]
     t_bounds[0], t_bounds[-1] = 0.0, 1.0
     xs = [tp + t**2 * d for t in t_bounds]
@@ -263,53 +260,45 @@ def line_action(
 
     branch_seed approximates sqrt(V) at the first node (the nearer of the two
     roots of V is taken), or at the second node when the first is a turning
-    point.  Interior nodes keep clearance from all turning points; the first
-    or last node may coincide with a simple turning point (endpoint-adapted
-    rule).
+    point.  Every segment keeps clearance (by default 1e-3 times the root
+    separation) from all turning points; the first or last node may coincide
+    with a simple turning point (endpoint-adapted rule).
     """
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
     scale = max(tps.scale, 1.0)
+    clr = _clearance(tps, clearance)
 
     nodes = [complex(z) for z in nodes]
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
-    d0 = np.abs(nodes[0] - roots)
-    dN = np.abs(nodes[-1] - roots)
-    start_is_tp = float(np.min(d0)) <= 1e-9 * scale
-    end_is_tp = float(np.min(dN)) <= 1e-9 * scale
-    van0 = _vanishing_set(roots, nodes[0], scale) if start_is_tp else []
-    vanN = _vanishing_set(roots, nodes[-1], scale) if end_is_tp else []
-    if start_is_tp and len(nodes) == 2 and end_is_tp:
+    van0 = _vanishing_set(roots, nodes[0], scale)
+    vanN = _vanishing_set(roots, nodes[-1], scale)
+    if van0 and len(nodes) == 2 and vanN:
         raise ClearanceError("a two-node path cannot join two turning points")
 
-    _check_clearance(tps, nodes, clearance, van0, vanN)
-
-    ref = nodes[1] if start_is_tp else nodes[0]
+    ref = nodes[1] if van0 else nodes[0]
     vals = np.sqrt(ref - roots)
-    if branch_seed == 0:
-        raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
     w_ref = 2.0 * vals[0] * vals[1] * vals[2]
-    eta = -1.0 if abs(branch_seed + w_ref) < abs(branch_seed - w_ref) else 1.0
 
     total = 0.0 + 0.0j
     err = 0.0
-    if start_is_tp:
-        total, err = _integrate_tp_leg(roots, van0, nodes[0], nodes[1], vals, tol)
-        first_seg = 1
-    else:
-        first_seg = 0
-
+    if van0:
+        total, err = _integrate_tp_leg(roots, van0, nodes[0], nodes[1], vals, tol, clr)
     last = len(nodes) - 1
-    for k in range(first_seg, last):
+    for k in range(1 if van0 else 0, last):
         u, v = nodes[k], nodes[k + 1]
-        if k == last - 1 and end_is_tp:
-            val, e = _integrate_tp_leg(roots, vanN, nodes[last], u, vals, tol)
+        if k == last - 1 and vanN:
+            val, e = _integrate_tp_leg(roots, vanN, nodes[last], u, vals, tol, clr)
             total -= val  # the leg runs tp -> u
         else:
-            val, e, vals = _integrate_regular(roots, vals, u, v, tol)
+            val, e, vals = _integrate_regular(roots, vals, u, v, tol, clr)
             total += val
         err += e
+    # checked once the path is, so that a path too near a root is refused first
+    if branch_seed == 0:
+        raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
+    eta = -1.0 if abs(branch_seed + w_ref) < abs(branch_seed - w_ref) else 1.0
     return ActionValue(value=eta * total, est_error=err)
 
 
@@ -532,11 +521,12 @@ def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> 
     """
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
+    clr = _clearance(tps, clearance)
     nodes = [complex(z) for z in nodes]
-    _check_clearance(tps, nodes, clearance)
     total = 0.0
     for u, v in zip(nodes[:-1], nodes[1:]):
-        for s0, s1 in zip(*(lambda pp: (pp[:-1], pp[1:]))(_split_points(u, v, roots))):
+        pts = _split_points(u, v, roots, clearance=clr)
+        for s0, s1 in zip(pts[:-1], pts[1:]):
             if s0 == s1:
                 continue
             seg = s1 - s0

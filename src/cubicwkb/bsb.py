@@ -198,7 +198,7 @@ def _bracketed_newton(fdf, lo, hi, f_lo, max_iter=100):
     raise SolverError(f"no root in the bracket after {max_iter} iterations")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _orbit_point() -> tuple[float, float]:
     """(b_hat, Im P1) for the real quantizing orbit at a = -1, Im P1 to
     tolerance 1e-13.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from functools import lru_cache
@@ -93,6 +94,15 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
+def _write(text: str, path: str | None, end: str = "\n") -> None:
+    """Write text to the file at path, or to stdout followed by end."""
+    if path:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end=end)
+
+
 def cmd_classify(args) -> int:
     p = CubicPotential(args.a, args.b)
     try:
@@ -103,15 +113,9 @@ def cmd_classify(args) -> int:
     except ClassificationError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    payload = graph_to_json(g)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        print(payload)
+    _write(graph_to_json(g), args.json)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_svg(g, compactified=args.disk))
+        _write(graph_to_svg(g, compactified=args.disk), args.svg)
     return EXIT_OK
 
 
@@ -132,32 +136,20 @@ def cmd_trace(args) -> int:
         for ln in lines
     ]
     # built fresh, without cycles: the encoder's cycle check is skipped
-    text = json.dumps(out, check_circular=False)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write(json.dumps(out, check_circular=False), args.out)
     return EXIT_OK
 
 
 def cmd_poles(args) -> int:
     solved, failures = solve_lattice(args.nmax, args.mmax, tol=args.tol)
-    rows = []
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "m", "re_a", "im_a", "re_b", "im_b", "residual", "rho_max"])
     for (n, m), sol in sorted(solved.items()):
-        rows.append(
-            [n, m, sol.a.real, sol.a.imag, sol.b.real, sol.b.imag,
-             sol.residual_norm, sol.rho_max]
-        )
-    out = sys.stdout if not args.out else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["n", "m", "re_a", "im_a", "re_b", "im_b", "residual", "rho_max"])
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    finally:
-        if args.out:
-            out.close()
+        row = [n, m, sol.a.real, sol.a.imag, sol.b.real, sol.b.imag,
+               sol.residual_norm, sol.rho_max]
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    _write(buf.getvalue(), args.out, end="")
     min_arg = min(abs(np.angle(complex(s.a))) for s in solved.values()) if solved else np.nan
     print(f"min |arg a| over lattice: {min_arg:.6f} (4*pi/5 = {4*np.pi/5:.6f})",
           file=sys.stderr)
@@ -194,12 +186,7 @@ def cmd_verify(args) -> int:
         },
         "trace_points": s.trace_points,
     }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write(json.dumps(report, indent=2), args.out)
     worst = s.max_normalized_residual
     if not worst <= ADMISSIBILITY_GATE:
         print(f"normalized admissibility residual {worst:.3e} exceeds "

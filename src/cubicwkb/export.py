@@ -17,21 +17,20 @@ def _disk_map(z):
 
 
 def graph_to_json(g: StokesComplexGraph) -> str:
-    """JSON dump {vertices, edges, class_code, shift} of a classified complex."""
+    """JSON dump {vertices, edges, class_code, shift} of a classified complex.
+    Of the two lines of a connection, an internal edge is the one from the
+    lower vertex, which comes first in g.lines."""
     vertices = [
         {"z": [z.real, z.imag], "multiplicity": m}
         for z, m in zip(g.tps.roots, g.tps.multiplicities)
     ]
     edges = []
-    seen_internal = set()
     for ln in g.lines:
         kind, t = ln.terminal
+        if kind == "tp" and ln.origin > t:
+            continue
         poly = np.column_stack((ln.points.real, ln.points.imag)).tolist()
         if kind == "tp":
-            key = frozenset((ln.origin, t))
-            if key in seen_internal:
-                continue
-            seen_internal.add(key)
             edges.append({"type": "internal", "from": ln.origin, "to": t, "polyline": poly})
         else:
             edges.append({"type": "external", "from": ln.origin, "ray": t, "polyline": poly})

@@ -67,12 +67,7 @@ def _coeff_polys(n: int) -> list[_Poly]:
         m = j - 2
         acc: _Poly = {}
         for i in range(-1, m + 2):  # i + k = m with i, k >= -1
-            k = m - i
-            if k < -1 or k > j - 1:
-                continue
-            if i + 2 >= len(_cache) or k + 2 >= len(_cache):
-                continue
-            acc = _p_add(acc, _p_mul(_cache[i + 2], _cache[k + 2]))
+            acc = _p_add(acc, _p_mul(_cache[i + 2], _cache[m - i + 2]))
         denom = Fraction((j + 3) * (j - 4))
         _cache.append(_p_scale(acc, Fraction(6) / denom))
     return _cache[: n + 3]

@@ -337,14 +337,15 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
       reversed polyline (trace_stokes_lines).
 
     The predictor steps h = 0.2 hcap along the unit tangent turn conj(w)/|w|,
-    w = sqrt(V) already continued to z; hcap is a fifth of the distance to
-    the nearest turning point, at most 0.1 (1 + |z|).  The level drift of
-    the step, Re(u int w dz) along the chord, is summed by Simpson's rule,
-    whose error is O(h^5) per step (a trapezoid's is O(h^3)): that level is
-    what the line carries into another root's disc.  The corrector is one
-    transverse Newton step onto the level set.  A step makes at most three
-    square-root continuations: at the chord's midpoint, at the predicted
-    point and at the corrected point.
+    w = sqrt(V) already continued to z; hcap is a fifth of the distance
+    d_min from z to the nearest turning point, at most 0.1 (1 + |z|).  The
+    level drift of the step, Re(u int w dz) along the chord, is summed by
+    Simpson's rule, whose error is O(h^5) per step (a trapezoid's is O(h^3)):
+    that level is what the line carries into another root's disc.  The
+    corrector is one transverse Newton step onto the level set, guarded by
+    the same d_min: a step measures each root distance once.  It makes at
+    most three square-root continuations: at the chord's midpoint, at the
+    predicted point and at the corrected point.
 
     The loop runs on Python complex scalars, not numpy: a line takes
     hundreds of steps over at most three roots, and numpy's per-call
@@ -420,7 +421,7 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
         return StokesLine(origin, direction_index, np.array(pts), terminal)
 
     d_home = 0.5 * r_launch
-    h_floor, h_launch = 1e-6 * scale, 0.05 * r_launch
+    h_min = max(1e-6 * scale, 0.05 * r_launch)
     for n in range(1, _MAX_STEPS + 1):
         d_o = abs(z - tp)
         d_min = d_o
@@ -455,12 +456,10 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
             # returned to its own turning point: numerically degenerate
             return line(("unresolved", -98))
 
-        # hcap = min(max(0.2 d_min, h_floor, h_launch), 0.1 (1 + |z|))
+        # hcap = min(max(0.2 d_min, h_min), 0.1 (1 + |z|))
         hcap = 0.2 * d_min
-        if h_floor > hcap:
-            hcap = h_floor
-        if h_launch > hcap:
-            hcap = h_launch
+        if h_min > hcap:
+            hcap = h_min
         h_far = 0.1 * (1.0 + az)
         if h_far < hcap:
             hcap = h_far
@@ -478,17 +477,10 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
         drift += (u * (w + 4.0 * w_mid + w_new) * dz).real / 6.0
         z, w = zn, w_new
         # corrector: transverse Newton projection back onto the level set;
-        # the guard is relative to the distance from the nearest turning
-        # point so the correction stays active during saddle approaches
+        # the guard is relative to the step's distance d_min from the nearest
+        # turning point, so the correction stays active during saddle approaches
         if drift != 0.0:
             dz = -drift * uc * w.conjugate() / abs(w) ** 2
-            d_min = abs(z - tp)
-            d = abs(z - r1)
-            if d < d_min:
-                d_min = d
-            d = abs(z - r2)
-            if d < d_min:
-                d_min = d
             if abs(dz) < 0.3 * d_min:
                 z = z + dz
                 s = sqrt(4 * z**3 - a2 * z - b28)
@@ -767,18 +759,20 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
     nv = len(tps.roots)
     n_simple = sum(1 for m in tps.multiplicities if m == 1)
     n_int = len(internal)
-    valency = {i: 0 for i in range(nv)}
+    deg = [0] * nv                          # internal lines at each vertex
     for pair in internal:
         for i in pair:
-            valency[i] += 1
+            deg[i] += 1
+    rays = [[] for _ in range(nv)]          # the rays of each vertex's external lines
     ext_valence = {k: 0 for k in range(-2, 3)}
     for vi, k in external:
-        valency[vi] += 1
+        rays[vi].append(k)
         ext_valence[k] += 1
     for i, m in enumerate(tps.multiplicities):
-        if valency[i] != m + 2:
+        valency = deg[i] + len(rays[i])
+        if valency != m + 2:
             raise ClassificationError(
-                f"vertex {i} multiplicity {m} has valency {valency[i]}"
+                f"vertex {i} multiplicity {m} has valency {valency}"
             )
     if any(v == 0 for v in ext_valence.values()):
         raise AmbiguousClassError("an asymptotic ray received no Stokes line")
@@ -796,7 +790,7 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
 
     code, shift = _match_class(n_simple, n_int, relation, ext_valence)
 
-    labels = _tp_labels(code, shift, tps, internal, external)
+    labels = _tp_labels(code, shift, tps.roots, deg, rays)
     return StokesComplexGraph(
         potential=p,
         lines=tuple(lines),
@@ -810,33 +804,26 @@ def classify(p: CubicPotential) -> StokesComplexGraph:
     )
 
 
-def _tp_labels(code, shift, tps, internal, external):
-    """Turning-point labels tp0 / tp1 / tp-1.
+def _tp_labels(code, shift, roots, deg, rays):
+    """Turning-point labels tp0 / tp1 / tp-1, from classify's count of the
+    internal lines deg[i] and the rays rays[i] at each vertex i.
 
     For 320 the labels are topological: tp0 carries both internal edges, tp1
     is the vertex decorated with rays {shift, shift+1}.  For the remaining
     classes the assignment is a documented convention: the order of
     tps.roots (by multiplicity, then real part, then imaginary part).
     """
-    roots = list(tps.roots)
     if code == "320":
-        deg = {i: 0 for i in range(len(roots))}
-        for pair in internal:
-            for i in pair:
-                deg[i] += 1
-        i0 = max(deg, key=lambda i: deg[i])
+        i0 = deg.index(max(deg))
         if deg[i0] != 2:
             raise ClassificationError("320 graph without a double-internal vertex")
-        ext_of = {i: set() for i in range(len(roots))}
-        for vi, k in external:
-            ext_of[vi].add(k)
         # rays of tp1 sit at canonical positions {0, 1} shifted by m
         s0 = (0 + shift + 2) % 5 - 2
         s1 = (1 + shift + 2) % 5 - 2
         rest = [i for i in range(len(roots)) if i != i0]
         tp1 = None
         for i in rest:
-            if ext_of[i] == {s0, s1}:
+            if set(rays[i]) == {s0, s1}:
                 tp1 = i
         if tp1 is None:
             raise ClassificationError("320 decoration does not match any shift")

@@ -58,7 +58,7 @@ class RelativeError:
 def _sector_anchor(g: StokesComplexGraph, k: int) -> complex:
     """Reference point on the central ray of geometric sector k, at three
     times the radius of the turning points."""
-    scale = max(max(abs(r) for r in g.tps.roots), 1e-12)
+    scale = max(g.tps.scale, 1e-12)
     return 3.0 * scale * np.exp(2j * np.pi * k / 5)
 
 
@@ -107,7 +107,7 @@ def relative_errors(g: StokesComplexGraph) -> RelativeError:
         for k in (l - 1, l + 1):
             rho[(l + 2) % 5, (k + 2) % 5] = 0.0
     # external walls are sampled at a moderate radius beyond the vertices
-    r_ext = 1.5 * max(max(abs(v) for v in tps.roots), 1e-12)
+    r_ext = 1.5 * max(tps.scale, 1e-12)
     # a sector's ray tail is the same in every pair it belongs to
     tails: dict[int, float] = {}
 

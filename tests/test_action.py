@@ -121,6 +121,17 @@ def test_clearance_violation_raises():
         line_action(p, (-2.0, 2.0), np.sqrt(complex(p(-2.0))))
 
 
+def test_alpha_integral_refuses_a_path_through_a_turning_point():
+    # the second segment runs through the root 0; 1e-2 above it, it passes
+    # outside the default clearance of 1e-3 separations
+    p = CubicPotential(2, 0)  # roots at 0, +-1
+    with pytest.raises(ClearanceError):
+        alpha_integral(p, (2.0j, 0.5, -0.5))
+    assert alpha_integral(p, (2.0j, 0.5 + 1e-2j, -0.5 + 1e-2j)) > 0
+    with pytest.raises(ClearanceError):
+        alpha_integral(p, (2.0j, 0.5 + 1e-2j, -0.5 + 1e-2j), clearance=2e-2)
+
+
 def _sweep(p, start, apex, end, tol=1e-11):
     """line_action from the turning point start through apex to the turning
     point end, on the sheet of the principal factors at apex."""
@@ -471,7 +482,7 @@ def test_gauss_panel_equals_the_two_call_form_bit_for_bit():
     assert checked > 60
 
 
-def _split_points_by_seg_min_dist(a, b, roots, skip=()):
+def _split_points_by_seg_min_dist(a, b, roots, skip=(), clearance=0.0):
     """_split_points with the distance taken from _seg_min_dist."""
     out = []
     stack = [(a, b, 0)]
@@ -481,6 +492,8 @@ def _split_points_by_seg_min_dist(a, b, roots, skip=()):
             (_seg_min_dist(u, v, r) for i, r in enumerate(roots) if i not in skip),
             default=np.inf,
         )
+        if depth == 0 and dmin < clearance:
+            raise ClearanceError("too near a root")
         if abs(v - u) <= 0.5 * dmin or depth > 48 or v == u:
             out.append((u, v))
         else:
@@ -491,10 +504,18 @@ def _split_points_by_seg_min_dist(a, b, roots, skip=()):
     return [s[0] for s in out] + [b]
 
 
+def _outcome(split, args, kw):
+    """What split returns for the arguments, or ClearanceError if it raises it."""
+    try:
+        return split(*args, **kw)
+    except ClearanceError:
+        return ClearanceError
+
+
 def test_split_points_equals_the_seg_min_dist_form_bit_for_bit(monkeypatch):
     # the arguments of every call made by the relative errors and line
-    # actions of a few potentials, then random segments with skips, a segment
-    # of length zero and segments through a root
+    # actions of a few potentials, then random segments with skips and
+    # clearances, a segment of length zero and segments through a root
     split = action._split_points
     cases = []
     monkeypatch.setattr(action, "_split_points",
@@ -516,8 +537,12 @@ def test_split_points_equals_the_seg_min_dist_form_bit_for_bit(monkeypatch):
         roots = list(rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3))
         a, b = (complex(z) for z in rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2))
         skip = set(int(i) for i in rng.choice(3, size=int(rng.integers(0, 3)), replace=False))
-        cases.append(((a, b, roots), {"skip": skip}))
+        cases.append(((a, b, roots), {"skip": skip, "clearance": float(rng.uniform(0, 0.5))}))
     cases += [((1 + 1j, 1 + 1j, [0j, 2j]), {}), ((-1 + 0j, 1 + 0j, [0j]), {}),
-              ((0j, 2 + 2j, [1 + 1j, 3j]), {"skip": {1}}), ((0j, 1j, [2 + 0j]), {"skip": {0}})]
-    for args, kw in cases:
-        assert split(*args, **kw) == _split_points_by_seg_min_dist(*args, **kw)
+              ((-1 + 0j, 1 + 0j, [0j]), {"clearance": 1e-3}),
+              ((0j, 2 + 2j, [1 + 1j, 3j]), {"skip": {1}, "clearance": 1e-3}),
+              ((0j, 1j, [2 + 0j]), {"skip": {0}})]
+    outcomes = [_outcome(split, args, kw) for args, kw in cases]
+    assert ClearanceError in outcomes and outcomes.count(ClearanceError) < len(cases) // 2
+    for (args, kw), got in zip(cases, outcomes):
+        assert got == _outcome(_split_points_by_seg_min_dist, args, kw)

@@ -97,6 +97,22 @@ def test_json_without_the_cycle_check_is_byte_identical(monkeypatch, capsys):
         assert len(text) > 10_000
 
 
+@pytest.mark.parametrize("argv, flag, end", [
+    (("classify", "--a", "0.4", "--b", "-0.3"), "--json", "\n"),
+    (("trace", "--a", "0.4", "--b", "-0.3"), "--out", "\n"),
+    (("verify", "--a", "0", "--b", "0"), "--out", "\n"),
+    (("poles", "--nmax", "2", "--mmax", "2"), "--out", ""),
+])
+def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv, flag, end):
+    # every command writes through one writer: the file holds what stdout
+    # shows, less the newline that ends a JSON command's stdout
+    path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert run_cli(capsys, *argv, flag, str(path)) == (code, "", err)
+    assert path.read_bytes() + end.encode() == out.encode()
+
+
 def test_trace_anti_stokes_rays_of_pure_cubic(capsys):
     # the anti-Stokes lines of 4x^3 end on the rays arg x = 2 pi k / 5
     code, out, _ = run_cli(capsys, "trace", "--a", "0", "--b", "0", "--anti")

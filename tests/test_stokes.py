@@ -274,6 +274,14 @@ def test_exports(orbit_potential):
     external = [e for e in payload["edges"] if e["type"] == "external"]
     assert len(internal) == 2
     assert len(external) == 5
+    # an internal edge is the first of its connection's two lines in g.lines,
+    # the one from the lower vertex
+    for e in internal:
+        assert e["from"] < e["to"]
+        twins = [ln for ln in g.lines if ln.terminal[0] == "tp"
+                 and {ln.origin, ln.terminal[1]} == {e["from"], e["to"]}]
+        assert len(twins) == 2
+        assert e["polyline"] == np.column_stack((twins[0].points.real, twins[0].points.imag)).tolist()
     svg = graph_to_svg(g)
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 9
