@@ -92,7 +92,8 @@ def _seg_min_dist(a: complex, b: complex, r: complex) -> float:
 
 def _clearance(tps, clearance):
     """The clearance of a path from the turning points: clearance, or by
-    default 1e-3 times the root separation (the scale for a single root)."""
+    default 1e-3 times the root separation (the scale, at least 1, for a
+    single root)."""
     if clearance is not None:
         return clearance
     sep = tps.separation if len(tps.roots) > 1 else max(tps.scale, 1.0)

@@ -102,7 +102,7 @@ def test_json_without_the_cycle_check_is_byte_identical(monkeypatch, capsys):
     (("trace", "--a", "0.4", "--b", "-0.3"), "--out", "\n"),
     (("verify", "--a", "0", "--b", "0"), "--out", "\n"),
     (("poles", "--nmax", "2", "--mmax", "2"), "--out", ""),
-])
+], ids=["classify", "trace", "verify", "poles"])
 def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv, flag, end):
     # every command writes through one writer: the file holds what stdout
     # shows, less the newline that ends a JSON command's stdout
