@@ -180,14 +180,13 @@ def _continue(vals, x0, x, roots):
     return vals * np.sqrt((x - roots) / (x0 - roots))
 
 
-def _integrate_regular(roots, vals, a, b, tol, clearance):
-    """(int sqrt(V) dx along the regular segment [a, b], its error, vals at b).
+def _integrate_regular(roots, vals, pieces, tol):
+    """(int sqrt(V) dx along the regular segment [a, b], its error, vals at b),
+    from its _split_points pieces = [a, ..., b].
 
-    vals holds the factors sqrt(a - r) of the sheet; each piece of
-    _split_points (which refuses a segment within clearance of a root) is
-    summed on whole node arrays continued from its start.
+    vals holds the factors sqrt(a - r) of the sheet; each piece is summed on
+    whole node arrays continued from its start.
     """
-    pieces = _split_points(a, b, roots, clearance=clearance)
     total = 0.0 + 0.0j
     err = 0.0
     for u, v in zip(pieces[:-1], pieces[1:]):
@@ -209,22 +208,23 @@ def _vanishing_set(roots, tp, scale):
     return [i for i, r in enumerate(roots) if abs(r - tp) <= 1e-9 * max(scale, 1e-12)]
 
 
-def _integrate_tp_leg(roots, vanish, tp, b, vals_b, tol, clearance):
+def _integrate_tp_leg(roots, vanish, lam_pts, vals_b, tol):
     """(int sqrt(V) dx from the turning point tp to the regular point b, its
-    error) on the sheet of the factors vals_b = sqrt(b - r) at b.
+    error) on the sheet of the factors vals_b = sqrt(b - r) at b, from the
+    _split_points lam_pts = [tp, ..., b] that skip the vanishing roots.
 
     The leg is x = tp + t^2 (b - tp), t in [0, 1], and dx = 2 t (b - tp) dt.
     Each factor vanishing at tp (the indices vanish) is exactly
     t sqrt(b - tp) there, so the integrand is regular at t = 0.  The other
-    factors are continued from b back to each piece boundary of _split_points
-    (which skips the vanishing roots), then from there over the piece's nodes.
+    factors are continued from b back to each piece boundary, then from there
+    over the piece's nodes.
     """
-    d = b - tp
+    tp = lam_pts[0]
+    d = lam_pts[-1] - tp
     others = [i for i in range(len(roots)) if i not in vanish]
     rest = roots[others]
     van = complex(np.prod(vals_b[vanish]))
     nv = len(vanish)
-    lam_pts = _split_points(tp, b, roots, skip=set(vanish), clearance=clearance)
     t_bounds = [float(np.sqrt(abs(l - tp) / abs(d))) if d != 0 else 0.0 for l in lam_pts]
     t_bounds[0], t_bounds[-1] = 0.0, 1.0
     xs = [tp + t**2 * d for t in t_bounds]
@@ -262,8 +262,9 @@ def line_action(
     branch_seed approximates sqrt(V) at the first node (the nearer of the two
     roots of V is taken), or at the second node when the first is a turning
     point.  Every segment keeps clearance (by default 1e-3 times the root
-    separation) from all turning points; the first or last node may coincide
-    with a simple turning point (endpoint-adapted rule).
+    separation) from all turning points, and the path is refused with
+    ClearanceError before any segment is integrated; the first or last node
+    may coincide with a simple turning point (endpoint-adapted rule).
     """
     tps = turning_points(p)
     roots = np.array(tps.all_with_repeats, dtype=complex)
@@ -278,28 +279,34 @@ def line_action(
     if van0 and len(nodes) == 2 and vanN:
         raise ClearanceError("a two-node path cannot join two turning points")
 
+    # every segment is split, and so checked, before any is integrated; a
+    # turning-point leg is split from its turning point, skipping its roots
+    last = len(nodes) - 1
+    ends = [(nodes[k], nodes[k + 1], []) for k in range(last)]
+    if van0:
+        ends[0] = (nodes[0], nodes[1], van0)
+    if vanN:
+        ends[-1] = (nodes[last], nodes[last - 1], vanN)
+    legs = [(skip, _split_points(a, b, roots, skip, clr)) for a, b, skip in ends]
+
     ref = nodes[1] if van0 else nodes[0]
     vals = np.sqrt(ref - roots)
+    if branch_seed == 0:
+        raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
     w_ref = 2.0 * vals[0] * vals[1] * vals[2]
+    eta = -1.0 if abs(branch_seed + w_ref) < abs(branch_seed - w_ref) else 1.0
 
     total = 0.0 + 0.0j
     err = 0.0
-    if van0:
-        total, err = _integrate_tp_leg(roots, van0, nodes[0], nodes[1], vals, tol, clr)
-    last = len(nodes) - 1
-    for k in range(1 if van0 else 0, last):
-        u, v = nodes[k], nodes[k + 1]
-        if k == last - 1 and vanN:
-            val, e = _integrate_tp_leg(roots, vanN, nodes[last], u, vals, tol, clr)
-            total -= val  # the leg runs tp -> u
+    for k, (vanish, pts) in enumerate(legs):
+        if not vanish:
+            val, e, vals = _integrate_regular(roots, vals, pts, tol)
         else:
-            val, e, vals = _integrate_regular(roots, vals, u, v, tol, clr)
-            total += val
+            val, e = _integrate_tp_leg(roots, vanish, pts, vals, tol)
+            if k == last - 1 and vanN:
+                val = -val  # the end leg runs tp -> u
+        total += val
         err += e
-    # checked once the path is, so that a path too near a root is refused first
-    if branch_seed == 0:
-        raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
-    eta = -1.0 if abs(branch_seed + w_ref) < abs(branch_seed - w_ref) else 1.0
     return ActionValue(value=eta * total, est_error=err)
 
 
@@ -524,9 +531,10 @@ def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> 
     roots = np.array(tps.all_with_repeats, dtype=complex)
     clr = _clearance(tps, clearance)
     nodes = [complex(z) for z in nodes]
+    # every segment is split, and so checked, before any is integrated
+    splits = [_split_points(u, v, roots, clearance=clr) for u, v in zip(nodes[:-1], nodes[1:])]
     total = 0.0
-    for u, v in zip(nodes[:-1], nodes[1:]):
-        pts = _split_points(u, v, roots, clearance=clr)
+    for pts in splits:
         for s0, s1 in zip(pts[:-1], pts[1:]):
             if s0 == s1:
                 continue

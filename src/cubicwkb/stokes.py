@@ -343,9 +343,9 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
     Simpson's rule, whose error is O(h^5) per step (a trapezoid's is O(h^3)):
     that level is what the line carries into another root's disc.  The
     corrector is one transverse Newton step onto the level set, guarded by
-    the same d_min: a step measures each root distance once.  It makes at
-    most three square-root continuations: at the chord's midpoint, at the
-    predicted point and at the corrected point.
+    the distance from the predicted point to the nearest turning point.  A
+    step makes at most three square-root continuations: at the chord's
+    midpoint, at the predicted point and at the corrected point.
 
     The loop runs on Python complex scalars, not numpy: a line takes
     hundreds of steps over at most three roots, and numpy's per-call
@@ -477,10 +477,19 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
         drift += (u * (w + 4.0 * w_mid + w_new) * dz).real / 6.0
         z, w = zn, w_new
         # corrector: transverse Newton projection back onto the level set;
-        # the guard is relative to the step's distance d_min from the nearest
-        # turning point, so the correction stays active during saddle approaches
+        # the guard is relative to the predicted point's distance from the
+        # nearest turning point (the step start's d_min differs from it by up
+        # to h and decides some corrections otherwise near split roots), so
+        # the correction stays active during saddle approaches
         if drift != 0.0:
             dz = -drift * uc * w.conjugate() / abs(w) ** 2
+            d_min = abs(z - tp)
+            d = abs(z - r1)
+            if d < d_min:
+                d_min = d
+            d = abs(z - r2)
+            if d < d_min:
+                d_min = d
             if abs(dz) < 0.3 * d_min:
                 z = z + dz
                 s = sqrt(4 * z**3 - a2 * z - b28)

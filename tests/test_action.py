@@ -132,6 +132,26 @@ def test_alpha_integral_refuses_a_path_through_a_turning_point():
         alpha_integral(p, (2.0j, 0.5 + 1e-2j, -0.5 + 1e-2j), clearance=2e-2)
 
 
+def test_a_path_too_near_a_root_is_refused_before_any_quadrature(monkeypatch):
+    # only the last segment of each path breaks the clearance; a quadrature
+    # that would stall on the earlier segments must not be reached
+    def stall(*args, **kw):
+        raise action.QuadratureError("stalled")
+
+    monkeypatch.setattr(action, "_adaptive", stall)
+    p = CubicPotential(2, 0)  # roots at 0, +-1
+    seed = np.sqrt(complex(p(2.0j)))
+    for path in [(2.0j, 2.0, 0.5, -0.5), (2.0j, 2.0, 1e-4j)]:
+        with pytest.raises(ClearanceError):
+            line_action(p, path, seed)
+        with pytest.raises(ClearanceError):
+            alpha_integral(p, path)
+    with pytest.raises(ClearanceError):  # from the turning point 1
+        line_action(p, (1.0, 2.0j, 0.5, -0.5), seed)
+    with pytest.raises(action.QuadratureError):
+        line_action(p, (2.0j, 2.0, 0.5 + 1e-2j), seed)
+
+
 def _sweep(p, start, apex, end, tol=1e-11):
     """line_action from the turning point start through apex to the turning
     point end, on the sheet of the principal factors at apex."""
@@ -514,8 +534,10 @@ def _outcome(split, args, kw):
 
 def test_split_points_equals_the_seg_min_dist_form_bit_for_bit(monkeypatch):
     # the arguments of every call made by the relative errors and line
-    # actions of a few potentials, then random segments with skips and
-    # clearances, a segment of length zero and segments through a root
+    # actions of a few potentials, then random segments with skips, a segment
+    # of length zero and segments through a root, all without a clearance so
+    # that every split is compared; then each random segment and each segment
+    # through a root again with a clearance, where the refusals must agree
     split = action._split_points
     cases = []
     monkeypatch.setattr(action, "_split_points",
@@ -537,12 +559,15 @@ def test_split_points_equals_the_seg_min_dist_form_bit_for_bit(monkeypatch):
         roots = list(rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3))
         a, b = (complex(z) for z in rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2))
         skip = set(int(i) for i in rng.choice(3, size=int(rng.integers(0, 3)), replace=False))
-        cases.append(((a, b, roots), {"skip": skip, "clearance": float(rng.uniform(0, 0.5))}))
+        cases.append(((a, b, roots), {"skip": skip}))
     cases += [((1 + 1j, 1 + 1j, [0j, 2j]), {}), ((-1 + 0j, 1 + 0j, [0j]), {}),
-              ((-1 + 0j, 1 + 0j, [0j]), {"clearance": 1e-3}),
-              ((0j, 2 + 2j, [1 + 1j, 3j]), {"skip": {1}, "clearance": 1e-3}),
-              ((0j, 1j, [2 + 0j]), {"skip": {0}})]
-    outcomes = [_outcome(split, args, kw) for args, kw in cases]
-    assert ClearanceError in outcomes and outcomes.count(ClearanceError) < len(cases) // 2
-    for (args, kw), got in zip(cases, outcomes):
+              ((0j, 2 + 2j, [1 + 1j, 3j]), {"skip": {1}}), ((0j, 1j, [2 + 0j]), {"skip": {0}})]
+    for args, kw in cases:
+        assert split(*args, **kw) == _split_points_by_seg_min_dist(*args, **kw)
+    refusable = [(args, {**kw, "clearance": float(rng.uniform(0, 0.5))}) for args, kw in cases[-44:-4]]
+    refusable += [((-1 + 0j, 1 + 0j, [0j]), {"clearance": 1e-3}),
+                  ((0j, 2 + 2j, [1 + 1j, 3j]), {"skip": {1}, "clearance": 1e-3})]
+    outcomes = [_outcome(split, args, kw) for args, kw in refusable]
+    assert ClearanceError in outcomes and any(isinstance(o, list) for o in outcomes)
+    for (args, kw), got in zip(refusable, outcomes):
         assert got == _outcome(_split_points_by_seg_min_dist, args, kw)
