@@ -34,8 +34,8 @@ The factors start as the principal roots at one reference point, and the
 sheet sign eta is pinned there by the path's seed value.  _split_points cuts
 each segment into pieces no longer than half their distance to any root, and
 on such a piece every factor continues from the piece's start x0 by one ratio
-rule on the whole node array, sqrt(x - r) = sqrt(x0 - r) sqrt((x - r)/(x0 - r))
-with the principal root of a ratio within 1/2 of 1 (_continue).  Endpoints
+rule at each node, sqrt(x - r) = sqrt(x0 - r) sqrt((x - r)/(x0 - r)) with
+the principal root of a ratio within 1/2 of 1 (_continue).  Endpoints
 that coincide with turning points are handled with the substitution
 x = tp + t^2 * (end - tp), which removes the square-root endpoint singularity
 exactly: each vanishing factor is t * sqrt(end - tp) on the continued sheet.
@@ -43,19 +43,43 @@ exactly: each vanishing factor is t * sqrt(end - tp) on the continued sheet.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .potential import CubicPotential, turning_points
 
 _GAUSS_N = 20
-_GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
-_GX2, _GW2 = np.polynomial.legendre.leggauss(2 * _GAUSS_N)
-_GXC = np.concatenate((_GX2, _GX))   # the nodes of both rules, for one call of f
 _HOP = 0.05            # the period arc hops a third root within _HOP |chord| of the midpoint
 _MAX_COARSE = 2**15    # node cap of the period rule (reached only by nearly double roots)
-_ROUNDING = 64 * np.finfo(float).eps   # rounding floor of the period rule's est_error
+_ROUNDING = 64 * sys.float_info.epsilon   # rounding floor of the period rule's est_error
+
+
+def _gauss_legendre(n: int) -> list[tuple[float, float]]:
+    """(node, weight) of the n-point Gauss-Legendre rule on [-1, 1], n even,
+    by Newton on P_n from cos(pi (k - 1/4) / (n + 1/2)); the nodes come in
+    exact pairs -+x.  P_n and P_n' come from the three-term recurrence."""
+    half = []
+    for k in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return [(-x, w) for x, w in half] + [(x, w) for x, w in reversed(half)]
+
+
+# one panel: the nodes of both rules, each with its weight in the 2N-node rule
+# and in the N-node rule (0.0 in the rule it does not belong to)
+_PANEL = tuple([(x, w, 0.0) for x, w in _gauss_legendre(2 * _GAUSS_N)]
+               + [(x, 0.0, w) for x, w in _gauss_legendre(_GAUSS_N)])
 
 
 class ClearanceError(ValueError):
@@ -117,7 +141,7 @@ def _split_points(a: complex, b: complex, roots, skip=(), clearance=0.0) -> list
         length = abs(d)
         L2 = length**2
         dc = d.conjugate()
-        dmin = np.inf
+        dmin = math.inf
         for r in kept:
             if L2 == 0:
                 dist = abs(r - u)
@@ -145,14 +169,16 @@ def _split_points(a: complex, b: complex, roots, skip=(), clearance=0.0) -> list
 
 
 def _gauss_panel(f, a, b):
-    """Panel integral of f and its error estimate, from one call of f on the
-    nodes of both Gauss rules (_GXC)."""
+    """Panel integral of f by the 2N-node Gauss rule and its error estimate,
+    the distance to the N-node rule, both summed in one pass over _PANEL."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = f(mid + half * _GXC)
-    i2 = half * (_GW2 @ y[: 2 * _GAUSS_N])
-    i1 = half * (_GW @ y[2 * _GAUSS_N :])
-    return i2, float(abs(i2 - i1))
+    i2 = i1 = 0.0
+    for x, w2, w1 in _PANEL:
+        y = f(mid + half * x)
+        i2 += w2 * y
+        i1 += w1 * y
+    return half * i2, abs(half * (i2 - i1))
 
 
 def _adaptive(f, a, b, tol, depth=0):
@@ -169,23 +195,22 @@ def _adaptive(f, a, b, tol, depth=0):
 
 def _continue(vals, x0, x, roots):
     """The factors sqrt(x - r), one per root r, continued along [x0, x] from
-    vals = sqrt(x0 - r); x is a point or an array of points (a row each).
+    vals = sqrt(x0 - r).
 
     sqrt(x - r) = sqrt(x0 - r) sqrt((x - r) / (x0 - r)) with the principal
     root of the ratio.  That is the continuation while |x - x0| <= |x0 - r| / 2,
     where the ratio stays in the disk |w - 1| <= 1/2, clear of the principal
     cut: true on every piece of _split_points, for every root it does not skip.
     """
-    x = np.asarray(x)[..., None]
-    return vals * np.sqrt((x - roots) / (x0 - roots))
+    return [v * cmath.sqrt((x - r) / (x0 - r)) for v, r in zip(vals, roots)]
 
 
 def _integrate_regular(roots, vals, pieces, tol):
     """(int sqrt(V) dx along the regular segment [a, b], its error, vals at b),
     from its _split_points pieces = [a, ..., b].
 
-    vals holds the factors sqrt(a - r) of the sheet; each piece is summed on
-    whole node arrays continued from its start.
+    vals holds the factors sqrt(a - r) of the sheet; on each piece they are
+    continued from its start to every node.
     """
     total = 0.0 + 0.0j
     err = 0.0
@@ -194,7 +219,7 @@ def _integrate_regular(roots, vals, pieces, tol):
             continue
 
         def f(s):
-            return 2.0 * np.prod(_continue(vals, u, u + s * (v - u), roots), axis=-1) * (v - u)
+            return 2.0 * math.prod(_continue(vals, u, u + s * (v - u), roots)) * (v - u)
 
         val, e = _adaptive(f, 0.0, 1.0, tol)
         total += val
@@ -222,13 +247,13 @@ def _integrate_tp_leg(roots, vanish, lam_pts, vals_b, tol):
     tp = lam_pts[0]
     d = lam_pts[-1] - tp
     others = [i for i in range(len(roots)) if i not in vanish]
-    rest = roots[others]
-    van = complex(np.prod(vals_b[vanish]))
+    rest = [roots[i] for i in others]
+    van = math.prod(vals_b[i] for i in vanish)
     nv = len(vanish)
-    t_bounds = [float(np.sqrt(abs(l - tp) / abs(d))) if d != 0 else 0.0 for l in lam_pts]
+    t_bounds = [math.sqrt(abs(l - tp) / abs(d)) if d != 0 else 0.0 for l in lam_pts]
     t_bounds[0], t_bounds[-1] = 0.0, 1.0
     xs = [tp + t**2 * d for t in t_bounds]
-    states = [vals_b[others]]
+    states = [[vals_b[i] for i in others]]
     for k in range(len(xs) - 2, -1, -1):
         states.append(_continue(states[-1], xs[k + 1], xs[k], rest))
     states.reverse()
@@ -240,7 +265,7 @@ def _integrate_tp_leg(roots, vanish, lam_pts, vals_b, tol):
             continue
 
         def f(t):
-            reg = np.prod(_continue(states[k], xs[k], tp + t**2 * d, rest), axis=-1)
+            reg = math.prod(_continue(states[k], xs[k], tp + t**2 * d, rest))
             return 2.0 * t**nv * van * reg * 2.0 * t * d
 
         val, e = _adaptive(f, t0, t1, tol)
@@ -267,7 +292,7 @@ def line_action(
     may coincide with a simple turning point (endpoint-adapted rule).
     """
     tps = turning_points(p)
-    roots = np.array(tps.all_with_repeats, dtype=complex)
+    roots = tps.all_with_repeats
     scale = max(tps.scale, 1.0)
     clr = _clearance(tps, clearance)
 
@@ -290,7 +315,7 @@ def line_action(
     legs = [(skip, _split_points(a, b, roots, skip, clr)) for a, b, skip in ends]
 
     ref = nodes[1] if van0 else nodes[0]
-    vals = np.sqrt(ref - roots)
+    vals = [cmath.sqrt(ref - r) for r in roots]
     if branch_seed == 0:
         raise ValueError("branch_seed must be a nonzero sqrt(V) approximation")
     w_ref = 2.0 * vals[0] * vals[1] * vals[2]
@@ -313,16 +338,16 @@ def line_action(
 def _turning_point_pair(tps, from_tp, to_tp):
     """(roots, i, j): the entries of the roots of V (the solved tps)
     at two distinct simple turning points, snapped to the nearest root."""
-    roots = np.array(tps.all_with_repeats, dtype=complex)
+    roots = tps.all_with_repeats
     scale = max(tps.scale, 1e-12)
-    di = np.abs(from_tp - roots)
-    dj = np.abs(to_tp - roots)
-    i, j = int(np.argmin(di)), int(np.argmin(dj))
+    di = [abs(from_tp - r) for r in roots]
+    dj = [abs(to_tp - r) for r in roots]
+    i, j = min(range(len(roots)), key=di.__getitem__), min(range(len(roots)), key=dj.__getitem__)
     if di[i] > 1e-6 * scale or dj[j] > 1e-6 * scale:
         raise ValueError("endpoints must be turning points of the potential")
     if i == j:
         raise ValueError("both endpoints snap to the same turning point")
-    mult = np.repeat(tps.multiplicities, tps.multiplicities)  # per entry of roots
+    mult = [m for m in tps.multiplicities for _ in range(m)]  # per entry of roots
     if mult[i] != 1 or mult[j] != 1:
         raise ValueError("endpoints must be simple turning points")
     return roots, i, j
@@ -330,8 +355,8 @@ def _turning_point_pair(tps, from_tp, to_tp):
 
 def _bernstein(s):
     """Parameter rho >= 1 of the Bernstein ellipse (foci -1, 1) through s."""
-    r = np.abs(s + np.sqrt(s - 1) * np.sqrt(s + 1))
-    return np.maximum(r, 1.0 / r)
+    r = abs(s + cmath.sqrt(s - 1) * cmath.sqrt(s + 1))
+    return max(r, 1.0 / r)
 
 
 def _arc_rho(w, beta: float) -> float:
@@ -342,11 +367,10 @@ def _arc_rho(w, beta: float) -> float:
     of 1 - 2 i beta s + beta^2 (1 - s^2), are the singularities in s.
     """
     if beta == 0.0:
-        return float(_bernstein(w))
-    disc = np.sqrt(1 - 4 * beta**2 - 4j * beta * w)
-    sing = np.array([1 + disc, 1 - disc]) / (2j * beta)
-    sing = np.append(sing, np.array([1, -1]) - 1j / beta)
-    return float(np.min(_bernstein(sing)))
+        return _bernstein(w)
+    disc = cmath.sqrt(1 - 4 * beta**2 - 4j * beta * w)
+    sing = ((1 + disc) / (2j * beta), (1 - disc) / (2j * beta), 1 - 1j / beta, -1 - 1j / beta)
+    return min(_bernstein(z) for z in sing)
 
 
 def _chord_period(p, roots, i, j, tol):
@@ -358,7 +382,7 @@ def _chord_period(p, roots, i, j, tol):
     from Euler's identity.  errors holds the estimated errors of dP/da, dP/db
     and P, in that order.
     """
-    e_i, e_j, e_k = (complex(roots[n]) for n in (i, j, 3 - i - j))
+    e_i, e_j, e_k = roots[i], roots[j], roots[3 - i - j]
     m, h = 0.5 * (e_i + e_j), 0.5 * (e_j - e_i)
     w = (e_k - m) / h
     ref = m                                      # the sheet: principal factors here
@@ -370,30 +394,41 @@ def _chord_period(p, roots, i, j, tol):
         away = -1.0 if w.imag >= 0 else 1.0
         rho, beta = max(((_arc_rho(w, b), b) for b in (0.0, away)), key=lambda rb: rb[0])
     # the M-node rule reaches tol; the sum has 3M nodes, which contain its M
-    need = np.log(1.0 / tol) / (2.0 * max(np.log(rho), 1e-300))
-    n_coarse = int(np.clip(np.ceil(need), 8, _MAX_COARSE))
+    need = math.log(1.0 / tol) / (2.0 * max(math.log(rho), 1e-300))
+    n_coarse = min(max(math.ceil(need), 8), _MAX_COARSE)
     n = 3 * n_coarse
-    s = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
 
     x0 = m + 1j * beta * h
-    ends = np.array([e_i, e_j, e_k])
-    fac = np.sqrt(ref - ends) * np.sqrt((x0 - ends) / (ref - ends))  # sqrt(x0 - r)
-    x = m + h * (s + 1j * beta * (1 - s * s))
-    q = 1 - 2j * beta * s + beta**2 * (1 - s * s)
-    f0 = h * (1 - 2j * beta * s) * np.sqrt(1 + beta**2) / (
-        2 * fac[0] * fac[1] * np.sqrt(q) * fac[2] * np.sqrt((x - e_k) / (x0 - e_k))
-    )
-    f1 = x * f0
-    i0, i1 = np.pi / n * f0.sum(), np.pi / n * f1.sum()
-    trunc0 = abs(i0 - np.pi / n_coarse * f0[1::3].sum())
-    trunc1 = abs(i1 - np.pi / n_coarse * f1[1::3].sum())
+    # sqrt(x0 - r) for the three roots r, on the sheet of ref
+    fac = [cmath.sqrt(ref - e) * cmath.sqrt((x0 - e) / (ref - e)) for e in (e_i, e_j, e_k)]
+    c = h * math.sqrt(1 + beta**2) / (2 * fac[0] * fac[1] * fac[2])
+    # the sums of f0 and f1 over all nodes (s), over the M nodes (t), and of
+    # their moduli (r); node k is one of the M when k = 1 mod 3
+    s0 = s1 = t0 = t1 = 0j
+    r0 = r1 = 0.0
+    for k in range(n):
+        sk = math.cos((2 * k + 1) * math.pi / (2 * n))
+        x = m + h * (sk + 1j * beta * (1 - sk * sk))
+        q = 1 - 2j * beta * sk + beta**2 * (1 - sk * sk)
+        f0 = c * (1 - 2j * beta * sk) / (cmath.sqrt(q) * cmath.sqrt((x - e_k) / (x0 - e_k)))
+        f1 = x * f0
+        s0 += f0
+        s1 += f1
+        r0 += abs(f0)
+        r1 += abs(f1)
+        if k % 3 == 1:
+            t0 += f0
+            t1 += f1
+    i0, i1 = math.pi / n * s0, math.pi / n * s1
+    trunc0 = abs(i0 - math.pi / n_coarse * t0)
+    trunc1 = abs(i1 - math.pi / n_coarse * t1)
     if max(trunc0, trunc1) > 1e4 * tol:
         raise QuadratureError(f"period rule stalled at error {max(trunc0, trunc1):.3g}")
-    err0 = trunc0 + _ROUNDING * np.pi / n * np.abs(f0).sum()
-    err1 = trunc1 + _ROUNDING * np.pi / n * np.abs(f1).sum()
+    err0 = trunc0 + _ROUNDING * math.pi / n * r0
+    err1 = trunc1 + _ROUNDING * math.pi / n * r1
     value = -(4 * p.a * i1 + 84 * p.b * i0) / 5
     err_value = (4 * abs(p.a) * err1 + 84 * abs(p.b) * err0) / 5
-    return complex(value), complex(-i1), complex(-14 * i0), (err1, 14 * err0, err_value)
+    return value, -i1, -14 * i0, (err1, 14 * err0, err_value)
 
 
 def _orient_sign(value: complex, cycle_id: str) -> float:
@@ -446,13 +481,13 @@ def label_turning_points_by_periods(p: CubicPotential) -> dict[str, complex]:
     if p.is_real(1e-12 * max(1.0, abs(p.a), abs(p.b))):
         n_real = sum(1 for z in r if abs(z.imag) <= 1e-9 * scale)
         if n_real == 1:
-            return _labels_around(r, int(np.argmin([abs(z.imag) for z in r])))
+            return _labels_around(r, min(range(3), key=lambda k: abs(r[k].imag)))
 
     # otherwise pick the root whose worse pairwise action is closest to
     # purely imaginary (at quantizing potentials both of its pairs are)
     score = _pair_scores(p, r, 1e-8)
     worst = [max(s for pair, s in score.items() if i in pair) for i in range(3)]
-    return _labels_around(r, int(np.argmin(worst)))
+    return _labels_around(r, min(range(3), key=worst.__getitem__))
 
 
 def cycle_period(
@@ -513,10 +548,16 @@ def safe_nodes(a: complex, b: complex, roots, clearance: float, depth: int = 0):
 
 
 def alpha_at(p: CubicPotential, z):
-    """|alpha| at z (a point or an array of points),
-    alpha = (4 V V'' - 5 V'^2) / (32 V^{5/2}); sheet-free."""
-    V = p(z)
-    return abs(4 * V * p.d2(z) - 5 * p.d1(z) ** 2) / (32.0 * abs(V) ** 2.5)
+    """|alpha| at the point z,
+    alpha = (4 V V'' - 5 V'^2) / (32 V^{5/2}); sheet-free.
+
+    V, V' and V'' are written out with the operations of CubicPotential's
+    methods: the quadrature calls this once per node."""
+    a2 = 2 * p.a
+    z2 = z * z
+    V = 4 * z2 * z - a2 * z - 28 * p.b
+    d1 = 12 * z2 - a2
+    return abs(4 * V * (24 * z) - 5 * (d1 * d1)) / (32.0 * abs(V) ** 2.5)
 
 
 def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> float:
@@ -528,7 +569,7 @@ def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> 
     separation) from all turning points.
     """
     tps = turning_points(p)
-    roots = np.array(tps.all_with_repeats, dtype=complex)
+    roots = tps.all_with_repeats
     clr = _clearance(tps, clearance)
     nodes = [complex(z) for z in nodes]
     # every segment is split, and so checked, before any is integrated
@@ -539,12 +580,13 @@ def alpha_integral(p: CubicPotential, nodes, clearance: float | None = None) -> 
             if s0 == s1:
                 continue
             seg = s1 - s0
+            length = abs(seg)
 
             def f(ts):
-                return alpha_at(p, s0 + ts * seg) * abs(seg)
+                return alpha_at(p, s0 + ts * seg) * length
 
             val, _ = _adaptive(f, 0.0, 1.0, 1e-11)
-            total += float(val.real)
+            total += val
     return total
 
 
@@ -565,4 +607,4 @@ def alpha_ray_tail(p: CubicPotential, start: complex) -> float:
         return alpha_at(p, (R / ss**2) * u) * (2.0 * R / ss**3)
 
     val, _ = _adaptive(f, 0.0, 1.0, 1e-12)
-    return float(val.real)
+    return val

@@ -12,12 +12,12 @@ periods are homogeneous, and complex conjugation maps cell (m, n) onto
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-
-import numpy as np
 
 from .action import QuadratureError, cycle_period, label_turning_points_by_periods
 from .potential import CubicPotential, GroupElement, apply_group, turning_points
@@ -79,33 +79,36 @@ def _labels_from_roots(tps, prev_labels: dict[str, complex]):
 
 
 def _targets(idx: BsbIndex) -> tuple[complex, complex]:
-    return 1j * np.pi * (idx.n - 0.5), -1j * np.pi * (idx.m - 0.5)
+    return 1j * math.pi * (idx.n - 0.5), -1j * math.pi * (idx.m - 0.5)
 
 
 def _system(p: CubicPotential, labels, t1: complex, t2: complex, tol: float):
-    """Residuals F of the two period conditions and their Jacobian J.
+    """Residuals F of the two period conditions and their Jacobian J, rows
+    (dP/da, dP/db) of the two cycles.
 
     Each label is snapped to the nearest turning point of p.
     """
     P1 = cycle_period(p, "a1", labels=labels, tol=tol)
     P2 = cycle_period(p, "a-1", labels=labels, tol=tol)
-    return np.array([P1.value - t1, P2.value - t2]), np.array([P1.gradient, P2.gradient])
+    return (P1.value - t1, P2.value - t2), (P1.gradient, P2.gradient)
 
 
 def _newton_targets(p, labels, t1, t2, tol, max_iter):
     """Damped Newton on the two periods toward arbitrary target values."""
     F, J = _system(p, labels, t1, t2, tol=1e-9)
-    norm = float(np.max(np.abs(F)))
+    norm = max(abs(F[0]), abs(F[1]))
     qtol = 1e-9
     for it in range(max_iter):
         if norm <= tol:
             break
         if norm < 1e-6:
             qtol = 1e-12
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian at iteration {it}") from exc
+        # the step s of J s = -F, by Cramer's rule
+        (j11, j12), (j21, j22) = J
+        det = j11 * j22 - j12 * j21
+        if det == 0:
+            raise SolverError(f"singular Jacobian at iteration {it}")
+        step = ((j12 * F[1] - j22 * F[0]) / det, (j21 * F[0] - j11 * F[1]) / det)
         lam = 1.0
         for _ in range(9):
             q = CubicPotential(p.a + lam * step[0], p.b + lam * step[1])
@@ -115,7 +118,7 @@ def _newton_targets(p, labels, t1, t2, tol, max_iter):
             except (SolverError, ValueError):
                 lam *= 0.5
                 continue
-            nq = float(np.max(np.abs(Fq)))
+            nq = max(abs(Fq[0]), abs(Fq[1]))
             if nq < norm or nq <= tol:
                 p, labels, F, J, norm = q, labels_q, Fq, Jq, nq
                 break
@@ -139,8 +142,8 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
     the certificate along; R+ scales rho_max by exactly x^{-5/2} and the
     residual, with the targets, by x^{5/2}.
     """
-    arg_a = abs(np.angle(complex(p.a)))
-    if arg_a <= 4 * np.pi / 5:
+    arg_a = abs(cmath.phase(p.a))
+    if arg_a <= 4 * math.pi / 5:
         raise SolverError(f"|arg a| = {arg_a:.4f} violates the pole sector bound")
     try:
         g = classify(p)
@@ -151,7 +154,7 @@ def _certify(p: CubicPotential, t1: complex, t2: complex):
                           f"(shift {g.decoration_shift}), not the quantizing class")
     labels = dict(g.tp_labels)
     F, _ = _system(p, labels, t1, t2, 1e-10)
-    residual = float(np.max(np.abs(F)))
+    residual = max(abs(F[0]), abs(F[1]))
     if residual > 1e-6:
         raise SolverError("the classified labels miss the period targets")
     return labels, residual, relative_errors(g).max_finite
@@ -189,7 +192,7 @@ def _bracketed_newton(fdf, lo, hi, f_lo, max_iter=100):
             lo, f_lo = t, f
         else:
             hi = t
-        t_new = t - (f / df if df != 0.0 else np.inf)
+        t_new = t - (f / df if df != 0.0 else math.inf)
         if not min(lo, hi) < t_new < max(lo, hi):
             t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= 1e-15 + 8.9e-16 * abs(t_new):
@@ -209,12 +212,15 @@ def _orbit_point() -> tuple[float, float]:
     """
 
     def p1(t):
-        p = CubicPotential(-1.0, -np.exp(t))
+        p = CubicPotential(-1.0, -math.exp(t))
         labels = label_turning_points_by_periods(p)
         P = cycle_period(p, "a1", labels=labels, tol=1e-12)
         return P.value.real, (P.gradient[1] * p.b).real
 
-    grid = np.linspace(np.log(1e-3), np.log(0.3), 18)
+    # 18 equally spaced points from log(1e-3) to log(0.3), the last one exact
+    lo, hi = math.log(1e-3), math.log(0.3)
+    step = (hi - lo) / 17
+    grid = [lo + i * step for i in range(17)] + [hi]
     vals = [p1(t)[0] for t in grid]
     t_star = None
     for t0, t1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
@@ -226,11 +232,11 @@ def _orbit_point() -> tuple[float, float]:
             break
     if t_star is None:
         raise SolverError("failed to bracket the real quantizing orbit")
-    b_hat = -np.exp(t_star)
+    b_hat = -math.exp(t_star)
     p = CubicPotential(-1.0, b_hat)
     labels = label_turning_points_by_periods(p)
     y0 = cycle_period(p, "a1", labels=labels, tol=1e-13).value.imag
-    return float(b_hat), float(y0)
+    return b_hat, y0
 
 
 @lru_cache(maxsize=1)
@@ -243,7 +249,7 @@ def _origin_node() -> tuple[CubicPotential, MappingProxyType, float, float]:
     """
     _, a_star, b_star = real_orbit_constants()
     p = CubicPotential(a_star, b_star)
-    t1 = 1j * np.pi
+    t1 = 1j * math.pi
     labels, residual, rho = _certify(p, t1, -t1)
     return p, MappingProxyType(labels), residual, rho
 
@@ -257,7 +263,7 @@ def real_orbit_constants() -> tuple[float, float, float]:
     """
     b_hat, y0 = _orbit_point()
     mu_star = -1.0 / b_hat**2
-    x = (np.pi / y0) ** 0.4
+    x = (math.pi / y0) ** 0.4
     a_star = -(x**2)
     b_star = b_hat * x**3
     return mu_star, a_star, b_star
@@ -298,10 +304,10 @@ def _kappa_curve(
     """
     p, labels, residual, rho = _origin_node()
     nodes = {Fraction(1): (p, residual, rho)}
-    t1 = 1j * np.pi
+    t1 = 1j * math.pi
     failures: dict[Fraction, str] = {}
     for target in sorted(k for k in kappas if k > 1):
-        t2 = -1j * np.pi * float(target)
+        t2 = -1j * math.pi * float(target)
         try:
             p2, _ = _newton_targets(p, labels, t1, t2, tol, max_iter=30)
             labels2, residual2, rho2 = _certify(p2, t1, t2)

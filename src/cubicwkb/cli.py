@@ -10,13 +10,13 @@ digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 from functools import lru_cache
-
-import numpy as np
 
 from .bsb import real_orbit_constants, real_poles, solve_lattice
 from .export import graph_to_json, graph_to_svg
@@ -56,7 +56,7 @@ def _parse_complex(s: str) -> complex:
         z = complex(s.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number: {s!r}") from exc
-    if not np.isfinite(z):
+    if not cmath.isfinite(z):
         raise argparse.ArgumentTypeError(f"must be a finite complex number, got {s!r}")
     return z
 
@@ -70,7 +70,7 @@ def _positive_int(s: str) -> int:
 
 def _positive_float(s: str) -> float:
     x = float(s)
-    if not (np.isfinite(x) and x > 0):
+    if not (math.isfinite(x) and x > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {s!r}")
     return x
 
@@ -150,8 +150,8 @@ def cmd_poles(args) -> int:
                sol.residual_norm, sol.rho_max]
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     _write(buf.getvalue(), args.out, end="")
-    min_arg = min(abs(np.angle(complex(s.a))) for s in solved.values()) if solved else np.nan
-    print(f"min |arg a| over lattice: {min_arg:.6f} (4*pi/5 = {4*np.pi/5:.6f})",
+    min_arg = min(abs(cmath.phase(s.a)) for s in solved.values()) if solved else math.nan
+    print(f"min |arg a| over lattice: {min_arg:.6f} (4*pi/5 = {4*math.pi/5:.6f})",
           file=sys.stderr)
     for nm, msg in failures.items():
         print(f"cell {nm} failed: {msg}", file=sys.stderr)

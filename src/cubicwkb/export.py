@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import cmath
 import json
-
-import numpy as np
+import math
 
 from .stokes import _R_FACTOR, PHI, StokesComplexGraph
 
 
-def _disk_map(z):
+def _disk_map(z: complex) -> complex:
     """Compactification onto the unit disk: r e^{i phi} -> (2/pi) atan(r) e^{i phi}."""
-    z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
-    return np.where(r == 0, 0j, (2.0 / np.pi) * np.arctan(r) * z / np.where(r == 0, 1.0, r))
+    r = abs(z)
+    return (2.0 / math.pi) * math.atan(r) * z / r if r else 0j
 
 
 def graph_to_json(g: StokesComplexGraph) -> str:
@@ -29,7 +28,7 @@ def graph_to_json(g: StokesComplexGraph) -> str:
         kind, t = ln.terminal
         if kind == "tp" and ln.origin > t:
             continue
-        poly = np.column_stack((ln.points.real, ln.points.imag)).tolist()
+        poly = [[z.real, z.imag] for z in ln.points]
         if kind == "tp":
             edges.append({"type": "internal", "from": ln.origin, "to": t, "polyline": poly})
         else:
@@ -68,8 +67,8 @@ def graph_to_svg(g: StokesComplexGraph, compactified: bool = False) -> str:
         assert 1.02 * radius < _R_FACTOR * (1.0 + g.tps.scale)
 
     def xy(z):
-        """Picture coordinates of a point or an array of points."""
-        w = _disk_map(z) if compactified else np.asarray(z, dtype=complex)
+        """Picture coordinates of a point."""
+        w = _disk_map(z) if compactified else z
         x = (w.real / radius * 0.5 + 0.5) * size
         y = (-w.imag / radius * 0.5 + 0.5) * size
         return x, y
@@ -91,19 +90,18 @@ def graph_to_svg(g: StokesComplexGraph, compactified: bool = False) -> str:
         color = "#c0392b" if kind == "tp" else "#2c3e50"
         pts = ln.points
         if not compactified:
-            pts = pts[np.abs(pts) <= radius * 1.02]
-        xs, ys = xy(pts)
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+            pts = [z for z in pts if abs(z) <= radius * 1.02]
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(xy, pts))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )
     for z, m in zip(g.tps.roots, g.tps.multiplicities):
-        x, y = (float(c) for c in xy(z))
+        x, y = xy(z)
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{3 + 2 * m}" fill="#2980b9"/>'
         )
     for k in range(-2, 3):
-        w = 0.94 * radius * np.exp(1j * PHI[k + 2])
+        w = 0.94 * radius * cmath.exp(1j * PHI[k + 2])
         lx = (w.real / radius * 0.5 + 0.5) * size
         ly = (-w.imag / radius * 0.5 + 0.5) * size
         parts.append(

@@ -15,7 +15,8 @@ Multipliers are extracted by a central connection: each solution is carried
 radially inward along its own ray (the stable direction) and then through
 the corridors of the Stokes complex, where the action's real part stays near
 the saddle levels, so the exponentially small recessive components survive
-in double precision.  Every Wronskian ratio is evaluated at a common point
+in double precision.  Between walls the path follows the Stokes lines
+themselves, never a chord across a face, over which the solutions climb.  Every Wronskian ratio is evaluated at a common point
 on the wall separating the sectors involved, where all factors have
 comparable modulus, and at a second wall as a consistency gate.
 
@@ -34,14 +35,14 @@ its path and by the cancellation in its Wronskians.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
-from math import ceil
-
-import numpy as np
 
 from .action import _pair_actions
 from .potential import CubicPotential, turning_points
-from .stokes import _FAR_FACTOR, _crossing, _order_at_infinity, trace_stokes_lines
+from .stokes import _crossing, _order_at_infinity, trace_stokes_lines
 
 # order of the Taylor series each transport step sums
 TAYLOR_ORDER = 30
@@ -64,7 +65,7 @@ _ROUNDING_FLOOR = 4.0
 # far below overflow even after the next step's growth (e^7 at most)
 _RESCALE = 1e250
 # log of the largest double: no multiplier beyond it can be represented
-_LOG_MAX = float(np.log(np.finfo(float).max))
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class MonodromyError(RuntimeError):
@@ -91,7 +92,7 @@ class StokesMultipliers:
 
     @property
     def max_admissibility_residual(self) -> float:
-        return float(max(abs(r) for r in self.admissibility_residuals))
+        return max(abs(r) for r in self.admissibility_residuals)
 
     @property
     def normalized_residuals(self) -> tuple[float, ...]:
@@ -108,18 +109,18 @@ class StokesMultipliers:
             s2 = self.sigma[_s5(k + 1)]
             s3 = self.sigma[_s5(k + 3)]
             r = 1.0 + s1 * s2 + 1j * s3
-            out.append(float(abs(r) / (1.0 + abs(s1 * s2) + abs(s3))))
+            out.append(abs(r) / (1.0 + abs(s1 * s2) + abs(s3)))
         return tuple(out)
 
     @property
     def max_normalized_residual(self) -> float:
-        return float(max(self.normalized_residuals))
+        return max(self.normalized_residuals)
 
 
 def default_radius(p: CubicPotential) -> float:
     """The normalization radius, above the guard at twice the turning-point
     scale and above the foot circle."""
-    return float(max(4.0, 2.0 * (1.0 + turning_points(p).scale)))
+    return max(4.0, 2.0 * (1.0 + turning_points(p).scale))
 
 
 def _action_exponent(p: CubicPotential) -> float:
@@ -152,7 +153,7 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _formal_series(p: CubicPotential) -> np.ndarray:
+def _formal_series(p: CubicPotential) -> list[complex]:
     """Coefficients d_j (at index j + 3) of the formal solution at infinity.
 
     With s = x^{1/2}, the log-derivative Y = psi'/psi = sum_{j>=-3} d_j s^{-j}
@@ -163,11 +164,11 @@ def _formal_series(p: CubicPotential) -> np.ndarray:
                   / (2 d_{-3}).
     The series is asymptotic: its terms shrink with |s| and then grow.
     """
-    d = np.zeros(_SERIES_LEN, dtype=complex)
-    d[0], d[4], d[5] = -2.0, 0.5 * p.a, -0.75
+    d = [0j] * _SERIES_LEN
+    d[0], d[4], d[5] = -2.0 + 0j, 0.5 * complex(p.a), -0.75 + 0j
     for m in range(_SERIES_LEN - 6):
         V_m = -28.0 * p.b if m == 0 else 0.0
-        conv = d[1 : m + 6] @ d[m + 5 : 0 : -1]
+        conv = sum(d[i] * d[m + 6 - i] for i in range(1, m + 6))
         d[m + 6] = (V_m - conv + 0.5 * (m - 2) * d[m + 1]) / (2.0 * d[0])
     return d
 
@@ -182,34 +183,30 @@ def _sector_starts(p: CubicPotential, R: float) -> dict:
     whose constant fixes psi ~ x^{-3/4} exp(-(4/5) x^{5/2} + a x^{1/2}).  The
     sum runs over 5-term windows until one falls below the rounding floor of
     the log scale, or else up to the smallest window (optimal truncation);
-    est_error is that first omitted window plus the floor.
+    est_error is that first omitted window plus the floor.  R > 1, so no
+    power of s overflows.
     """
     d = _formal_series(p)
-    j = np.arange(-3.0, _SERIES_LEN - 3)
-    floor = _ROUNDING_FLOOR * np.finfo(float).eps * R**2.5
+    floor = _ROUNDING_FLOOR * sys.float_info.epsilon * R**2.5
     starts = {}
     for k in range(-2, 3):
-        theta = 2.0 * np.pi * k / 5.0
-        s = (-1.0 if k % 2 else 1.0) * np.sqrt(R) * np.exp(0.5j * theta)
-        Y_terms = d * s**-j
-        log_terms = Y_terms[6:] * s**2 / (1.0 - 0.5 * j[6:])
-        windows = np.abs(log_terms).reshape(-1, 5).sum(1)
-        below = np.flatnonzero(windows < floor)
-        # (a window is nan where a power overflows on a zero coefficient,
-        # which only a radius far inside the unit circle brings about)
-        n = int(below[0]) if below.size else int(np.nanargmin(windows))
+        theta = 2.0 * math.pi * k / 5.0
+        s = (-1.0 if k % 2 else 1.0) * math.sqrt(R) * cmath.exp(0.5j * theta)
+        # d_j s^{-j} for j = -3.., and the log terms from j = 3 on
+        Y_terms = [dj * s ** (3 - i) for i, dj in enumerate(d)]
+        log_terms = [Y_terms[j + 3] * s**2 / (1.0 - 0.5 * j)
+                     for j in range(3, _SERIES_LEN - 3)]
+        windows = [sum(abs(t) for t in log_terms[w : w + 5])
+                   for w in range(0, len(log_terms), 5)]
+        n = next((w for w, size in enumerate(windows) if size < floor),
+                 min(range(len(windows)), key=windows.__getitem__))
         log_psi = (
             -0.8 * R**2.5
             + p.a * s
-            - 0.75 * (np.log(R) + 1j * theta)
-            + log_terms[: 5 * n].sum()
+            - 0.75 * (math.log(R) + 1j * theta)
+            + sum(log_terms[: 5 * n])
         )
-        starts[k] = (
-            1.0 + 0j,
-            complex(Y_terms[: 5 * n + 6].sum()),
-            complex(log_psi),
-            float(windows[n] + floor),
-        )
+        starts[k] = (1.0 + 0j, sum(Y_terms[: 5 * n + 6]), log_psi, windows[n] + floor)
     return starts
 
 
@@ -271,7 +268,7 @@ def _transport(p, nodes, v, dv, l, rtol, tally=None):
     tries that failed the tail test.
     """
     steps = rejected = 0
-    h_min = -(l.real + np.log(max(abs(v), 1e-300)))
+    h_min = -(l.real + math.log(max(abs(v), 1e-300)))
     h_end = h_min
     states = [(v, dv, l, 0.0)]
     for a, b in zip(nodes[:-1], nodes[1:]):
@@ -287,7 +284,7 @@ def _transport(p, nodes, v, dv, l, rtol, tally=None):
             )
             # one of k equal steps of at most 3.5/m over the remainder
             h = b - x
-            k = ceil(abs(h) * rate / 3.5)
+            k = math.ceil(abs(h) * rate / 3.5)
             if k > 1:
                 h = h / k
             for tries in range(_MAX_HALVINGS):
@@ -304,17 +301,17 @@ def _transport(p, nodes, v, dv, l, rtol, tally=None):
             v, dv = psi, hdpsi / h
             mag = abs(v)
             if mag > _RESCALE:
-                v, dv, l, mag = v / mag, dv / mag, l + np.log(mag), 1.0
+                v, dv, l, mag = v / mag, dv / mag, l + math.log(mag), 1.0
             if mag > 0:
-                h_here = -(l.real + np.log(mag))
+                h_here = -(l.real + math.log(mag))
                 h_min = min(h_min, h_here)
                 h_end = h_here
         wscale = 1.0 + abs(p(b)) ** 0.5
         m = max(abs(v), abs(dv) / wscale)
-        if m == 0 or not np.isfinite(m):
+        if m == 0 or not math.isfinite(m):
             raise MonodromyError("solution vanished or overflowed in transport")
-        v, dv, l = v / m, dv / m, l + np.log(m)
-        states.append((v, dv, l, float(max(0.0, h_end - h_min))))
+        v, dv, l = v / m, dv / m, l + math.log(m)
+        states.append((v, dv, l, max(0.0, h_end - h_min)))
     if tally is not None:
         tally[0] += steps
         tally[1] += rejected
@@ -326,7 +323,7 @@ def _radial_leg(p, k, R, r_foot, rtol, v, dv, l, tally=None):
     |x| = R, carried inward along its own ray to |x| = r_foot: (v, dv,
     log_scale) at the foot, as one segment (_RESCALE keeps the climb of
     e^{(4/5) R^{5/2}} in range).  ``tally`` is passed to ``_transport``."""
-    u = np.exp(2j * np.pi * k / 5.0)
+    u = cmath.exp(2j * math.pi * k / 5.0)
     v, dv, l, _ = _transport(p, [R * u, r_foot * u], v, dv, l, rtol, tally)[-1]
     return v, dv, l
 
@@ -345,7 +342,7 @@ def stokes_multipliers(
     """
     tps = turning_points(p)
     R = float(R) if R is not None else default_radius(p)
-    if not np.isfinite(R) or R <= 0.0:
+    if not math.isfinite(R) or R <= 0.0:
         raise MonodromyError(f"R must be a positive finite radius, got {R}")
     if R < 2.0 * tps.scale:
         raise MonodromyError("R too small: turning points too close to the circle")
@@ -364,55 +361,80 @@ def stokes_multipliers(
 
     # The corridor between sectors k and k+1 is the lines that end on ray k,
     # in counterclockwise order, from sector k's side; each is a wall, met
-    # where it crosses |x| = 0.85 r_foot.  No classification is needed, so
-    # potentials on a class boundary are routed by their own lines.
+    # where it crosses |x| = r_wall, and kept with its line's index.  No
+    # classification is needed, so potentials on a class boundary are routed
+    # by their own lines.
     lines = trace_stokes_lines(p)
+    r_wall = 0.85 * r_foot
     corridors = {k: [] for k in range(-2, 3)}
     for i in _order_at_infinity(lines):
-        ln = lines[i]
-        corridors[ln.terminal[1]].append((ln.origin, _crossing(ln, 0.85 * r_foot, p)))
+        corridors[lines[i].terminal[1]].append((i, _crossing(lines[i], r_wall, p)))
     for k, walls in corridors.items():
         if not walls:
             raise MonodromyError(f"no Stokes line ends on ray {k}")
 
-    # the polyline of each internal line, keyed (origin, turning point it ends at)
-    internal = {(ln.origin, ln.terminal[1]): ln.points
-                for ln in lines if ln.terminal[0] == "tp"}
-    far = _FAR_FACTOR * (1.0 + tps.scale)
+    def every_16th(path):
+        return list(path[:-1:16]) + [path[-1]]
+
+    def leg(i):
+        """Line i from its turning point out to its last point inside the
+        wall circle, at every 16th point."""
+        pts = lines[i].points
+        q = next(n for n in range(len(pts) - 1, -1, -1) if abs(pts[n]) <= r_wall)
+        return every_16th(pts[: q + 1])
+
+    # The root graph: an edge along each internal line, and along an external
+    # line from root i up to its closest approach to root j, then a step to
+    # j, when it passes within a quarter of |r_i - r_j| of j.
+    roots = tps.roots
+    edges = {}
+    for ln in lines:
+        if ln.terminal[0] == "tp":
+            path = every_16th(ln.points)
+            edges.setdefault((ln.origin, ln.terminal[1]), path)
+            edges.setdefault((ln.terminal[1], ln.origin), path[::-1])
+    for ln in lines:
+        if ln.terminal[0] != "ray":
+            continue
+        i = ln.origin
+        for j, r in enumerate(roots):
+            if j == i or (i, j) in edges:
+                continue
+            c = min(range(len(ln.points) - 1), key=lambda n: abs(ln.points[n] - r))
+            if abs(ln.points[c] - r) < 0.25 * abs(roots[i] - r):
+                path = every_16th(ln.points[: c + 1]) + [r]
+                edges[(i, j)], edges[(j, i)] = path, path[::-1]
+
+    def route(u, v):
+        """Waypoints from root u to root v along the root graph: one edge, or
+        two through the third root, or a straight step when none joins them."""
+        if u == v:
+            return [roots[u]]
+        if (u, v) in edges:
+            return edges[(u, v)]
+        for t in range(len(roots)):
+            if (u, t) in edges and (t, v) in edges:
+                return edges[(u, t)] + edges[(t, v)][1:]
+        return [roots[u], roots[v]]
 
     def walk(start, walls):
-        """Waypoints from start through a wall sequence, so the path hugs the
-        complex (the ODE is regular at turning points, and Re S is constant
-        along each wall): two consecutive walls from one turning point are
-        bridged across it, walls from two turning points joined by an
-        internal line along every 16th point of that line, and walls from
-        two turning points that a third one joins to both along both of its
-        lines (a chord would cross the face between them, over which both
-        solutions climb).  Also the node index of each wall's point."""
+        """Waypoints from start through a wall sequence, and the node index
+        of each wall's point.  The first wall is reached by a chord; each
+        next one back along the last wall's line to its turning point, along
+        the root graph to the next wall's, and out along that wall's line.
+        Re S is constant along the lines, so the path never crosses a face,
+        over which the solutions climb (a chord from a wall back to its
+        turning point would)."""
         pts, at = [start], []
         prev = None
-
-        def along(path):
-            # an internal line is stepped throughout: a line past the far
-            # radius ends as an external one
-            assert np.max(np.abs(path)) < far
-            pts.extend(complex(z) for z in path[:-1:16])
-            pts.append(complex(path[-1]))
-
-        for origin, point in walls:
-            if origin == prev:
-                pts.append(complex(tps.roots[origin]))
-            elif (prev, origin) in internal:
-                along(internal[(prev, origin)])
-            else:
-                for t in range(3):
-                    if (prev, t) in internal and (t, origin) in internal:
-                        along(internal[(prev, t)])
-                        along(internal[(t, origin)])
-                        break
+        for i, point in walls:
+            if prev is not None:
+                pts.extend(leg(prev)[::-1])
+                pts.extend(route(lines[prev].origin, lines[i].origin)[1:])
+                pts.extend(leg(i)[1:])
             pts.append(point)
             at.append(len(pts) - 1)
-            prev = origin
+            prev = i
         return pts, at
 
     # Each solution is carried inward along its own ray to its foot, then
@@ -420,8 +442,8 @@ def stokes_multipliers(
     # (k, k+1) is the point on the first wall of corridors[k], the wall facing
     # sector k (the solutions involved all have moderate modulus on the
     # walls, whose levels sit at the saddle values).  The up walk from sector
-    # j passes the evaluation points of j, j+1 and j+2, the down walk those
-    # of j-1 and j-2.
+    # j visits the evaluation points of j, j+1 and j+2; the down walk those
+    # of j-1 and j-2, after the wall of corridor j-1 nearest to the foot.
     starts = _sector_starts(p, R)
     init_errors = []
     data = {}  # (j, eval_key) -> (v, dv, l, quality)
@@ -430,17 +452,18 @@ def stokes_multipliers(
         v, dv, l, est = starts[j]
         init_errors.append(est)
         v, dv, l = _radial_leg(p, j, R, r_foot, rtol, v, dv, l, tally)
-        foot = r_foot * np.exp(1j * (2.0 * np.pi * j / 5.0))
-        c0, c1, c2 = corridors[j], corridors[_s5(j + 1)], corridors[_s5(j + 2)]
-        nodes, at = walk(foot, c0 + c1 + c2[:1])
+        foot = r_foot * cmath.exp(1j * (2.0 * math.pi * j / 5.0))
+        up = [corridors[_s5(j + off)][0] for off in (0, 1, 2)]
+        nodes, at = walk(foot, up)
         states = _transport(p, nodes, v, dv, l, rtol, tally)
-        for off, i in zip((0, 1, 2), (0, len(c0), len(c0) + len(c1))):
-            data[(j, _s5(j + off))] = states[at[i]]
-        d1, d2 = corridors[_s5(j - 1)][::-1], corridors[_s5(j - 2)][::-1]
-        nodes, at = walk(foot, d1 + d2)
+        for off in (0, 1, 2):
+            data[(j, _s5(j + off))] = states[at[off]]
+        d1, d2 = corridors[_s5(j - 1)], corridors[_s5(j - 2)]
+        down = d1[-1:] + d1[:1] if len(d1) > 1 else d1[:1]
+        nodes, at = walk(foot, down + d2[:1])
         states = _transport(p, nodes, v, dv, l, rtol, tally)
-        for off, i in zip((-1, -2), (len(d1) - 1, len(d1) + len(d2) - 1)):
-            data[(j, _s5(j + off))] = states[at[i]]
+        data[(j, _s5(j - 1))] = states[at[-2]]
+        data[(j, _s5(j - 2))] = states[at[-1]]
 
     def wronskian_candidates(ja, jb):
         """Constant Wronskian of a solution pair at each wall, with the
@@ -454,7 +477,11 @@ def stokes_multipliers(
             if w == 0:
                 continue
             cancel = (abs(va * dvb) + abs(dva * vb)) / abs(w)
-            err = np.exp(2.0 * max(qa, qb)) * rtol * cancel + 1e-16 * cancel
+            # the climb amplifies the contamination; past the double range,
+            # without bound
+            climb = 2.0 * max(qa, qb)
+            amp = math.exp(climb) if climb <= _LOG_MAX else math.inf
+            err = amp * rtol * cancel + 1e-16 * cancel
             cands.append((w, la + lb, err))
         if not cands:
             raise MonodromyError("vanishing Wronskian for a solution pair")
@@ -475,20 +502,21 @@ def stokes_multipliers(
         nums = wronskian_candidates(k - 1, k + 1)
         wd, ld, ed = wronskian_candidates(k, k + 1)[0]
         wn, ln, en = nums[0]
-        log_s = np.log(abs(wn)) - np.log(abs(wd)) + (ln - ld).real
+        log_s = math.log(abs(wn)) - math.log(abs(wd)) + (ln - ld).real
         if log_s > _LOG_MAX:
             raise MonodromyError(
                 f"|sigma_{k}| lies beyond the double range "
                 f"(the largest double is e^{_LOG_MAX:.1f})"
             )
-        s_k = (wn / wd) * np.exp(ln - ld)
+        # one exponential, of real part log_s: no factor of it overflows
+        s_k = cmath.exp(cmath.log(wn / wd) + (ln - ld))
         sigma[k] = 1j * s_k if k == -2 else -s_k
         sig_err[k] = abs(s_k) * (en + ed)
         # two-point gate: recompute from the runner-up wall when it is also
         # well conditioned
         if len(nums) > 1 and nums[1][2] < 1e-8:
-            s_alt = (nums[1][0] / wd) * np.exp(nums[1][1] - ld)
-            spread = max(spread, float(abs(s_k - s_alt)))
+            s_alt = cmath.exp(cmath.log(nums[1][0] / wd) + (nums[1][1] - ld))
+            spread = max(spread, abs(s_k - s_alt))
 
     # Multipliers without any well-conditioned wall (conjugate-level
     # geometries) are rebuilt from better-measured neighbours through the
@@ -516,7 +544,7 @@ def stokes_multipliers(
         sigma=sigma,
         admissibility_residuals=resid,
         two_point_spread=spread,
-        est_error=float(sum(init_errors) + max(sig_err.values())),
+        est_error=sum(init_errors) + max(sig_err.values()),
         completed=completed,
         init_errors=tuple(init_errors),
         taylor_steps=tally[0],
@@ -530,4 +558,4 @@ def tritronquee_test(
 ) -> tuple[bool, float]:
     """Whether sigma_{+-2} both vanish within the threshold; margin reported."""
     margin = max(abs(s.sigma[2]), abs(s.sigma[-2]))
-    return margin <= threshold, float(margin)
+    return margin <= threshold, margin

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
-OMEGA = np.exp(2j * np.pi / 5)
+OMEGA = cmath.exp(2j * math.pi / 5)
 _ROOT_TOL = 1e-8
+# a lone pair of roots this close (relative to the scale) is split by the
+# discriminant, not by the solver (_solve_turning_points)
+_PAIR_TOL = 1e-6
+# the cube roots of unity, exact conjugates of each other
+_CUBE_ROOTS = (1.0 + 0j, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5)))
 
 
 @dataclass(frozen=True)
@@ -28,11 +34,8 @@ class CubicPotential:
     def d2(self, lam: complex) -> complex:
         return 24 * lam
 
-    def coeffs(self) -> np.ndarray:
-        return np.array([4.0, 0.0, -2 * complex(self.a), -28 * complex(self.b)])
-
     def is_real(self, tol: float = 0.0) -> bool:
-        return abs(np.imag(self.a)) <= tol and abs(np.imag(self.b)) <= tol
+        return abs(complex(self.a).imag) <= tol and abs(complex(self.b).imag) <= tol
 
     @cached_property
     def turning_points(self) -> "TurningPointSet":
@@ -87,24 +90,66 @@ def turning_points(p: CubicPotential) -> TurningPointSet:
     return p.turning_points
 
 
+def _cardano(P: complex, Q: complex) -> list[complex]:
+    """The three roots of z^3 + P z + Q by Cardano's formula:
+    z = C w - P / (3 C w) over the cube roots of unity w, with
+    C^3 = -Q/2 +- sqrt(Q^2/4 + P^3/27), the sign taken away from
+    cancellation.  A real C^3 takes its real cube root, so real P and Q give
+    an exactly conjugate pair."""
+    s = cmath.sqrt(0.25 * Q * Q + P * P * P / 27.0)
+    u = max(-0.5 * Q + s, -0.5 * Q - s, key=abs)
+    if u == 0:
+        return [0j, 0j, 0j]                      # P = Q = 0: the triple root 0
+    if u.imag == 0:
+        C = complex(math.copysign(abs(u.real) ** (1 / 3), u.real))
+    else:
+        C = u ** (1 / 3)
+    return [C * w - P / (3.0 * C * w) for w in _CUBE_ROOTS]
+
+
+def _discriminant(p: CubicPotential) -> complex:
+    """a^3/2 - 1323 b^2, the discriminant of V/4 = z^3 - (a/2) z - 7b, summed
+    exactly from the float parts of a and b and rounded once.  At a near
+    double root its terms cancel to far below their rounding."""
+    a, b = complex(p.a), complex(p.b)
+    ar, ai, br, bi = (Fraction(x) for x in (a.real, a.imag, b.real, b.imag))
+    re = (ar**3 - 3 * ar * ai**2) / 2 - 1323 * (br**2 - bi**2)
+    im = (3 * ar**2 * ai - ai**3) / 2 - 2646 * br * bi
+    return complex(float(re), float(im))
+
+
 def _solve_turning_points(p: CubicPotential) -> TurningPointSet:
     """Roots of V with multiplicity clustering at relative tolerance _ROOT_TOL.
 
-    The cubic always has three roots over C; roots closer than
-    _ROOT_TOL * scale are merged into one multiple turning point, their mean.
+    The cubic always has three roots over C (_cardano, then two Newton
+    polish passes); roots closer than _ROOT_TOL * scale are merged into one
+    multiple turning point, their mean.  At a near double root any double
+    precision solver is off by about sqrt(eps) scale, the size of _ROOT_TOL
+    itself, so a lone pair within _PAIR_TOL * scale is replaced by
+    m +- sqrt(D) / (2 (m - r)^2) from the exact discriminant D, m the pair's
+    mean and r the third root: its merge is decided by its own split.
     """
-    raw = np.roots(p.coeffs())
+    # V/4 = z^3 + P z + Q
+    P, Q = -0.5 * complex(p.a), -7.0 * complex(p.b)
+    raw = _cardano(P, Q)
     # two Newton polish passes; keep residuals near machine precision
     for _ in range(2):
-        d = p.d1(raw)
-        step = np.where(np.abs(d) > 1e-30, p(raw) / np.where(d == 0, 1, d), 0.0)
-        mask = np.abs(step) < 1e-2 * (1 + np.abs(raw))
-        raw = raw - np.where(mask, step, 0.0)
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    raw = [complex(r) for r in raw]
+        for n, z in enumerate(raw):
+            d = 3 * z * z + P
+            if abs(d) > 1e-30:
+                step = (z * z * z + P * z + Q) / d
+                if abs(step) < 1e-2 * (1 + abs(z)):
+                    raw[n] = z - step
+    scale = max(1.0, max(abs(r) for r in raw))
+    idx = ((0, 1), (0, 2), (1, 2))
+    near = [(i, j) for i, j in idx if abs(raw[i] - raw[j]) <= _PAIR_TOL * scale]
+    if len(near) == 1:
+        (i, j), = near
+        m = 0.5 * (raw[i] + raw[j])
+        half = 0.5 * cmath.sqrt(_discriminant(p)) / (m - raw[3 - i - j]) ** 2
+        raw[i], raw[j] = m + half, m - half
     # one close pair is a double root; two or three close pairs, the triple
-    close = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
-             if abs(raw[i] - raw[j]) <= _ROOT_TOL * scale]
+    close = [(i, j) for i, j in idx if abs(raw[i] - raw[j]) <= _ROOT_TOL * scale]
     if len(close) == 1:
         (i, j), = close
         k = 3 - i - j

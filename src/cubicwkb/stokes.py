@@ -43,15 +43,14 @@ A wall where a line crosses a smaller circle is read on its level set
 from __future__ import annotations
 
 import cmath
+import math
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .action import _labels_around, _pair_scores, line_action
 from .potential import CubicPotential, TurningPointSet, turning_points
 
-PHI = [(2 * k + 1) * np.pi / 5 for k in range(-2, 3)]  # ray angles, k = -2..2
+PHI = [(2 * k + 1) * math.pi / 5 for k in range(-2, 3)]  # ray angles, k = -2..2
 
 
 class ClassificationError(RuntimeError):
@@ -64,7 +63,7 @@ class AmbiguousClassError(ClassificationError):
 
 # tracing constants; launch and trap radii are in units of the root separation
 # (a line that would pass within the trap radius of a root ends there)
-_WEDGE_TOL = np.pi / 20
+_WEDGE_TOL = math.pi / 20
 _TRAP_FACTOR = 1e-4
 _LAUNCH_FACTOR = 1e-2
 _START_FACTOR = 0.1                 # start radius, in units of the nearest other root
@@ -87,18 +86,19 @@ _NEWTON_TRIES = 6
 class StokesLine:
     origin: int                     # internal vertex index
     direction_index: int
-    points: np.ndarray              # complex polyline
+    points: tuple[complex, ...]     # the polyline
     terminal: tuple[str, int]       # ("tp", vertex) or ("ray", k in -2..2)
 
 
 @dataclass(frozen=True)
 class SectorRelation:
-    """Boolean 5x5 matrix of the sector-connectivity relation, k = -2..2."""
+    """Boolean 5x5 matrix of the sector-connectivity relation, k = -2..2,
+    as a tuple of rows."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[bool, ...], ...]
 
     def related(self, j: int, k: int) -> bool:
-        return bool(self.matrix[(j + 2) % 5, (k + 2) % 5])
+        return self.matrix[(j + 2) % 5][(k + 2) % 5]
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _launch_radius(tps: TurningPointSet) -> float:
 
 
 def _wrap(x: float) -> float:
-    return (x + np.pi) % (2 * np.pi) - np.pi
+    return (x + math.pi) % (2 * math.pi) - math.pi
 
 
 def _launch_directions(
@@ -179,11 +179,11 @@ def _launch_directions(
     """
     derivs = {1: p.d1, 2: p.d2, 3: lambda z: 24.0}
     fact = {1: 1.0, 2: 2.0, 3: 6.0}
-    c = complex(derivs[mult](tp)) / fact[mult]
-    gamma = 0.5 * np.angle(c)
+    c = derivs[mult](tp) / fact[mult]
+    gamma = 0.5 * cmath.phase(c)
     q = (mult + 2) / 2.0
-    off = 0.0 if anti else np.pi / 2
-    return [float((off + j * np.pi - gamma) / q) for j in range(mult + 2)]
+    off = 0.0 if anti else math.pi / 2
+    return [(off + j * math.pi - gamma) / q for j in range(mult + 2)]
 
 
 def _sqrt_continue(V: complex, prev: complex) -> complex:
@@ -230,12 +230,12 @@ def _local_series(tps: TurningPointSet, i: int):
     Its integral from t is sqrt(c) zeta^{m/2 + 1} G(zeta), G_k = F_k /
     (k + m/2 + 1).  The series converges within the nearest other root.
     """
-    t = complex(tps.roots[i])
+    t = tps.roots[i]
     g = [1.0 + 0j, 0j, 0j, 0j]
     for j, (r, m) in enumerate(zip(tps.roots, tps.multiplicities)):
         if j != i:
             for _ in range(m):
-                e = 1.0 / (t - complex(r))
+                e = 1.0 / (t - r)
                 g = [g[0], g[1] + e * g[0], g[2] + e * g[1], g[3] + e * g[2]]
     q = 0.5 * tps.multiplicities[i] + 1.0
     F = _sqrt_series(g[1], g[2], g[3], _LOCAL_TERMS)
@@ -347,17 +347,14 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
     step makes at most three square-root continuations: at the chord's
     midpoint, at the predicted point and at the corrected point.
 
-    The loop runs on Python complex scalars, not numpy: a line takes
-    hundreds of steps over at most three roots, and numpy's per-call
-    overhead on such small operands cost about four times the arithmetic.
-    For the same reason the loop evaluates V and continues the square root
-    inline, with the operations of CubicPotential.__call__ and
-    _sqrt_continue in their order, and reads the root distances and the step
-    cap by comparisons: a step calls no function but cmath.sqrt, abs,
-    complex.conjugate and pts.append, whose calls would otherwise cost more
-    than the arithmetic they wrap.
+    A line takes hundreds of steps over at most three roots, so the loop
+    evaluates V and continues the square root inline, with the operations of
+    CubicPotential.__call__ and _sqrt_continue in their order, and reads the
+    root distances and the step cap by comparisons: a step calls no function
+    but cmath.sqrt, abs, complex.conjugate and pts.append, whose calls would
+    otherwise cost more than the arithmetic they wrap.
     """
-    roots = [complex(r) for r in tps.roots]
+    roots = list(tps.roots)
     tp = roots[origin]
     others = [r for i, r in enumerate(roots) if i != origin]
     # the other roots j, each with the radius 0.1 d_j of its disc (d_j the
@@ -385,7 +382,7 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
 
     # a tenth of the way to the nearest other root; a lone triple root, whose
     # series is exact, starts on the far radius
-    r_start = min(_START_FACTOR * min((abs(tp - r) for r in others), default=np.inf), R_far)
+    r_start = min(_START_FACTOR * min((abs(tp - r) for r in others), default=math.inf), R_far)
     if r_start >= r_launch:
         # from the local Stokes direction, corrected for the first term of
         # the series: S ~ zeta^q (1/q + F_1 zeta/(q + 1)), q = (m + 2)/2
@@ -412,13 +409,13 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
         # launch point; no clearance, since the other root can sit inside
         # the launch radius
         s_launch = line_action(p, (tp, z), w, tol=1e-14, clearance=0.0).value
-        drift = float((u * s_launch).real)
+        drift = (u * s_launch).real
 
     pts = [tp, z]
     append = pts.append
 
     def line(terminal):
-        return StokesLine(origin, direction_index, np.array(pts), terminal)
+        return StokesLine(origin, direction_index, tuple(pts), terminal)
 
     d_home = 0.5 * r_launch
     h_min = max(1e-6 * scale, 0.05 * r_launch)
@@ -448,7 +445,7 @@ def _trace_one(p, tps, origin, direction_index, theta, anti_stokes, rays, local,
             append(x)
             ang = cmath.phase(x)
             devs = [abs(_wrap(ang - f)) for f in rays]
-            k = int(np.argmin(devs))
+            k = min(range(5), key=devs.__getitem__)
             if devs[k] > _WEDGE_TOL:
                 return line(("unresolved", -99))
             return line(("ray", k - 2))
@@ -511,7 +508,7 @@ def trace_stokes_lines(p: CubicPotential, anti_stokes: bool = False) -> list[Sto
     _assemble finds the internal line traced once.
     """
     tps = turning_points(p)
-    rays = [f + np.pi / 5 for f in PHI] if anti_stokes else PHI
+    rays = [f + math.pi / 5 for f in PHI] if anti_stokes else PHI
     local = [_local_series(tps, vi) for vi in range(len(tps.roots))]
     far = _far_series(p)
     thetas = [_launch_directions(p, tp, m, anti_stokes)
@@ -524,9 +521,9 @@ def trace_stokes_lines(p: CubicPotential, anti_stokes: bool = False) -> list[Sto
             ln = lines[vi, di] = _trace_one(p, tps, vi, di, theta, anti_stokes, rays, local, far)
             kind, j = ln.terminal
             if kind == "tp":
-                arrival = cmath.phase(complex(ln.points[-2] - ln.points[-1]))
+                arrival = cmath.phase(ln.points[-2] - ln.points[-1])
                 dj = min(range(len(thetas[j])), key=lambda k: abs(_wrap(arrival - thetas[j][k])))
-                lines.setdefault((j, dj), StokesLine(j, dj, ln.points[::-1].copy(), ("tp", vi)))
+                lines.setdefault((j, dj), StokesLine(j, dj, ln.points[::-1], ("tp", vi)))
     return [lines[key] for key in sorted(lines)]
 
 
@@ -571,8 +568,8 @@ def _crossing(line, radius, p):
     tps = p.turning_points
     assert radius < _FAR_FACTOR * (1.0 + tps.scale), "crossing past the far radius"
     pts = line.points
-    q = int(np.nonzero(np.abs(pts) <= radius)[0][-1])
-    z0, d = complex(pts[q]), complex(pts[q + 1] - pts[q])
+    q = next(i for i in range(len(pts) - 1, -1, -1) if abs(pts[i]) <= radius)
+    z0, d = pts[q], pts[q + 1] - pts[q]
     a2, b1, c0 = abs(d) ** 2, (z0.conjugate() * d).real, abs(z0) ** 2 - radius**2
     x = z0 + d * (-b1 + (b1 * b1 - a2 * c0) ** 0.5) / a2
     if q == 0:
@@ -604,7 +601,7 @@ def _ray_deviation(line):
     from the side of sector k to that of sector k+1: level lines do not
     cross, so they keep their order at every radius, and all end on one.
     """
-    return _wrap(cmath.phase(complex(line.points[-1])) - PHI[line.terminal[1] + 2])
+    return _wrap(cmath.phase(line.points[-1]) - PHI[line.terminal[1] + 2])
 
 
 def _order_at_infinity(lines):
@@ -686,7 +683,7 @@ def _compute_relation(internal, lines, p):
                     a, b = sides[key]
                     yield key, b if a == c else a
 
-    related = np.eye(5, dtype=bool)
+    related = [[i == j for j in range(5)] for i in range(5)]
     corridors = {}
     for l in range(-2, 3):
         # BFS over entry components, from sector l's face
@@ -703,39 +700,32 @@ def _compute_relation(internal, lines, p):
                     prev[c] = (entry, key)
                     queue.append((face_of[c], c))
         for k, c in reached.items():
-            related[(l + 2) % 5, (k + 2) % 5] = True
+            related[(l + 2) % 5][(k + 2) % 5] = True
             walk = []
             while c is not None:
                 c, key = prev[c]
                 walk.append(key)
             corridors[(l, k)] = tuple(reversed(walk))
-    return SectorRelation(matrix=related), corridors
+    return SectorRelation(matrix=tuple(map(tuple, related))), corridors
 
 
 def _match_class(n_simple, n_int, relation, ext_valence):
     """Class code and decoration shift: the (code, m) whose
     canonical_relation(code, m) is the relation, among the codes that fit
-    the counts of simple points and internal lines.
+    the counts of simple points and internal lines, the first two digits of
+    a code in _CANONICAL_FAIL.
 
     310 and 311 are the only codes that share counts, and they fail two
     pairs and one, so no relation matches both.
     """
-    by_counts = {
-        (3, 0): ["300"],
-        (3, 1): ["310", "311"],
-        (3, 2): ["320"],
-        (1, 0): ["100"],
-        (1, 1): ["110"],
-        (0, 0): ["000"],
-    }
-    cands = by_counts.get((n_simple, n_int))
-    if cands is None:
+    cands = [code for code in _CANONICAL_FAIL if code[:2] == f"{n_simple}{n_int}"]
+    if not cands:
         raise AmbiguousClassError(
             f"no admissible class with {n_simple} simple points and "
             f"{n_int} internal lines"
         )
     matches = [(code, m) for code in cands for m in range(5)
-               if np.array_equal(canonical_relation(code, m).matrix, relation.matrix)]
+               if canonical_relation(code, m) == relation]
     if not matches:
         raise AmbiguousClassError("relation pattern matches no admissible class")
     if len(matches) == 1:
@@ -845,11 +835,11 @@ def canonical_relation(class_code: str, shift: int = 0) -> SectorRelation:
     """The tabulated relation for a class, with the decoration shift applied:
     every pair holds except the failing pairs of the table, each label moved
     by the shift."""
-    mat = np.ones((5, 5), dtype=bool)
+    mat = [[True] * 5 for _ in range(5)]
     for j, k in _CANONICAL_FAIL[class_code]:
         j, k = (j + shift + 2) % 5, (k + shift + 2) % 5
-        mat[j, k] = mat[k, j] = False
-    return SectorRelation(matrix=mat)
+        mat[j][k] = mat[k][j] = False
+    return SectorRelation(matrix=tuple(map(tuple, mat)))
 
 
 @dataclass(frozen=True)
@@ -899,7 +889,7 @@ def classify_by_periods(p: CubicPotential) -> PeriodClassGuess:
     if len(zero_pairs) == 1:
         if p.is_real(1e-12 * max(1.0, abs(p.a), abs(p.b))):
             i, j = zero_pairs[0]
-            if abs(r[i] - np.conj(r[j])) < 1e-8 * scale:
+            if abs(r[i] - r[j].conjugate()) < 1e-8 * scale:
                 return PeriodClassGuess(family="indeterminate", labels=None)
         return PeriodClassGuess(family="31x", labels=None)
     if len(zero_pairs) == 0:

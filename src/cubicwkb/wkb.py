@@ -9,14 +9,14 @@ along admissible paths between sectors l and k.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .action import alpha_integral, alpha_ray_tail, cycle_period, safe_nodes
 from .stokes import StokesComplexGraph
 
-LOG3_HALF = np.log(3.0) / 2.0
+LOG3_HALF = math.log(3.0) / 2.0
 
 
 class WrongClassError(ValueError):
@@ -41,25 +41,25 @@ class AsymptoticValues:
 
 @dataclass(frozen=True)
 class RelativeError:
-    """rho[l][k] (indices k+2 in the array) with inf for unrelated sectors."""
+    """rho[l][k] (at row l+2, column k+2 of the 5x5 tuple) with inf for
+    unrelated sectors."""
 
-    rho: np.ndarray
+    rho: tuple[tuple[float, ...], ...]
     sim_equals_relation: bool
 
     def value(self, l: int, k: int) -> float:
-        return float(self.rho[(l + 2) % 5, (k + 2) % 5])
+        return self.rho[(l + 2) % 5][(k + 2) % 5]
 
     @property
     def max_finite(self) -> float:
-        finite = self.rho[np.isfinite(self.rho)]
-        return float(np.max(finite)) if finite.size else 0.0
+        return max((x for row in self.rho for x in row if math.isfinite(x)), default=0.0)
 
 
 def _sector_anchor(g: StokesComplexGraph, k: int) -> complex:
     """Reference point on the central ray of geometric sector k, at three
     times the radius of the turning points."""
     scale = max(g.tps.scale, 1e-12)
-    return 3.0 * scale * np.exp(2j * np.pi * k / 5)
+    return 3.0 * scale * cmath.exp(2j * math.pi * k / 5)
 
 
 def asymptotic_values_320(g: StokesComplexGraph) -> AsymptoticValues:
@@ -75,8 +75,8 @@ def asymptotic_values_320(g: StokesComplexGraph) -> AsymptoticValues:
     if g.class_code != "320":
         raise WrongClassError(f"class {g.class_code}, need 320")
     p = g.potential
-    e1 = np.exp(-2.0 * cycle_period(p, "a1", labels=g.tp_labels).value)
-    em1 = np.exp(-2.0 * cycle_period(p, "a-1", labels=g.tp_labels).value)
+    e1 = cmath.exp(-2.0 * cycle_period(p, "a1", labels=g.tp_labels).value)
+    em1 = cmath.exp(-2.0 * cycle_period(p, "a-1", labels=g.tp_labels).value)
     w = {
         0: (0.0 + 0j, 1.0 + 0j),
         -2: (1.0 + 0j, 0.0 + 0j),
@@ -101,11 +101,11 @@ def relative_errors(g: StokesComplexGraph) -> RelativeError:
     p, tps = g.potential, g.tps
     roots = tps.all_with_repeats
     clearance = 0.05 * max(tps.separation, 1e-12) if len(tps.roots) > 1 else 0.0
-    rho = np.full((5, 5), np.inf)
+    rho = [[math.inf] * 5 for _ in range(5)]
     for l in range(-2, 3):
-        rho[(l + 2) % 5, (l + 2) % 5] = 0.0
+        rho[(l + 2) % 5][(l + 2) % 5] = 0.0
         for k in (l - 1, l + 1):
-            rho[(l + 2) % 5, (k + 2) % 5] = 0.0
+            rho[(l + 2) % 5][(k + 2) % 5] = 0.0
     # external walls are sampled at a moderate radius beyond the vertices
     r_ext = 1.5 * max(tps.scale, 1e-12)
     # a sector's ray tail is the same in every pair it belongs to
@@ -130,8 +130,8 @@ def relative_errors(g: StokesComplexGraph) -> RelativeError:
                 full.extend(seg if not full else seg[1:])
             mid = alpha_integral(p, full, clearance=0.5 * clearance if clearance else None)
             val = mid + (tail(l) + tail(k))
-            rho[(l + 2) % 5, (k + 2) % 5] = val
-            rho[(k + 2) % 5, (l + 2) % 5] = val
-    sim = rho < LOG3_HALF
-    sim_eq = bool(np.array_equal(sim, g.relation.matrix))
-    return RelativeError(rho=rho, sim_equals_relation=sim_eq)
+            rho[(l + 2) % 5][(k + 2) % 5] = val
+            rho[(k + 2) % 5][(l + 2) % 5] = val
+    sim = tuple(tuple(x < LOG3_HALF for x in row) for row in rho)
+    return RelativeError(rho=tuple(map(tuple, rho)),
+                         sim_equals_relation=sim == g.relation.matrix)

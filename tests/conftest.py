@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,7 +8,7 @@ from scipy.optimize import fsolve
 
 from cubicwkb.bsb import BsbIndex, real_orbit_potential, real_poles, solve_bsb
 from cubicwkb.painleve import laurent_coeffs
-from cubicwkb.potential import CubicPotential
+from cubicwkb.potential import CubicPotential, GroupElement, apply_group
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -125,3 +126,22 @@ def random_potentials(seed, count, box=2.0, real=False):
             b = complex(rng.uniform(-box, box), rng.uniform(-box, box))
         out.append((a, b))
     return out
+
+
+def root_split(p):
+    """(d, scale): the distance between the two nearest roots of V and the
+    root scale max(1, max |r|), from the roots in 50 digits."""
+    with mp.workdps(50):
+        r = mp.polyroots([4, 0, -2 * mp.mpc(p.a), -28 * mp.mpc(p.b)], maxsteps=200, extraprec=200)
+        d = min(abs(r[i] - r[j]) for i in range(3) for j in range(i + 1, 3))
+        return float(d), float(max([mp.mpf(1)] + [abs(z) for z in r]))
+
+
+def split_pair():
+    """(p0, p): V = 4 (x + 1 - d)(x + 1 + d)(x - 2) with d = 5e-8, that is
+    a = 6 + 2 d^2 and b = 2 (1 - d^2)/7, and its image under m = 1.  Each
+    has a pair of roots about 1e-7 apart, 5 times the merge tolerance 1e-8
+    of scale 2: a split pair of its own, not one of rounding."""
+    d = 5e-8
+    p0 = CubicPotential(6.0 + 2 * d * d, 2 * (1 - d * d) / 7)
+    return p0, apply_group(GroupElement(1.0, 1), p0)

@@ -464,40 +464,62 @@ def test_alpha_integral_scaling():
     assert scaled == pytest.approx(x**-2.5 * base, rel=1e-9)
 
 
-def test_gauss_panel_equals_the_two_call_form_bit_for_bit():
-    # one call of f on the nodes of both rules gives what one call per rule
-    # gives: on |alpha| and on the sheet-continued integrand of
-    # _integrate_regular, over whole and partial panels
-    def two_calls(f, a, b):
+def test_gauss_rules_match_leggauss():
+    # the rules built by Newton on P_n: nodes as numpy's leggauss gives them,
+    # and nodes and weights within 1e-15 of 30-digit ones (leggauss's own
+    # 40-node weights are up to 3.2e-15 off)
+    mp = pytest.importorskip("mpmath")
+    for n in (20, 40):
+        rule = action._gauss_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(np.array([xk for xk, _ in rule]) - x)) <= 1e-15
+        assert np.max(np.abs(np.array([wk for _, wk in rule]) - w)) <= 4e-15
+        with mp.workdps(30):
+            for xk, wk in rule:
+                root = mp.findroot(lambda t: mp.legendre(n, t), xk)
+                dP = mp.diff(lambda t: mp.legendre(n, t), root)
+                assert abs(xk - root) <= 1e-15
+                assert abs(wk - 2 / ((1 - root**2) * dP**2)) <= 1e-15
+
+
+def test_gauss_panel_sums_each_rule_bit_for_bit():
+    # the one pass over both rules' nodes gives each rule's own sum: on
+    # |alpha| and on the sheet-continued integrand of _integrate_regular,
+    # over whole and partial panels
+    def two_sums(f, a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        i2 = half * (action._GW2 @ f(mid + half * action._GX2))
-        i1 = half * (action._GW @ f(mid + half * action._GX))
-        return i2, float(abs(i2 - i1))
+        sums = []
+        for n in (40, 20):
+            total = 0.0
+            for xk, wk in action._gauss_legendre(n):
+                total += wk * f(mid + half * xk)
+            sums.append(total)
+        return half * sums[0], abs(half * (sums[0] - sums[1]))
 
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(20):
         a, b = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
-        p = CubicPotential(a, b)
-        roots = np.array(turning_points(p).all_with_repeats, dtype=complex)
-        u, v = rng.uniform(-4, 4, 2) + 1j * rng.uniform(-4, 4, 2)
+        p = CubicPotential(complex(a), complex(b))
+        roots = turning_points(p).all_with_repeats
+        u, v = (complex(z) for z in rng.uniform(-4, 4, 2) + 1j * rng.uniform(-4, 4, 2))
 
         def f_alpha(ts, u=u, v=v, p=p):
             return alpha_at(p, u + ts * (v - u)) * abs(v - u)
 
         fs = [f_alpha]
         pieces = _split_points(u, v, roots)
-        vals = np.sqrt(pieces[0] - roots)
+        vals = [np.sqrt(pieces[0] - r) for r in roots]
         for x0, x1 in zip(pieces[:-1], pieces[1:]):
 
             def f_sheet(s, x0=x0, x1=x1, vals=vals, roots=roots):
-                return 2.0 * np.prod(_continue(vals, x0, x0 + s * (x1 - x0), roots), axis=-1) * (x1 - x0)
+                return 2.0 * np.prod(_continue(vals, x0, x0 + s * (x1 - x0), roots)) * (x1 - x0)
 
             fs.append(f_sheet)
             vals = _continue(vals, x0, x1, roots)
         for f in fs:
             for lo, hi in ((0.0, 1.0), (0.0, 0.5), (0.25, 0.375)):
-                assert _gauss_panel(f, lo, hi) == two_calls(f, lo, hi)
+                assert _gauss_panel(f, lo, hi) == two_sums(f, lo, hi)
                 checked += 1
     assert checked > 60
 

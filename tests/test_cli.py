@@ -7,10 +7,11 @@ import pytest
 
 import cubicwkb
 import cubicwkb.cli as cli
+from conftest import root_split, split_pair
 from cubicwkb.bsb import real_orbit_constants, real_poles
 from cubicwkb.cli import EXIT_AMBIGUOUS, EXIT_OK, EXIT_USAGE, REFERENCE_NUMERIC, main
 from cubicwkb.monodromy import StokesMultipliers, _s5
-from cubicwkb.potential import CubicPotential, GroupElement, apply_group
+from cubicwkb.potential import _ROOT_TOL, CubicPotential
 from cubicwkb.stokes import trace_stokes_lines
 
 
@@ -38,8 +39,10 @@ def test_classify_symmetric(capsys):
 
 
 def test_classify_split_double_root_is_ambiguous(capsys):
-    # (6, 2/7) rotated by m = 1: rounding splits its double root 5e-8 apart
-    p = apply_group(GroupElement(1.0, 1), CubicPotential(6.0, 2.0 / 7.0))
+    # two simple roots 1e-7 apart, 5 times the merge tolerance
+    _, p = split_pair()
+    d, scale = root_split(p)
+    assert 3 < d / (_ROOT_TOL * scale) < 10
     code, out, err = run_cli(capsys, "classify", "--a", repr(complex(p.a)), "--b", repr(complex(p.b)))
     assert code == EXIT_AMBIGUOUS
     assert out == "" and "ambiguous" in err
@@ -47,7 +50,9 @@ def test_classify_split_double_root_is_ambiguous(capsys):
 
 def test_verify_split_double_root(capsys):
     # the point classify refuses above: the oracle needs no class
-    p = apply_group(GroupElement(1.0, 1), CubicPotential(6.0, 2.0 / 7.0))
+    _, p = split_pair()
+    d, scale = root_split(p)
+    assert 3 < d / (_ROOT_TOL * scale) < 10
     code, out, _ = run_cli(capsys, "verify", "--a", repr(complex(p.a)), "--b", repr(complex(p.b)))
     assert code == EXIT_OK
     assert max(json.loads(out)["normalized_residuals"]) <= 1e-6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cubicwkb.monodromy as monodromy
-from conftest import random_potentials
+from conftest import random_potentials, root_split, split_pair
 from cubicwkb.action import line_action
 from cubicwkb.bsb import real_poles
 from cubicwkb.cli import EXIT_NUMERICAL, main
@@ -21,7 +21,7 @@ from cubicwkb.monodromy import (
     stokes_multipliers,
     tritronquee_test,
 )
-from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
+from cubicwkb.potential import _ROOT_TOL, CubicPotential, turning_points
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -296,11 +296,14 @@ def test_unexpected_tracing_error_propagates(monkeypatch):
 
 
 def test_split_double_root_routed_by_its_own_lines(caplog):
-    # (6, 2/7) rotated by m = 1: rounding splits its double root 5e-8 apart
-    # and classify refuses it, but the lines at each ray still route the
-    # oracle, and the group shifts the multipliers by one index
-    p0 = CubicPotential(6.0, 2.0 / 7.0)
-    p = apply_group(GroupElement(1.0, 1), p0)
+    # a pair of simple roots 1e-7 apart, 5 times the merge tolerance, and
+    # its image under m = 1: classify refuses both, but the lines at each
+    # ray still route the oracle, and the group shifts the multipliers by
+    # one index
+    p0, p = split_pair()
+    for q in (p0, p):
+        d, scale = root_split(q)
+        assert 3 < d / (_ROOT_TOL * scale) < 10
     with caplog.at_level(logging.DEBUG, logger="cubicwkb"):
         s = stokes_multipliers(p)
     assert not [r for r in caplog.records if r.name.startswith("cubicwkb")]
@@ -386,15 +389,10 @@ def test_verify_beyond_double_range_exits_3_without_warnings(capsys):
     assert out == "" and "double range" in err and "Warning" not in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=MonodromyError,
-    reason="the chord from a wall back to its own line's origin contaminates "
-    "the Wronskians at large double roots",
-)
 def test_double_root_4_plus_4i_lies_inside_the_double_range():
-    # |sigma| up to e^484 at r = 4 + 4i is inside the double range, but the
-    # oracle refuses the point as beyond it
+    # |sigma| up to e^484 at r = 4 + 4i is inside the double range; a chord
+    # from a wall back to its own line's origin contaminated the Wronskians
+    # so that the oracle refused the point as beyond it
     r = 4.0 + 4.0j
     expected = _double_root_exponent(r)
     assert expected == pytest.approx(484.3, abs=0.05)
@@ -404,11 +402,20 @@ def test_double_root_4_plus_4i_lies_inside_the_double_range():
 
 
 def test_exact_double_root_3_stays_admissible():
-    # r = 3, (54, -54/7): its walls sit beyond the other root, where the
-    # chord back to a line's origin is at its largest short of failing
+    # r = 3, (54, -54/7): its walls sit beyond the other root, where a chord
+    # back to a line's origin was at its largest short of failing
     r = 3.0
     s = stokes_multipliers(CubicPotential(6 * r * r, -2 * r**3 / 7))
     assert s.max_normalized_residual <= 1e-6
+
+
+@pytest.mark.parametrize("r", [2.0, 4.0, 2.0 + 2.0j, 3.0 + 3.0j])
+def test_exact_double_roots_walked_along_their_lines(r):
+    # a chord from a wall back to its own line's origin crosses faces over
+    # which the solutions climb: at r = 4, 2 + 2i and 3 + 3i it left the
+    # normalized residual at 1.0; along the lines it stays near rounding
+    s = stokes_multipliers(CubicPotential(6 * r * r, -2 * r**3 / 7))
+    assert s.max_normalized_residual <= 1e-9
 
 
 def test_trace_points_count_the_routing_trace():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import root_split
 from cubicwkb import potential
 from cubicwkb.monodromy import stokes_multipliers
 from cubicwkb.potential import (
@@ -76,6 +77,57 @@ def test_double_root_clustering():
     # V = 4 (x + 1)^2 (x - 2): a = 6, b = 2/7
     tps = turning_points(CubicPotential(6.0, 2.0 / 7.0))
     assert sorted(tps.multiplicities, reverse=True) == [2, 1]
+
+
+def _near_double(rng):
+    """V = 4 (x - r - s)(x - r + s)(x + 2 r): |r| from 10^-2.5 to 3, and the
+    pair's split 2|s| from 1e-10 to 1e-6 of the scale max(1, 2|r|)."""
+    r = 10 ** rng.uniform(-2.5, 0.5) * np.exp(2j * np.pi * rng.uniform())
+    s = 0.5 * 10 ** rng.uniform(-10, -6) * max(1.0, 2 * abs(r)) * np.exp(2j * np.pi * rng.uniform())
+    e1, e2, e3 = r + s, r - s, -2 * r
+    return CubicPotential(complex(-2 * (e1 * e2 + e1 * e3 + e2 * e3)), complex(e1 * e2 * e3 / 7))
+
+
+def test_near_double_roots_merge_by_their_exact_split():
+    # any double-precision solver places a near double pair no better than
+    # sqrt(eps) scale, the size of the merge tolerance itself: the decision
+    # is the exact split's.  100 seeded near-double potentials, whose float
+    # coefficients give true splits from about 1e-10 to 1e-6 of the scale,
+    # and the 20 images of (6, 2/7) under x in {0.5, 1, 1.7, 3} and
+    # m = 0..4, split by rounding alone, each take the multiplicities of
+    # their 50-digit roots
+    rng = np.random.default_rng(41)
+    cases = [_near_double(rng) for _ in range(100)]
+    cases += [apply_group(GroupElement(x, m), CubicPotential(6.0, 2.0 / 7.0))
+              for x in (0.5, 1.0, 1.7, 3.0) for m in range(5)]
+    ratios = []
+    for p in cases:
+        d, scale = root_split(p)
+        ratio = d / (potential._ROOT_TOL * scale)
+        if abs(ratio - 1.0) < 1e-6:
+            continue
+        want = (2, 1) if ratio <= 1.0 else (1, 1, 1)
+        assert turning_points(p).multiplicities == want, (p, ratio)
+        ratios.append(ratio)
+    assert len(ratios) >= 115
+    assert min(ratios) < 0.1 and max(ratios) > 10
+
+
+def test_roots_match_the_companion_matrix_away_from_double_roots():
+    # Cardano's formula and the polish against numpy's eigenvalue solver
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(500):
+        a, b = (complex(*rng.uniform(-3, 3, 2)) for _ in range(2))
+        tps = turning_points(CubicPotential(a, b))
+        ref = np.roots([4, 0, -2 * a, -28 * b])
+        scale = max(1.0, np.max(np.abs(ref)))
+        if tps.separation < 1e-3 * scale:
+            continue
+        for r in tps.roots:
+            assert np.min(np.abs(ref - r)) <= 1e-13 * scale
+        checked += 1
+    assert checked > 490
 
 
 def test_group_identity_and_scaling():

@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_potentials
+from conftest import random_potentials, root_split, split_pair
 from cubicwkb import stokes
 from cubicwkb.action import _pair_scores, line_action
 from cubicwkb.bsb import real_orbit_constants, real_orbit_potential
 from cubicwkb.export import graph_to_json, graph_to_svg
-from cubicwkb.potential import CubicPotential, GroupElement, apply_group, turning_points
+from cubicwkb.potential import (
+    _ROOT_TOL,
+    CubicPotential,
+    GroupElement,
+    apply_group,
+    turning_points,
+)
 from cubicwkb.stokes import (
     PHI,
     AmbiguousClassError,
@@ -73,15 +79,23 @@ def test_110_family_four_lines_from_double_point():
 
 
 def test_split_double_root_is_refused():
-    # rotating the 110 point (6, 2/7) by m = 1 splits its double root by
-    # rounding into two simple roots 5e-8 apart, inside the launch radius:
-    # a trace there would report a confident but wrong class
+    # two simple roots 1e-7 apart, 5 times the merge tolerance, lie inside
+    # the launch radius: a trace there would report a confident but wrong
+    # class
+    _, split = split_pair()
+    d, scale = root_split(split)
+    assert 3 < d / (_ROOT_TOL * scale) < 10
     p = CubicPotential(6.0, 2.0 / 7.0)
-    split = apply_group(GroupElement(1.0, 1), p)
     assert turning_points(split).multiplicities == (1, 1, 1)
     with pytest.raises(AmbiguousClassError):
         classify(split)
-    for q in (p, apply_group(GroupElement(1.0, 2), p)):
+    # the images of the 110 point (6, 2/7) whose exact split is within the
+    # tolerance are double roots (those by m = 2 and 3 split 2.07e-8 and
+    # 2.40e-8, above 2e-8); m = 1 splits 1.33e-8
+    for m in (0, 1, 4):
+        q = apply_group(GroupElement(1.0, m), p)
+        d, scale = root_split(q)
+        assert d <= _ROOT_TOL * scale
         assert classify(q).class_code == "110"
 
 
@@ -189,7 +203,7 @@ def test_conjugation_symmetry_real_potentials():
 def test_sector_relation_rows():
     # tabulated rows, canonical decoration
     rel300 = canonical_relation("300", 0)
-    assert rel300.matrix.all()
+    assert all(all(row) for row in rel300.matrix)
     rel000 = canonical_relation("000", 0)
     for j in range(-2, 3):
         for k in range(-2, 3):
@@ -231,9 +245,7 @@ def test_class_table_reads_both_ways(orbit_potential):
     for code, p in reps.items():
         g = classify(p)
         assert g.class_code == code
-        assert np.array_equal(
-            g.relation.matrix, canonical_relation(code, g.decoration_shift).matrix
-        )
+        assert g.relation.matrix == canonical_relation(code, g.decoration_shift).matrix
         n_simple = g.tps.multiplicities.count(1)
         n_int = len(g.internal_edges)
         # external valence of each canonical ray k, read at ray k + shift
@@ -281,7 +293,7 @@ def test_exports(orbit_potential):
         twins = [ln for ln in g.lines if ln.terminal[0] == "tp"
                  and {ln.origin, ln.terminal[1]} == {e["from"], e["to"]}]
         assert len(twins) == 2
-        assert e["polyline"] == np.column_stack((twins[0].points.real, twins[0].points.imag)).tolist()
+        assert e["polyline"] == [[z.real, z.imag] for z in twins[0].points]
     svg = graph_to_svg(g)
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 9
