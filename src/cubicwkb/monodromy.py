@@ -16,9 +16,10 @@ radially inward along its own ray (the stable direction) and then through
 the corridors of the Stokes complex, where the action's real part stays near
 the saddle levels, so the exponentially small recessive components survive
 in double precision.  Between walls the path follows the Stokes lines
-themselves, never a chord across a face, over which the solutions climb.  Every Wronskian ratio is evaluated at a common point
-on the wall separating the sectors involved, where all factors have
-comparable modulus, and at a second wall as a consistency gate.
+themselves, never a chord across a face, over which the solutions climb.
+Every Wronskian ratio is evaluated at a common point on the wall separating
+the sectors involved, where all factors have comparable modulus, and at a
+second wall as a consistency gate.
 
 The ODE psi'' = V psi is stepped along each straight segment of those paths
 by Taylor series.  Because V is a cubic polynomial, the Taylor coefficients
