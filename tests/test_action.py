@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -486,12 +489,14 @@ def test_gauss_panel_sums_each_rule_bit_for_bit():
     # the one pass over both rules' nodes gives each rule's own sum: on
     # |alpha| and on the sheet-continued integrand of _integrate_regular,
     # over whole and partial panels
+    rules = [action._gauss_legendre(n) for n in (40, 20)]
+
     def two_sums(f, a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         sums = []
-        for n in (40, 20):
+        for rule in rules:
             total = 0.0
-            for xk, wk in action._gauss_legendre(n):
+            for xk, wk in rule:
                 total += wk * f(mid + half * xk)
             sums.append(total)
         return half * sums[0], abs(half * (sums[0] - sums[1]))
@@ -509,11 +514,11 @@ def test_gauss_panel_sums_each_rule_bit_for_bit():
 
         fs = [f_alpha]
         pieces = _split_points(u, v, roots)
-        vals = [np.sqrt(pieces[0] - r) for r in roots]
+        vals = [cmath.sqrt(pieces[0] - r) for r in roots]
         for x0, x1 in zip(pieces[:-1], pieces[1:]):
 
             def f_sheet(s, x0=x0, x1=x1, vals=vals, roots=roots):
-                return 2.0 * np.prod(_continue(vals, x0, x0 + s * (x1 - x0), roots)) * (x1 - x0)
+                return 2.0 * math.prod(_continue(vals, x0, x0 + s * (x1 - x0), roots)) * (x1 - x0)
 
             fs.append(f_sheet)
             vals = _continue(vals, x0, x1, roots)

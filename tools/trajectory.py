@@ -8,7 +8,7 @@ script) and writes BENCH_NAME.json beside this script's checkout:
 - ``cli_s``: the median and quartiles of the wall time of fresh processes
   (``python -m cubicwkb.cli``) running ``poles --nmax 5 --mmax 5``,
   ``verify --a 0.4 --b -0.3`` and ``classify --a 0.4 --b -0.3``, each
-  ``--runs`` times, interleaved;
+  RUNS times, interleaved;
 - ``layers_s``: in-process medians, in seconds per call, of the turning points
   (a fresh potential each call), ``cycle_period`` and ``classify`` at the
   real orbit point, ``stokes_multipliers(0.4, -0.3)``,
@@ -33,6 +33,7 @@ from pathlib import Path
 from time import perf_counter
 
 HERE = Path(__file__).resolve().parents[1]
+RUNS = 10                      # fresh processes per CLI call
 
 CLI_CALLS = {
     "poles_5x5": ["poles", "--nmax", "5", "--mmax", "5"],
@@ -105,13 +106,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--root", type=Path, default=HERE, help="source checkout to measure")
-    ap.add_argument("--runs", type=int, default=10, help="fresh processes per CLI call")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     env = child_env(root)
 
     cli = {name: [] for name in CLI_CALLS}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name, call in CLI_CALLS.items():
             t0 = perf_counter()
             subprocess.run([sys.executable, "-m", "cubicwkb.cli", *call], env=env, check=True,
